@@ -1008,8 +1008,8 @@ func e20Sizes() []int {
 // nodes, across workers 1/2/4/8 and the fair and lossy channels. The
 // trajectory of every row is a pure function of (seed, scenario);
 // workers only divide wall-clock across the shard-resident runtime's
-// fire/merge/probe phases (the lossy rows exercise the
-// coordinator-serial merge fallback). steps/op is the schedule
+// fire/merge/probe phases (the lossy rows add channel decisions,
+// retransmission and held-queue routing to the same drain). steps/op is the schedule
 // length, probes/op the dirty-set quiescence verdict count — compare
 // it against rounds x n to see the dirty-set win. The workers=4
 // speedup on the large ring rows is gated in CI by cmd/scalegate.
@@ -1027,7 +1027,7 @@ func BenchmarkE20Scale(b *testing.B) {
 						for i := 0; i < b.N; i++ {
 							spec := channel
 							if spec == "fair" {
-								spec = "" // fast path: bit-identical to the explicit fair model
+								spec = "" // unbound: bit-identical to the explicit fair model
 							}
 							sim, err := run.NewSim(net, build.Gossip(), part, run.Options{Seed: 11, Channel: spec})
 							if err != nil {

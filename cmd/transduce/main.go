@@ -70,7 +70,7 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel round runtime worker count (0 = sequential scheduler)")
 	shards := flag.Int("shards", 0, "parallel runtime shard count override (0 = min(workers, nodes))")
 	scaleProfile := flag.String("scale-profile", "", "E20 scaling configuration family:n (gossip on a generated graph; overrides -t/-topology/-facts)")
-	channelSpec := flag.String("channel", "", "channel model / fault scenario (see -list); empty = default fair channel on the fast path")
+	channelSpec := flag.String("channel", "", "channel model / fault scenario (see -list); empty = default fair channel")
 	explain := flag.Bool("explain", false, "print the compiled query plans of the transducer (join order, probe columns, guards, delta pins), then exit")
 	lint := flag.Bool("lint", false, "run the static CALM analyzer on the transducer (polarity graph, refined class, witnesses), then exit")
 	list := flag.Bool("list", false, "list available transducers and channel scenarios, then exit")

@@ -79,6 +79,12 @@ type Decision struct {
 // Model owns the delivery semantics of one run. Implementations are
 // stateful per run (construct a fresh model per run via a Scenario)
 // and must be deterministic functions of (seed, call sequence).
+//
+// Concurrency: the parallel runtime calls Next and Connected
+// concurrently from its shard workers, so both must be safe for
+// concurrent use and must not mutate model state (Next draws only
+// from the stream it is handed). Filter and CrashesIn are only ever
+// called from one goroutine at a time and may mutate model state.
 type Model interface {
 	// Name returns the canonical scenario spec of the model, e.g.
 	// "fair" or "lossy:25".

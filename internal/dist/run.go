@@ -49,11 +49,12 @@ type RunOptions struct {
 	Dict *fact.Dict
 	// Channel selects the channel model / fault scenario of the run by
 	// registry spec: "fair", "lossy[:PCT]", "dup[:PCT]",
-	// "partition[:EPOCH]", "crash[:NODE@STEP,...]". Empty keeps the
-	// default FairLossless semantics on the zero-overhead fast path
-	// (bit-identical to the pre-channel-layer runtime); any other spec
-	// routes delivery decisions through the named model, deterministic
-	// per (Seed, Channel) in both the sequential and parallel runtimes.
+	// "partition[:EPOCH]", "crash[:NODE@STEP,...]". Empty binds no
+	// model: the default FairLossless semantics, bit-identical to
+	// "fair" (which additionally captures the persisted snapshots
+	// crashes need); any other spec routes delivery decisions through
+	// the named model, deterministic per (Seed, Channel) in both the
+	// sequential and parallel runtimes.
 	Channel string
 	// Trace, when non-nil, receives every executed transition.
 	Trace func(network.TraceEvent)

@@ -2,6 +2,7 @@ package network
 
 import (
 	"testing"
+	"time"
 
 	"declnet/internal/channel"
 	"declnet/internal/fact"
@@ -56,17 +57,36 @@ func runWithModel(t *testing.T, m channel.Model, seed int64, parallel int) (*Sim
 	return sim, res
 }
 
+// TestChannelRunsDrainShardParallel: runs under a fault model merge
+// through the same shard-parallel drain as fair runs, so the draining
+// shards record merge time.
+func TestChannelRunsDrainShardParallel(t *testing.T) {
+	for _, m := range []channel.Model{channel.LossyFair(3, 30), channel.Partition(12, 4)} {
+		sim, _ := runWithModel(t, m, 3, 2)
+		if sim.Drops+sim.Held == 0 {
+			t.Fatalf("%s: no faults injected; test is vacuous", m.Name())
+		}
+		var merge time.Duration
+		for _, st := range sim.ShardStats() {
+			merge += st.Merge
+		}
+		if merge == 0 {
+			t.Errorf("%s: shards recorded no merge time", m.Name())
+		}
+	}
+}
+
 // TestChannelFairBitIdentical: binding an explicit FairLossless model
 // routes every decision through the channel layer, and the resulting
 // trajectory — output, step, heartbeat, delivery and send counters —
-// is bit-identical to the nil-channel fast path, sequentially and in
+// is bit-identical to a run with no model bound, sequentially and in
 // parallel rounds.
 func TestChannelFairBitIdentical(t *testing.T) {
 	for _, workers := range []int{0, 1, 4} {
 		ref, refRes := runWithModel(t, nil, 11, workers)
 		got, gotRes := runWithModel(t, channel.FairLossless(), 11, workers)
 		if !gotRes.Output.Equal(refRes.Output) {
-			t.Errorf("workers=%d: output %s != fast-path %s", workers, gotRes.Output, refRes.Output)
+			t.Errorf("workers=%d: output %s != unbound %s", workers, gotRes.Output, refRes.Output)
 		}
 		if gotRes.Steps != refRes.Steps || got.Heartbeats != ref.Heartbeats ||
 			got.Deliveries != ref.Deliveries || got.Sends != ref.Sends {

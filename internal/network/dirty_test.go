@@ -53,6 +53,14 @@ func checkDirtyInvariant(t *testing.T, s *Sim) {
 	}
 }
 
+// admit routes f into n's buffer over a connected link and folds the
+// counters, as the heal release does.
+func admit(s *Sim, n *nodeRT, f fact.Fact) {
+	var t tally
+	s.route(n, n.idx, f, f.Key(), true, &t)
+	s.fold(&t)
+}
+
 // TestDirtyInvalidatedOnBufferPush: after quiescence every node holds
 // a cached verdict (dirty set empty); admitting a previously unseen
 // fact into a buffer must invalidate exactly that node's verdict.
@@ -68,7 +76,7 @@ func TestDirtyInvalidatedOnBufferPush(t *testing.T) {
 
 	n := s.order[2]
 	f := fact.NewFact("M", "fresh-element")
-	s.admit(n, f, f.Key())
+	admit(s, n, f)
 	if !n.dirty || s.DirtyNodes() != 1 {
 		t.Fatalf("unseen buffer push left node clean (dirty=%v count=%d)", n.dirty, s.DirtyNodes())
 	}
@@ -90,7 +98,7 @@ func TestDirtyInvalidatedOnBufferPush(t *testing.T) {
 	if seen.Rel == "" {
 		t.Fatal("node has no known facts")
 	}
-	s2.admit(m, seen, seen.Key())
+	admit(s2, m, seen)
 	if m.dirty || s2.DirtyNodes() != 0 {
 		t.Fatalf("re-admit of known fact dirtied the node (count=%d)", s2.DirtyNodes())
 	}
@@ -349,9 +357,9 @@ func TestShardGeometryWorkersExceedNodes(t *testing.T) {
 	baseline := ""
 	for _, opt := range []ParallelOptions{
 		{Seed: 4, Workers: 1},
-		{Seed: 4, Workers: 3},  // equals n
-		{Seed: 4, Workers: 8},  // workers > n
-		{Seed: 4, Workers: 64}, // workers >> n
+		{Seed: 4, Workers: 3},             // equals n
+		{Seed: 4, Workers: 8},             // workers > n
+		{Seed: 4, Workers: 64},            // workers >> n
 		{Seed: 4, Workers: 8, Shards: 16}, // shards > n too
 	} {
 		s := parallelTestSim(t, Line(3), 5, true)

@@ -44,24 +44,25 @@ import (
 // shard-parallel:
 //
 //   - fire: every node transitions against the pre-round
-//     configuration, touching only its own nodeRT; sends are routed
+//     configuration, touching only its own nodeRT; the channel model
+//     picks its fate from the node's own stream, and sends are routed
 //     as (src, dst) entries into per-(src-shard × dst-shard) outbox
 //     mailboxes.
 //   - merge: each DESTINATION shard drains the outbox column
 //     addressed to it — src shards in ascending order, entries in
-//     fire order — so every buffer receives exactly the append
-//     sequence of the historical coordinator-serial merge, while
-//     distinct destinations merge concurrently. The coordinator only
-//     folds counters and applies out(ρ) additions in node order.
+//     fire order — so every buffer and held queue receives exactly
+//     the sequence of the interleaving, while distinct destinations
+//     merge concurrently. In the interleaving node i's sends happen at
+//     step roundStart+i, so the drain asks Connected(src, dst,
+//     roundStart+src) once per link and parks severed messages in
+//     the destination's own held queue.
 //   - probe: the dirty-set quiescence check re-probes only nodes
 //     whose verdict was invalidated, shard-parallel.
 //
-// Runs with a bound channel model or an active trace hook fall back
-// to the historical coordinator-serial merge: held-message parking
-// consults Connected(src, dst, step) with the step counter advancing
-// mid-merge, and trace events must interleave in global node order —
-// both inherently serial. The fast path (nil channel, no trace) is
-// the one the scaling benchmarks measure.
+// The coordinator only folds per-shard counters, applies out(ρ)
+// additions in node order and emits the round's trace events in node
+// order, with the steps the interleaving would give them. Every run —
+// any channel model, traced or not — takes this one path.
 
 // ParallelOptions configures a parallel round-based run.
 type ParallelOptions struct {
@@ -99,10 +100,8 @@ const parallelStreamSalt = 0xb5297a4d3f84d5a2
 
 // ShardStat reports one shard's share of a RunParallel call: its node
 // range and the wall-clock spent in each phase. Merge time is
-// recorded by the draining (destination) shard on the fast path; runs
-// on the serial-merge fallback (channel model or trace bound) leave
-// it zero because the coordinator merges. Probes counts saturation
-// probes executed at the shard's nodes.
+// recorded by the draining (destination) shard. Probes counts
+// saturation probes executed at the shard's nodes.
 type ShardStat struct {
 	// Lo and Hi delimit the shard's node-index range [Lo, Hi).
 	Lo, Hi int
@@ -128,26 +127,25 @@ func (s *Sim) ShardStats() []ShardStat {
 }
 
 // roundAct is one node's contribution to a round, computed
-// concurrently and applied at the merge barrier. The channel-fault
-// tallies (drops, dups) are accumulated here during the concurrent
-// fire phase and folded into the Sim counters at the barrier, so the
-// fire phase writes no shared memory.
+// concurrently and applied at the merge barrier.
 type roundAct struct {
 	le         localEffect
 	isDelivery bool
-	delivered  *fact.Fact // trace only
-	drops      int
-	dups       int
 	err        error
+	// Trace only: the delivered fact, the facts buffered at neighbors
+	// and the output tuples new to out(ρ).
+	delivered *fact.Fact
+	sent      int
+	newOut    []fact.Tuple
 }
 
 // outboxEntry routes one fired node's send list to one neighbor: the
-// destination shard expands acts[src].le.sent into dst's buffer when
-// it drains its mailbox column. Compact (src, dst) pairs keep the
-// mailboxes allocation-light — the facts themselves live in the send
-// memos.
+// destination shard expands acts[src].le.sent into dst's buffer (or
+// held queue) when it drains its mailbox column, and records in sent
+// how many facts it buffered. Compact entries keep the mailboxes
+// allocation-light — the facts themselves live in the send memos.
 type outboxEntry struct {
-	src, dst int32
+	src, dst, sent int32
 }
 
 // shardFold is one shard's per-phase contribution to the shared Sim
@@ -157,11 +155,11 @@ type shardFold struct {
 	err     error
 	errNode int
 	// fire phase
-	deliveries int
-	dirtied    int // newly set dirty flags (fire + drain)
-	outNodes   []int32
-	// drain phase
-	sends int
+	deliveries  int
+	drops, dups int
+	outNodes    []int32
+	// fire (dirtied) and drain phase
+	t tally
 	// probe phase
 	cleared   int
 	probeFail bool
@@ -201,6 +199,7 @@ func (s *Sim) RunParallel(opt ParallelOptions) (RunResult, error) {
 		workers = shards
 	}
 	maxSteps := opt.maxSteps()
+	m := s.model()
 
 	streams := make([]*rand.Rand, n)
 	for i := range streams {
@@ -225,16 +224,7 @@ func (s *Sim) RunParallel(opt ParallelOptions) (RunResult, error) {
 	}
 	s.shardStats = stats
 	folds := make([]shardFold, shards)
-
-	// fastMerge: with no channel model and no trace hook, the merge
-	// itself is shard-parallel (outbox drain). Otherwise the fire and
-	// probe phases still run shard-parallel but the merge replays the
-	// historical coordinator-serial applyCross loop, bit-identically.
-	fastMerge := s.channel == nil && s.Trace == nil
-	var outbox [][]outboxEntry
-	if fastMerge {
-		outbox = make([][]outboxEntry, shards*shards)
-	}
+	outbox := make([][]outboxEntry, shards*shards)
 
 	// Shard-resident pool: worker w owns the contiguous shard block
 	// par.Cut(shards, workers, w) for the whole run and executes every
@@ -352,33 +342,22 @@ func (s *Sim) RunParallel(opt ParallelOptions) (RunResult, error) {
 	// Fire phase: every node transitions against the pre-round
 	// configuration, concurrently, touching only its own nodeRT. The
 	// channel model chooses each node's fate from the node's own PCG
-	// stream; a nil channel keeps the historical draw (deliver a
-	// uniform buffered fact or heartbeat) verbatim. On the fast path,
-	// sends are routed into the shard's outbox row as they happen.
+	// stream, and sends are routed into the shard's outbox row as they
+	// happen.
 	fireShard := func(sh int) {
 		t0 := time.Now()
 		fd := &folds[sh]
-		fd.err, fd.deliveries, fd.dirtied = nil, 0, 0
-		fd.outNodes = fd.outNodes[:0]
-		var row [][]outboxEntry
-		if fastMerge {
-			row = outbox[sh*shards : (sh+1)*shards]
-			for d := range row {
-				row[d] = row[d][:0]
-			}
+		fd.err, fd.deliveries, fd.drops, fd.dups = nil, 0, 0, 0
+		fd.outNodes, fd.t = fd.outNodes[:0], tally{parked: fd.t.parked[:0]}
+		row := outbox[sh*shards : (sh+1)*shards]
+		for d := range row {
+			row[d] = row[d][:0]
 		}
 		for i := lo[sh]; i < lo[sh+1]; i++ {
 			rt := s.order[i]
 			a := &acts[i]
 			*a = roundAct{}
-			var d channel.Decision
-			if s.channel == nil {
-				if k := streams[i].IntN(1 + len(rt.buf)); k > 0 {
-					d = channel.Decision{Action: channel.Deliver, Index: k - 1}
-				}
-			} else {
-				d = s.channel.Next(i, streams[i], len(rt.buf))
-			}
+			d := m.Next(i, streams[i], len(rt.buf))
 			var rcv *fact.Instance
 			switch d.Action {
 			case channel.Deliver, channel.Duplicate:
@@ -387,7 +366,7 @@ func (s *Sim) RunParallel(opt ParallelOptions) (RunResult, error) {
 					if d.Action == channel.Deliver {
 						rt.buf = removeAt(rt.buf, d.Index)
 					} else {
-						a.dups = 1
+						fd.dups++
 					}
 					rcv = rt.rcvFor(f)
 					a.isDelivery = true
@@ -398,7 +377,7 @@ func (s *Sim) RunParallel(opt ParallelOptions) (RunResult, error) {
 			case channel.Drop:
 				if d.Index >= 0 && d.Index < len(rt.buf) {
 					rt.buf = removeAt(rt.buf, d.Index)
-					a.drops = 1
+					fd.drops++
 				}
 			}
 			a.le, a.err = s.fireLocal(rt, rcv)
@@ -412,12 +391,12 @@ func (s *Sim) RunParallel(opt ParallelOptions) (RunResult, error) {
 				fd.deliveries++
 			}
 			if a.le.dirtied {
-				fd.dirtied++
+				fd.t.dirtied++
 			}
 			if len(a.le.outNew) > 0 {
 				fd.outNodes = append(fd.outNodes, int32(i))
 			}
-			if fastMerge && len(a.le.sent) > 0 {
+			if len(a.le.sent) > 0 {
 				for _, w := range rt.nbrs {
 					dst := shardOf[w.idx]
 					row[dst] = append(row[dst], outboxEntry{src: int32(i), dst: int32(w.idx)})
@@ -427,30 +406,27 @@ func (s *Sim) RunParallel(opt ParallelOptions) (RunResult, error) {
 		stats[sh].Fire += time.Since(t0)
 	}
 
-	// Drain phase (fast path): shard sh drains the outbox column
-	// addressed to it — src shards ascending, entries in fire order —
-	// appending into its own nodes' buffers. Contiguous shards make
+	// Drain phase: shard sh drains the outbox column addressed to it —
+	// src shards ascending, entries in fire order — routing into its
+	// own nodes' buffers and held queues. Contiguous shards make
 	// src-shard order global src-node order, so each destination
-	// buffer receives exactly the append sequence of the serial merge.
-	// Only destination-owned memory is written; the held/channel paths
-	// are unreachable here (fastMerge implies no channel model).
+	// receives exactly the sequence of the interleaving. Only
+	// destination-owned memory (and the entry's sent count) is
+	// written; s.Steps still holds the round's first step.
 	drainShard := func(sh int) {
 		t0 := time.Now()
 		fd := &folds[sh]
-		fd.sends = 0
 		for src := 0; src < shards; src++ {
-			for _, e := range outbox[src*shards+sh] {
+			col := outbox[src*shards+sh]
+			for k := range col {
+				e := &col[k]
 				le := &acts[e.src].le
-				rt := s.order[e.dst]
-				for k, f := range le.sent {
-					buffered, _, dirtied := s.admitLocal(rt, f, le.keys[k])
-					if buffered {
-						fd.sends++
-					}
-					if dirtied {
-						fd.dirtied++
-					}
+				connected := m.Connected(int(e.src), int(e.dst), s.Steps+int(e.src))
+				sends := fd.t.sends
+				for j, f := range le.sent {
+					s.route(s.order[e.dst], int(e.src), f, le.keys[j], connected, &fd.t)
 				}
+				e.sent = int32(fd.t.sends - sends)
 			}
 		}
 		stats[sh].Merge += time.Since(t0)
@@ -488,37 +464,38 @@ func (s *Sim) RunParallel(opt ParallelOptions) (RunResult, error) {
 			return RunResult{}, fmt.Errorf("network: parallel round at %s: %w", s.order[errNode].v, firstErr)
 		}
 
-		if fastMerge {
-			// Parallel merge: destination shards drain concurrently,
-			// then the coordinator folds the per-shard deltas and
-			// applies out(ρ) additions in node order.
-			runPhase(drainShard)
-			deliveries := 0
-			for sh := 0; sh < shards; sh++ {
-				fd := &folds[sh]
-				deliveries += fd.deliveries
-				s.Sends += fd.sends
-				s.dirtyCount += fd.dirtied
-				for _, i := range fd.outNodes {
-					for _, t := range acts[i].le.outNew {
-						s.out.Add(t)
+		// Merge: destination shards drain concurrently, then the
+		// coordinator folds the per-shard deltas and applies out(ρ)
+		// additions in node order.
+		runPhase(drainShard)
+		deliveries := 0
+		for sh := 0; sh < shards; sh++ {
+			fd := &folds[sh]
+			deliveries += fd.deliveries
+			s.Drops += fd.drops
+			s.Duplicates += fd.dups
+			s.fold(&fd.t)
+			for _, i := range fd.outNodes {
+				for _, t := range acts[i].le.outNew {
+					if s.out.Add(t) && s.Trace != nil {
+						acts[i].newOut = append(acts[i].newOut, t)
 					}
 				}
 			}
-			s.Deliveries += deliveries
-			s.Heartbeats += n - deliveries
-			s.Steps += n
-		} else {
-			// Serial-merge fallback: channel models consult
-			// Connected(src, dst, step) with the step counter
-			// advancing mid-merge, and trace events interleave in
-			// global node order — the historical coordinator loop,
-			// bit-identical to the pre-shard runtime.
-			for i := 0; i < n; i++ {
-				s.Drops += acts[i].drops
-				s.Duplicates += acts[i].dups
-				s.applyCross(s.order[i], acts[i].le, acts[i].isDelivery, acts[i].delivered)
+		}
+		s.Deliveries += deliveries
+		s.Heartbeats += n - deliveries
+		if s.Trace != nil {
+			for _, col := range outbox {
+				for _, e := range col {
+					acts[e.src].sent += int(e.sent)
+				}
+			}
+			for i, a := range acts {
+				s.Trace(TraceEvent{Step: s.Steps + i + 1, Node: s.order[i].v, Delivered: a.delivered,
+					Sent: a.sent, NewOutput: a.newOut, StateChanged: a.le.stateChanged})
 			}
 		}
+		s.Steps += n
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"declnet/internal/channel"
 	"declnet/internal/fact"
 	"declnet/internal/fo"
 	"declnet/internal/transducer"
@@ -143,34 +144,65 @@ func TestParallelMatchesSequentialOutput(t *testing.T) {
 
 // TestParallelTraceDeterministic: trace events are emitted at the
 // merge barrier in node order, so the event stream is identical for
-// any worker count.
+// any worker count — on the fair channel and under every fault
+// scenario. Binding the trace hook must not change the run either: a
+// traced run's result and counters equal an untraced run's.
 func TestParallelTraceDeterministic(t *testing.T) {
-	record := func(workers int) []string {
-		s := parallelTestSim(t, Ring(3), 4, true)
-		var events []string
-		s.Trace = func(ev TraceEvent) {
-			d := "hb"
-			if ev.Delivered != nil {
-				d = ev.Delivered.String()
+	models := []struct {
+		name string
+		m    func(n int) channel.Model
+	}{
+		{"fair", func(int) channel.Model { return nil }},
+		{"lossy:30", func(int) channel.Model { return channel.LossyFair(5, 30) }},
+		{"dup:30", func(int) channel.Model { return channel.Duplicating(5, 30) }},
+		{"partition:12", func(n int) channel.Model { return channel.Partition(12, n) }},
+		{"crash:1@10", func(int) channel.Model { return channel.CrashRestart([]channel.CrashEvent{{Step: 10, Node: 1}}) }},
+	}
+	for _, mc := range models {
+		run := func(workers int, traced bool) (string, []string) {
+			s := parallelTestSim(t, Ring(3), 4, true)
+			if m := mc.m(s.Net.Size()); m != nil {
+				s.SetChannel(m)
 			}
-			events = append(events, fmt.Sprintf("%d %s %s sent=%d chg=%v out=%v", ev.Step, ev.Node, d, ev.Sent, ev.StateChanged, ev.NewOutput))
+			var events []string
+			if traced {
+				s.Trace = func(ev TraceEvent) {
+					d := "hb"
+					if ev.Delivered != nil {
+						d = ev.Delivered.String()
+					}
+					events = append(events, fmt.Sprintf("%d %s %s sent=%d chg=%v out=%v", ev.Step, ev.Node, d, ev.Sent, ev.StateChanged, ev.NewOutput))
+				}
+			}
+			res, err := s.RunParallel(ParallelOptions{Seed: 5, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s: %v", mc.name, err)
+			}
+			fp := fmt.Sprintf("%s drops=%d dups=%d held=%d crashes=%d pending=%d",
+				fingerprint(t, s, res), s.Drops, s.Duplicates, s.Held, s.Crashes, s.PendingHeld())
+			return fp, events
 		}
-		if _, err := s.RunParallel(ParallelOptions{Seed: 5, Workers: workers}); err != nil {
-			t.Fatal(err)
+		fpOne, one := run(1, true)
+		fpFour, four := run(4, true)
+		if len(one) == 0 {
+			t.Fatalf("%s: no trace events recorded", mc.name)
 		}
-		return events
-	}
-	one := record(1)
-	four := record(4)
-	if len(one) == 0 {
-		t.Fatal("no trace events recorded")
-	}
-	if len(one) != len(four) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(one), len(four))
-	}
-	for i := range one {
-		if one[i] != four[i] {
-			t.Fatalf("trace event %d differs:\n  %s\n  %s", i, one[i], four[i])
+		if len(one) != len(four) {
+			t.Fatalf("%s: trace lengths differ: %d vs %d", mc.name, len(one), len(four))
+		}
+		for i := range one {
+			if one[i] != four[i] {
+				t.Fatalf("%s: trace event %d differs:\n  %s\n  %s", mc.name, i, one[i], four[i])
+			}
+		}
+		for _, workers := range []int{1, 4} {
+			traced := fpOne
+			if workers == 4 {
+				traced = fpFour
+			}
+			if plain, _ := run(workers, false); plain != traced {
+				t.Fatalf("%s workers=%d: traced run diverged from untraced:\n  traced   %s\n  untraced %s", mc.name, workers, traced, plain)
+			}
 		}
 	}
 }

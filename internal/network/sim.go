@@ -53,16 +53,13 @@ type Sim struct {
 	// whole run universe collectable.
 	dict *fact.Dict
 
-	// channel is the bound channel model (see SetChannel). nil keeps
-	// the default FairLossless semantics on the zero-overhead fast
-	// path that predates the channel layer — bit-identical schedules,
-	// no per-enqueue interface calls.
+	// channel is the bound channel model (see SetChannel), nil when
+	// none is bound. Runtimes read it only through model(), which
+	// resolves nil to FairLossless.
 	channel channel.Model
-	// held queues messages the channel refuses to admit right now
-	// (severed partition links): they have left the sender but not
-	// reached the receiver's buffer or known set, and are re-offered
-	// as the step counter advances.
-	held []heldMsg
+	// heldNodes lists the nodes whose held queue is non-empty, so the
+	// heal release and the held scans cost O(parked), not O(n).
+	heldNodes []*nodeRT
 	// lastCrashStep is the step count up to which the channel's crash
 	// schedule has been polled.
 	lastCrashStep int
@@ -75,13 +72,8 @@ type Sim struct {
 	dirtyCount int
 	// heldUnseenCount is the incremental form of the heldUnseen() scan:
 	// the number of messages parked at severed links whose content the
-	// receiver has never seen. heldUnseenByDst tracks, per destination,
-	// how many parked copies of each unseen fact key contribute, so the
-	// admit that first makes a key known can retire all of them at
-	// once. Maintained on park (enqueue) and on admit; always zero on
-	// the nil-channel fast path.
+	// receiver has never seen (the sum of the nodes' heldUnseen counts).
 	heldUnseenCount int
-	heldUnseenByDst map[*nodeRT]map[string]int
 	// fullSweep disables dirty-set quiescence: every check probes every
 	// node, like the pre-dirty-set runtime. Ablation and differential
 	// testing only (SetFullProbeSweep); verdicts are provably identical
@@ -118,11 +110,12 @@ type Sim struct {
 	Held       int
 }
 
-// heldMsg is one message parked at a severed channel link.
+// heldMsg is one message parked at a severed channel link; the
+// destination is the node whose held queue holds it.
 type heldMsg struct {
-	src, dst *nodeRT
-	f        fact.Fact
-	key      string
+	src int
+	f   fact.Fact
+	key string
 }
 
 // nodeRT is the complete runtime of one node: its configuration slice
@@ -153,6 +146,14 @@ type nodeRT struct {
 	// at or delivered to the node, keyed by the interned fact key. It
 	// drives the saturation-based quiescence check.
 	known map[string]fact.Fact
+	// held queues, in parking order, the messages toward this node
+	// parked at severed channel links: they have left the sender but
+	// not reached this buffer or known set, and are re-offered as the
+	// step counter advances. heldUnseen counts the parked copies of
+	// each key the node has never seen, so the admit that first makes
+	// a key known retires all of them at once.
+	held       []heldMsg
+	heldUnseen map[string]int
 
 	// firing holds the node's incremental evaluator: cached query
 	// results advanced by delta firing on monotone/streaming
@@ -424,10 +425,9 @@ func removeAt(buf []fact.Fact, i int) []fact.Fact {
 // SetChannel binds a channel model (internal/channel) to the sim: the
 // model owns which buffered messages are deliverable, droppable or
 // duplicable, which links are severed, and which nodes crash. nil (or
-// never calling SetChannel) keeps the default fair-lossless semantics
-// on the pre-channel fast path. Binding captures each node's
-// persisted-state snapshot, so it must happen before the first
-// transition.
+// never calling SetChannel) keeps the default fair-lossless semantics.
+// Binding captures each node's persisted-state snapshot, so it must
+// happen before the first transition.
 func (s *Sim) SetChannel(m channel.Model) {
 	if s.Steps > 0 {
 		panic("network: SetChannel after the run started")
@@ -459,13 +459,28 @@ func (s *Sim) cloneSharingAll(st *fact.Instance) *fact.Instance {
 	return c
 }
 
-// ChannelModel returns the bound channel model (nil means the default
-// FairLossless fast path).
+// ChannelModel returns the bound channel model (nil when none is
+// bound: the default FairLossless semantics).
 func (s *Sim) ChannelModel() channel.Model { return s.channel }
+
+// model returns the channel model the runtimes consult: the bound one,
+// or FairLossless, whose draws are exactly those of an unbound run.
+func (s *Sim) model() channel.Model {
+	if s.channel == nil {
+		return channel.FairLossless()
+	}
+	return s.channel
+}
 
 // PendingHeld returns the number of messages currently parked at
 // severed channel links.
-func (s *Sim) PendingHeld() int { return len(s.held) }
+func (s *Sim) PendingHeld() int {
+	n := 0
+	for _, w := range s.heldNodes {
+		n += len(w.held)
+	}
+	return n
+}
 
 // Crash crashes node v: its message buffer and volatile state
 // (memory relations, evaluator caches) are dropped, and it restarts
@@ -513,29 +528,33 @@ func (s *Sim) crash(n *nodeRT) {
 // links that have healed are released into their destination buffers.
 // Both runtimes call it between transitions (the sequential loop) or
 // rounds (the parallel merge barrier), where no worker owns any node.
-// A nil channel makes it a no-op, preserving the fast path exactly.
+// Releases only change their destination, so each held queue keeps
+// its own order and the queues release in any order.
 func (s *Sim) advanceChannel() {
-	if s.channel == nil {
-		return
-	}
-	for _, idx := range s.channel.CrashesIn(s.lastCrashStep, s.Steps) {
+	m := s.model()
+	for _, idx := range m.CrashesIn(s.lastCrashStep, s.Steps) {
 		if idx >= 0 && idx < len(s.order) {
 			s.crash(s.order[idx])
 		}
 	}
 	s.lastCrashStep = s.Steps
-	if len(s.held) == 0 {
-		return
-	}
-	kept := s.held[:0]
-	for _, h := range s.held {
-		if s.channel.Connected(h.src.idx, h.dst.idx, s.Steps) {
-			s.admit(h.dst, h.f, h.key)
-		} else {
-			kept = append(kept, h)
+	var t tally
+	parked := s.heldNodes[:0]
+	for _, w := range s.heldNodes {
+		kept := w.held[:0]
+		for _, h := range w.held {
+			if m.Connected(h.src, w.idx, s.Steps) {
+				s.route(w, h.src, h.f, h.key, true, &t)
+			} else {
+				kept = append(kept, h)
+			}
+		}
+		if w.held = kept; len(kept) > 0 {
+			parked = append(parked, w)
 		}
 	}
-	s.held = kept
+	s.heldNodes = parked
+	s.fold(&t)
 }
 
 // execute performs the channel model's decision at node n.
@@ -675,121 +694,84 @@ func (s *Sim) fireLocal(n *nodeRT, rcv *fact.Instance) (localEffect, error) {
 	return le, nil
 }
 
-// enqueue routes fact f (with interned key) from src toward w: the
-// channel model may hold it at a severed link (it then reaches
-// neither w's buffer nor its known set until the link heals);
-// otherwise it is admitted into w's buffer. Returns whether the fact
-// was actually buffered (false when held or coalesced away).
-func (s *Sim) enqueue(src, w *nodeRT, f fact.Fact, key string) bool {
-	if s.channel != nil && !s.channel.Connected(src.idx, w.idx, s.Steps) {
-		if s.CoalesceDuplicates && s.heldHas(w, key) {
-			return false
+// tally is the shared-counter effect of routing messages into nodes.
+// route records into it instead of writing the Sim, so the parallel
+// drain can route into the nodes of distinct shards concurrently; each
+// caller folds its tally where it owns the counters.
+type tally struct {
+	sends   int       // facts appended to buffers
+	held    int       // messages parked at severed links
+	dirtied int       // dirty flags newly set
+	unseen  int       // net change of heldUnseenCount
+	parked  []*nodeRT // nodes whose held queue was empty before parking
+}
+
+// fold adds t to the Sim's counters and held-node list.
+func (s *Sim) fold(t *tally) {
+	s.Sends += t.sends
+	s.Held += t.held
+	s.dirtyCount += t.dirtied
+	s.heldUnseenCount += t.unseen
+	s.heldNodes = append(s.heldNodes, t.parked...)
+}
+
+// route hands fact f (with interned key), sent by node src, to w. On
+// a severed link (!connected) the message is parked in w's held queue,
+// reaching neither w's buffer nor its known set until the link heals;
+// otherwise it is admitted into w's buffer, updating w's known set and
+// saturation bookkeeping. With CoalesceDuplicates, a copy already
+// parked (or buffered) at w is dropped. route touches only w.
+func (s *Sim) route(w *nodeRT, src int, f fact.Fact, key string, connected bool, t *tally) {
+	_, seen := w.known[key]
+	if !connected {
+		if s.CoalesceDuplicates && heldHas(w.held, key) {
+			return
 		}
-		s.held = append(s.held, heldMsg{src: src, dst: w, f: f, key: key})
-		s.Held++
-		s.heldUnseenAdd(w, key)
-		return false
-	}
-	return s.admit(w, f, key)
-}
-
-// heldUnseenAdd records that a copy of key was parked toward w while
-// w has never seen it: the incremental counterpart of the heldUnseen
-// scan.
-func (s *Sim) heldUnseenAdd(w *nodeRT, key string) {
-	if _, known := w.known[key]; known {
-		return
-	}
-	if s.heldUnseenByDst == nil {
-		s.heldUnseenByDst = map[*nodeRT]map[string]int{}
-	}
-	m := s.heldUnseenByDst[w]
-	if m == nil {
-		m = map[string]int{}
-		s.heldUnseenByDst[w] = m
-	}
-	m[key]++
-	s.heldUnseenCount++
-}
-
-// noteSeen retires every unseen-held count for key at w — called by
-// admit at the moment w's known set first gains the key. Parked
-// copies may remain at severed links, but their content is now seen,
-// so they no longer block the quiescence verdict (exactly the
-// heldUnseen scan's criterion).
-func (s *Sim) noteSeen(w *nodeRT, key string) {
-	if s.heldUnseenCount == 0 {
-		return
-	}
-	m := s.heldUnseenByDst[w]
-	if m == nil {
-		return
-	}
-	if c, ok := m[key]; ok {
-		s.heldUnseenCount -= c
-		delete(m, key)
-	}
-}
-
-// heldHas reports whether an identical message toward w is already
-// parked at a severed link.
-func (s *Sim) heldHas(w *nodeRT, key string) bool {
-	for _, h := range s.held {
-		if h.dst == w && h.key == key {
-			return true
+		if len(w.held) == 0 {
+			t.parked = append(t.parked, w)
 		}
+		w.held = append(w.held, heldMsg{src: src, f: f, key: key})
+		t.held++
+		if !seen {
+			if w.heldUnseen == nil {
+				w.heldUnseen = map[string]int{}
+			}
+			w.heldUnseen[key]++
+			t.unseen++
+		}
+		return
 	}
-	return false
-}
-
-// admit appends fact f (with interned key) to w's buffer, updating
-// w's known set and saturation bookkeeping; it returns whether the
-// fact was actually buffered (false when coalesced away).
-func (s *Sim) admit(w *nodeRT, f fact.Fact, key string) bool {
-	buffered, newlyKnown, dirtied := s.admitLocal(w, f, key)
-	if newlyKnown {
-		s.noteSeen(w, key)
-	}
-	if dirtied {
-		s.dirtyCount++
-	}
-	if buffered {
-		s.Sends++
-	}
-	return buffered
-}
-
-// admitLocal is the node-confined core of admit: it touches only w
-// (buffer, known set, saturation flags) and reports what happened so
-// the caller can fold the shared-counter effects — directly (admit)
-// or through per-shard deltas (the parallel drain, which calls it
-// concurrently for nodes of distinct shards).
-func (s *Sim) admitLocal(w *nodeRT, f fact.Fact, key string) (buffered, newlyKnown, dirtied bool) {
-	if _, seen := w.known[key]; !seen {
+	if !seen {
 		w.known[key] = f
-		newlyKnown = true
 		if w.clean {
 			w.pendingProbe = append(w.pendingProbe, f)
 		}
 		// A never-seen fact in the buffer invalidates the node's
 		// cached quiescence verdict; re-buffered known facts do not —
 		// the saturation check already covers their redelivery.
-		dirtied = w.markDirty()
+		if w.markDirty() {
+			t.dirtied++
+		}
+		// Parked copies may remain at severed links, but their content
+		// is now seen, so they no longer block the quiescence verdict.
+		if c, ok := w.heldUnseen[key]; ok {
+			t.unseen -= c
+			delete(w.heldUnseen, key)
+		}
 	} else if s.CoalesceDuplicates && bufferHas(w.buf, f) {
-		return false, false, false
+		return
 	}
 	w.buf = append(w.buf, f)
-	return true, newlyKnown, dirtied
+	t.sends++
 }
 
 // applyCross applies the cross-node half of a transition at n:
 // deliver the sent facts to every neighbor's buffer, add the new
 // output tuples to out(ρ), bump the counters and emit the trace
 // event (delivered is trace-only and may be nil even for deliveries
-// when tracing is off). The parallel merge barrier calls it for each
-// node in stable node order.
+// when tracing is off). The sequential runtime calls it after every
+// transition.
 func (s *Sim) applyCross(n *nodeRT, le localEffect, isDelivery bool, delivered *fact.Fact) {
-	sendsBefore := s.Sends
 	if le.dirtied {
 		s.dirtyCount++
 	}
@@ -799,11 +781,15 @@ func (s *Sim) applyCross(n *nodeRT, le localEffect, isDelivery bool, delivered *
 			newOut = append(newOut, t)
 		}
 	}
+	var t tally
+	m := s.model()
 	for _, w := range n.nbrs {
+		connected := m.Connected(n.idx, w.idx, s.Steps)
 		for i, f := range le.sent {
-			s.enqueue(n, w, f, le.keys[i])
+			s.route(w, n.idx, f, le.keys[i], connected, &t)
 		}
 	}
+	s.fold(&t)
 	s.Steps++
 	if isDelivery {
 		s.Deliveries++
@@ -812,7 +798,7 @@ func (s *Sim) applyCross(n *nodeRT, le localEffect, isDelivery bool, delivered *
 	}
 	if s.Trace != nil {
 		s.Trace(TraceEvent{Step: s.Steps, Node: n.v, Delivered: delivered,
-			Sent: s.Sends - sendsBefore, NewOutput: newOut, StateChanged: le.stateChanged})
+			Sent: t.sends, NewOutput: newOut, StateChanged: le.stateChanged})
 	}
 }
 
@@ -835,6 +821,17 @@ func (s *Sim) transition(n *nodeRT, rcv *fact.Instance) error {
 func bufferHas(buf []fact.Fact, f fact.Fact) bool {
 	for _, g := range buf {
 		if g.Equal(f) {
+			return true
+		}
+	}
+	return false
+}
+
+// heldHas reports whether a message with the given key is parked in
+// the held queue.
+func heldHas(held []heldMsg, key string) bool {
+	for _, h := range held {
+		if h.key == key {
 			return true
 		}
 	}
@@ -939,9 +936,11 @@ func (s *Sim) ProbeCount() int64 {
 // quiescent until the link heals and the fact at least reaches the
 // known set. Both runtimes gate their quiescence verdicts on it.
 func (s *Sim) heldUnseen() bool {
-	for _, h := range s.held {
-		if _, known := h.dst.known[h.key]; !known {
-			return true
+	for _, w := range s.heldNodes {
+		for _, h := range w.held {
+			if _, known := w.known[h.key]; !known {
+				return true
+			}
 		}
 	}
 	return false
@@ -1100,11 +1099,13 @@ func (s *Sim) Clone() *Sim {
 	// Flush held messages into the clone's buffers without disturbing
 	// the copied counters: the flush is a change of channel semantics
 	// (the clone's links are all healed), not new traffic.
-	sends := c.Sends
-	for _, h := range s.held {
-		c.admit(c.nodes[h.dst.v], h.f, h.key)
+	var t tally
+	for _, w := range s.heldNodes {
+		for _, h := range w.held {
+			c.route(c.order[w.idx], h.src, h.f, h.key, true, &t)
+		}
 	}
-	c.Sends = sends
+	c.dirtyCount += t.dirtied
 	return c
 }
 
@@ -1160,8 +1161,8 @@ func (s *Sim) Run(sched Scheduler, maxSteps int) (RunResult, error) {
 	}
 	sinceCheck := checkEvery // force an initial check
 	for s.Steps < maxSteps {
-		// Channel time effects first (no-op without a channel model):
-		// scheduled crashes fire, healed links release held messages.
+		// Channel time effects first: scheduled crashes fire, healed
+		// links release held messages.
 		s.advanceChannel()
 		if sinceCheck >= checkEvery {
 			sinceCheck = 0
@@ -1173,31 +1174,18 @@ func (s *Sim) Run(sched Scheduler, maxSteps int) (RunResult, error) {
 				return RunResult{Output: s.Output(), Quiescent: true, Steps: s.Steps, Sends: s.Sends}, nil
 			}
 		}
+		// The scheduler proposes; the channel model decides whether
+		// the chosen message is deliverable, droppable or duplicable.
 		ev := sched.Next(s)
-		var err error
-		if s.channel == nil {
-			// Pre-channel fast path: scheduler proposals execute
-			// directly, bit-identical to the historical runtime.
-			if ev.Deliver {
-				err = s.DeliverIndex(ev.Node, ev.Index)
-			} else {
-				err = s.Heartbeat(ev.Node)
-			}
-		} else {
-			// The scheduler proposes; the channel model decides
-			// whether the chosen message is deliverable, droppable or
-			// duplicable.
-			n := s.nodes[ev.Node]
-			if n == nil {
-				return RunResult{}, fmt.Errorf("network: scheduler chose unknown node %s", ev.Node)
-			}
-			idx := -1
-			if ev.Deliver {
-				idx = ev.Index
-			}
-			err = s.execute(n, s.channel.Filter(n.idx, s.Steps, idx, len(n.buf)))
+		n := s.nodes[ev.Node]
+		if n == nil {
+			return RunResult{}, fmt.Errorf("network: scheduler chose unknown node %s", ev.Node)
 		}
-		if err != nil {
+		idx := -1
+		if ev.Deliver {
+			idx = ev.Index
+		}
+		if err := s.execute(n, s.model().Filter(n.idx, s.Steps, idx, len(n.buf))); err != nil {
 			return RunResult{}, err
 		}
 		sinceCheck++
