@@ -33,7 +33,9 @@
 // graph (family one of ring, tree, random, functional — see
 // internal/gen) with n nodes and an empty input. It is the
 // command-line twin of BenchmarkE20Scale for profiling single
-// configurations.
+// configurations: without -steps the step budget is 200·n, the
+// benchmark's, and the summary adds the run's wall-clock nanoseconds
+// and heap bytes allocated per transition.
 //
 // -channel selects the channel model / fault scenario: "fair" (the
 // default lossless §3 channel), "lossy:PCT" (message loss),
@@ -48,6 +50,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -114,6 +117,8 @@ func main() {
 		net *run.Network
 		I   *declnet.Instance
 	)
+	stepsGiven := false
+	flag.Visit(func(f *flag.Flag) { stepsGiven = stepsGiven || f.Name == "steps" })
 	if *scaleProfile != "" {
 		family, nodes, ok := strings.Cut(*scaleProfile, ":")
 		count, err := strconv.Atoi(nodes)
@@ -126,6 +131,7 @@ func main() {
 		}
 		tr = build.Gossip()
 		I = declnet.NewInstance()
+		*steps = stepBudget(*steps, stepsGiven, count)
 		if *workers == 0 {
 			*workers = 1 // the scale profile measures the parallel runtime
 		}
@@ -185,12 +191,17 @@ func main() {
 		fatal(err)
 	}
 	var res run.Result
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
 	if *workers > 0 {
 		res, err = sim.RunParallel(run.ParallelOptions{
 			Seed: *seed, Workers: *workers, Shards: *shards, MaxSteps: *steps})
 	} else {
 		res, err = sim.Run(run.NewRandomScheduler(*seed), *steps)
 	}
+	wall := time.Since(start)
+	runtime.ReadMemStats(&after)
 	if err != nil {
 		fatal(err)
 	}
@@ -200,6 +211,10 @@ func main() {
 	}
 	fmt.Printf("quiescent after %d steps (%d heartbeats, %d deliveries, %d messages)\n",
 		res.Steps, sim.Heartbeats, sim.Deliveries, res.Sends)
+	if *scaleProfile != "" {
+		fmt.Printf("run: %s, %.0f ns/transition, %.0f B allocated/transition\n", wall.Round(time.Millisecond),
+			float64(wall.Nanoseconds())/float64(res.Steps), float64(after.TotalAlloc-before.TotalAlloc)/float64(res.Steps))
+	}
 	if sim.Drops+sim.Duplicates+sim.Crashes+sim.Held > 0 {
 		fmt.Printf("channel %s: %d drops, %d duplicate deliveries, %d held at partitions, %d crashes\n",
 			*channelSpec, sim.Drops, sim.Duplicates, sim.Held, sim.Crashes)
@@ -224,6 +239,18 @@ func main() {
 	for _, t := range res.Output.Tuples() {
 		fmt.Println("  ", t)
 	}
+}
+
+// stepBudget returns the run's step budget: -steps when it was given,
+// otherwise 200 steps per node for a scale profile of n nodes (the
+// budget of BenchmarkE20Scale and of the benchmark's gossip workloads;
+// a 10000-node ring needs 260000 steps), and the flag default without
+// one (n = 0).
+func stepBudget(steps int, given bool, n int) int {
+	if given || n == 0 {
+		return steps
+	}
+	return 200 * n
 }
 
 func fatal(err error) {

@@ -180,8 +180,10 @@ func CoordinationFree(nets map[string]*network.Network, tr *transducer.Transduce
 			return nil
 		}
 		// Inner fan-out budget 1: this For already spreads the
-		// networks across the cores.
-		witnesses[i], errs[i] = coordinationFreeOn(nets[names[i]], tr, I, expected, 1)
+		// networks across the cores. Each check splits a private copy
+		// of I: instance reads memoize (RelNames, sorted tuples), so
+		// concurrent splits of one shared instance would race.
+		witnesses[i], errs[i] = coordinationFreeOn(nets[names[i]], tr, I.Clone(), expected, 1)
 		if witnesses[i] == nil || errs[i] != nil {
 			par.StoreMin(&minFail, int64(i))
 		}

@@ -142,7 +142,9 @@ func TestDifferentialParallelWorkers(t *testing.T) {
 // against the specification evaluator: under 50 random node-local
 // schedules per example — arbitrary interleavings of heartbeats and
 // deliveries of previously sent facts — Firing.Step must produce
-// effects bit-identical to Transducer.Step from the same (state, rcv).
+// effects bit-identical to Transducer.Step from the same (state, rcv),
+// and return the input state itself exactly when the state is
+// unchanged (the identity contract the sim and HeartbeatFixpoint use).
 func TestDifferentialFiringVsStep(t *testing.T) {
 	const schedules = 50
 	const stepsPer = 25
@@ -186,6 +188,9 @@ func TestDifferentialFiringVsStep(t *testing.T) {
 					}
 					if changed != !oracle.State.Equal(state) {
 						t.Fatalf("schedule %d step %d: stateChanged=%v, oracle differs=%v", sched, step, changed, !oracle.State.Equal(state))
+					}
+					if (eff.State == state) != !changed {
+						t.Fatalf("schedule %d step %d: Effect.State is the input state = %v, want %v (stateChanged=%v)", sched, step, eff.State == state, !changed, changed)
 					}
 					for _, sf := range eff.Snd.Facts() {
 						if len(pool) < 64 {

@@ -328,8 +328,13 @@ func (i *Instance) Restrict(s Schema) *Instance {
 }
 
 // Equal reports whether two instances contain exactly the same facts.
-// Empty relations are ignored, matching set-of-facts semantics.
+// Empty relations are ignored, matching set-of-facts semantics. An
+// instance is equal to itself in O(1), and relations both instances
+// share are compared by pointer.
 func (i *Instance) Equal(o *Instance) bool {
+	if i == o {
+		return true
+	}
 	if o == nil {
 		return i.Size() == 0
 	}
@@ -346,8 +351,12 @@ func (i *Instance) Equal(o *Instance) bool {
 	return true
 }
 
-// SubsetOf reports whether every fact of i is a fact of o.
+// SubsetOf reports whether every fact of i is a fact of o; O(1) when
+// o is i.
 func (i *Instance) SubsetOf(o *Instance) bool {
+	if i == o {
+		return true
+	}
 	for n, r := range i.rels {
 		if o == nil {
 			if r.Len() > 0 {

@@ -358,11 +358,13 @@ func (q *Query) evalBranch(b branch, I *fact.Instance, adomOf func() []fact.Valu
 func (q *Query) CanDelta() bool { return q.deltaOK }
 
 // EvalDelta returns derivations of the query that may involve at least
-// one fact of delta, evaluated against full (which must already
-// contain delta). For CanDelta queries the result is exact in the
-// semi-naive sense:
+// one fact of delta, evaluated against full ∪ delta. full must either
+// contain delta or hold none of delta's relations (a transducer state
+// and the messages it receives, whose schemas are disjoint); either
+// way the union is never materialized for join branches. For CanDelta
+// queries the result is exact in the semi-naive sense:
 //
-//	Eval(full) = Eval(full \ delta) ∪ EvalDelta(full, delta)
+//	Eval(full ∪ delta) = Eval((full ∪ delta) \ delta) ∪ EvalDelta(full, delta)
 //
 // Fast branches execute their compiled plan once per atom over a delta
 // relation, with that atom pinned to the delta and the remaining atoms
@@ -370,19 +372,15 @@ func (q *Query) CanDelta() bool { return q.deltaOK }
 // branches not reading any delta relation are skipped (their
 // derivations are unchanged); slow positive branches are re-evaluated
 // in full, which is a superset of their new derivations and a subset
-// of Eval(full) — exact either way. It implements query.DeltaEvaluable.
+// of Eval(full ∪ delta) — exact either way. It implements
+// query.DeltaEvaluable.
 func (q *Query) EvalDelta(full, delta *fact.Instance) (*fact.Relation, error) {
 	out := full.Dict().NewRelation(len(q.Head))
-	if !q.deltaOK || delta == nil || delta.Empty() {
+	if !q.deltaOK || delta == nil {
 		return out, nil
 	}
-	deltaRels := map[string]bool{}
-	for _, n := range delta.RelNames() {
-		if r := delta.Relation(n); r != nil && !r.Empty() {
-			deltaRels[n] = true
-		}
-	}
-	adomOf := adomMemo(full)
+	var union *fact.Instance
+	var adomOf func() []fact.Value
 	for _, b := range q.branches {
 		// Pure join branches pin per atom; lowered (in)equality filters
 		// never consult the instance (they compare bound values), so
@@ -390,7 +388,7 @@ func (q *Query) EvalDelta(full, delta *fact.Instance) (*fact.Relation, error) {
 		// equalities, which stay monotone for the same reason.
 		if b.p != nil && len(b.guard) == 0 && len(b.guardClosed) == 0 {
 			for i, a := range b.atoms {
-				if !deltaRels[a.Rel] {
+				if r := delta.Relation(a.Rel); r == nil || r.Empty() {
 					continue
 				}
 				if err := b.p.Run(full, delta, i, nil, nil, out); err != nil {
@@ -405,11 +403,36 @@ func (q *Query) EvalDelta(full, delta *fact.Instance) (*fact.Relation, error) {
 		// the active domain, and monotonicity makes the full result a
 		// superset of the new derivations, keeping the union equation
 		// exact.
-		if err := q.evalBranch(b, full, adomOf, out); err != nil {
+		if union == nil {
+			if delta.Empty() {
+				return out, nil // no branch can derive anything new
+			}
+			union = withDelta(full, delta)
+			adomOf = adomMemo(union)
+		}
+		if err := q.evalBranch(b, union, adomOf, out); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// withDelta returns full ∪ delta for a delta whose relations full
+// either holds (already containing delta) or lacks entirely: full
+// itself, or a shallow clone with the missing relations installed.
+func withDelta(full, delta *fact.Instance) *fact.Instance {
+	union := full
+	for _, n := range delta.RelNames() {
+		r := delta.Relation(n)
+		if r.Empty() || full.Relation(n) != nil {
+			continue
+		}
+		if union == full {
+			union = full.ShallowClone()
+		}
+		union.SetRelationOwned(n, r)
+	}
+	return union
 }
 
 // EvalReference evaluates the query with the pre-plan-layer strategy:

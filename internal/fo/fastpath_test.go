@@ -152,6 +152,34 @@ func TestEvalDeltaRespectsClosedGuards(t *testing.T) {
 	}
 }
 
+// TestEvalDeltaOverDisjointDelta: a delta whose relations the full
+// instance lacks entirely (a transducer state and its received
+// messages) is evaluated as if the union had been built — for pinned
+// joins, for a second atom over the delta relation, and for guarded
+// branches that re-evaluate in full.
+func TestEvalDeltaOverDisjointDelta(t *testing.T) {
+	state := fact.FromFacts(fact.NewFact("S", "a", "b"), fact.NewFact("S", "b", "c"))
+	delta := fact.FromFacts(fact.NewFact("P", "b"))
+	union := fact.Union(state, delta)
+	for _, q := range []*Query{
+		MustQuery("join", []string{"x", "y"}, AndF(AtomF("P", "x"), AtomF("S", "x", "y"))),
+		MustQuery("pair", []string{"x", "y"}, AndF(AtomF("P", "x"), AtomF("P", "y"))),
+		MustQuery("guarded", []string{"x"}, AndF(AtomF("P", "x"), AtomT("S", C("a"), C("b")))),
+	} {
+		want, err := q.Eval(union)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := q.EvalDelta(state, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Empty() || !got.Equal(want) {
+			t.Errorf("%s: EvalDelta(state, delta) = %v, want Eval(state ∪ delta) = %v", q.Name, got, want)
+		}
+	}
+}
+
 // TestNestedGuardedBranchNotDropped: a nested And whose sub-branch
 // carries a closed guard must keep that guard when absorbed into an
 // outer conjunction (regression: the guard was silently discarded).

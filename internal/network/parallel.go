@@ -363,12 +363,12 @@ func (s *Sim) RunParallel(opt ParallelOptions) (RunResult, error) {
 			case channel.Deliver, channel.Duplicate:
 				if d.Index >= 0 && d.Index < len(rt.buf) {
 					f := rt.buf[d.Index]
+					rcv = rt.rcvFor(rt.bufKeys[d.Index], f)
 					if d.Action == channel.Deliver {
-						rt.buf = removeAt(rt.buf, d.Index)
+						rt.removeMsg(d.Index)
 					} else {
 						fd.dups++
 					}
-					rcv = rt.rcvFor(f)
 					a.isDelivery = true
 					if s.Trace != nil {
 						a.delivered = &f
@@ -376,7 +376,7 @@ func (s *Sim) RunParallel(opt ParallelOptions) (RunResult, error) {
 				}
 			case channel.Drop:
 				if d.Index >= 0 && d.Index < len(rt.buf) {
-					rt.buf = removeAt(rt.buf, d.Index)
+					rt.removeMsg(d.Index)
 					fd.drops++
 				}
 			}

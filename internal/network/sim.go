@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"declnet/internal/channel"
@@ -137,6 +138,10 @@ type nodeRT struct {
 
 	state *fact.Instance
 	buf   []fact.Fact
+	// bufKeys holds the interned key of each buffered fact, in step
+	// with buf: route computed it once, and deliveries and coalescing
+	// reuse it instead of re-keying.
+	bufKeys []string
 	// persist is the crash-surviving snapshot of the node's initial
 	// state — the Dedalus-style persisted relations: input fragment,
 	// Id and All. Captured by SetChannel; nil when no channel model is
@@ -169,7 +174,13 @@ type nodeRT struct {
 	probedOut  *fact.Relation
 	probedSnd  map[string]*fact.Relation
 	outApplied *fact.Relation
-	sndMemo    *sndCache
+
+	// sentFrom is the send instance sent and sentKeys list, sorted and
+	// keyed: the firing hands the same instance out again while its
+	// send results are unchanged, so one pointer compare reuses them.
+	sentFrom *fact.Instance
+	sent     []fact.Fact
+	sentKeys []string
 
 	// rcvCache holds the single-fact receive instances handed to the
 	// firing, keyed by interned fact key; probes re-deliver the same
@@ -179,13 +190,14 @@ type nodeRT struct {
 
 	// clean marks a node whose last full quiescence probe succeeded
 	// and whose state has not changed since; pendingProbe lists the
-	// facts that became known at a clean node after its probe.
+	// keys of the facts that became known at a clean node after its
+	// probe.
 	// Together they make the quiescence check incremental: conditions
 	// (i)-(iii) are monotone in the sets that can change under a clean
 	// node (output and neighbours' known sets only grow), so cached
 	// successes stay valid.
 	clean        bool
-	pendingProbe []fact.Fact
+	pendingProbe []string
 
 	// dirty marks a node that needs (re-)probing before the next
 	// quiescence verdict: set when the buffer gains a never-seen fact,
@@ -407,19 +419,21 @@ func (s *Sim) deliverAt(n *nodeRT, idx int, keep bool) error {
 	if idx < 0 || idx >= len(n.buf) {
 		return fmt.Errorf("network: delivery index %d out of range at %s (buffer %d)", idx, n.v, len(n.buf))
 	}
-	f := n.buf[idx]
+	rcv := n.rcvFor(n.bufKeys[idx], n.buf[idx])
 	if keep {
 		s.Duplicates++
 	} else {
-		n.buf = removeAt(n.buf, idx)
+		n.removeMsg(idx)
 	}
-	return s.transition(n, n.rcvFor(f))
+	return s.transition(n, rcv)
 }
 
-// removeAt removes the buffer element at i, copying the tail so the
-// prefix's backing array is never shared with the result.
-func removeAt(buf []fact.Fact, i int) []fact.Fact {
-	return append(buf[:i:i], buf[i+1:]...)
+// removeMsg removes the buffered fact at i. The fact slice's tail is
+// copied so the prefix's backing array, which Buffer may have handed
+// out, is never shared with the result.
+func (n *nodeRT) removeMsg(i int) {
+	n.buf = append(n.buf[:i:i], n.buf[i+1:]...)
+	n.bufKeys = append(n.bufKeys[:i], n.bufKeys[i+1:]...)
 }
 
 // SetChannel binds a channel model (internal/channel) to the sim: the
@@ -507,12 +521,12 @@ func (s *Sim) Crash(v fact.Value) error {
 // seen fact to the restarted node is a no-op again.
 func (s *Sim) crash(n *nodeRT) {
 	n.state = s.cloneSharingAll(n.persist)
-	n.buf = nil
+	n.buf, n.bufKeys = nil, nil
 	n.firing = nil
 	n.probedOut = nil
 	n.probedSnd = nil
 	n.outApplied = nil
-	n.sndMemo = nil
+	n.sentFrom, n.sent, n.sentKeys = nil, nil, nil
 	n.clean = false
 	n.pendingProbe = nil
 	// The restart invalidates any cached quiescence verdict: the
@@ -569,7 +583,7 @@ func (s *Sim) execute(n *nodeRT, d channel.Decision) error {
 		// a heartbeat. Senders recover by retransmission: send
 		// relations are recomputed from state on every transition.
 		if d.Index >= 0 && d.Index < len(n.buf) {
-			n.buf = removeAt(n.buf, d.Index)
+			n.removeMsg(d.Index)
 			s.Drops++
 		}
 		return s.transition(n, nil)
@@ -587,50 +601,24 @@ func (s *Sim) firingFor(n *nodeRT) *transducer.Firing {
 	return n.firing
 }
 
-// sndCache memoizes the sorted fact list and interned keys of a send
-// instance, keyed by the per-relation result pointers: as long as the
-// firing returns the same (immutable) send relations, the facts and
-// keys of the previous transition are reused verbatim.
-type sndCache struct {
-	rels  map[string]*fact.Relation
-	facts []fact.Fact
-	keys  []string
-}
-
 // sentFacts returns the sorted facts of the send instance and their
-// interned keys, via the node's memo.
+// interned keys, reusing the previous listing while the firing hands
+// out the same send instance.
 func (n *nodeRT) sentFacts(snd *fact.Instance) ([]fact.Fact, []string) {
-	names := snd.RelNames()
-	memo := n.sndMemo
-	if memo != nil && len(memo.rels) == len(names) {
-		hit := true
-		for _, nm := range names {
-			if memo.rels[nm] != snd.Relation(nm) {
-				hit = false
-				break
-			}
+	if snd != n.sentFrom {
+		facts := snd.Facts()
+		keys := make([]string, len(facts))
+		for i, f := range facts {
+			keys[i] = f.KeyIn(n.dict)
 		}
-		if hit {
-			return memo.facts, memo.keys
-		}
+		n.sentFrom, n.sent, n.sentKeys = snd, facts, keys
 	}
-	facts := snd.Facts()
-	keys := make([]string, len(facts))
-	for i, f := range facts {
-		keys[i] = f.KeyIn(n.dict)
-	}
-	memo = &sndCache{rels: make(map[string]*fact.Relation, len(names)), facts: facts, keys: keys}
-	for _, nm := range names {
-		memo.rels[nm] = snd.Relation(nm)
-	}
-	n.sndMemo = memo
-	return facts, keys
+	return n.sent, n.sentKeys
 }
 
 // rcvFor returns the (shared, read-only) single-fact receive instance
-// for f, cached by interned fact key.
-func (n *nodeRT) rcvFor(f fact.Fact) *fact.Instance {
-	key := f.KeyIn(n.dict)
+// for f, cached by its interned key.
+func (n *nodeRT) rcvFor(key string, f fact.Fact) *fact.Instance {
 	if i, ok := n.rcvCache[key]; ok {
 		return i
 	}
@@ -744,7 +732,7 @@ func (s *Sim) route(w *nodeRT, src int, f fact.Fact, key string, connected bool,
 	if !seen {
 		w.known[key] = f
 		if w.clean {
-			w.pendingProbe = append(w.pendingProbe, f)
+			w.pendingProbe = append(w.pendingProbe, key)
 		}
 		// A never-seen fact in the buffer invalidates the node's
 		// cached quiescence verdict; re-buffered known facts do not —
@@ -758,10 +746,11 @@ func (s *Sim) route(w *nodeRT, src int, f fact.Fact, key string, connected bool,
 			t.unseen -= c
 			delete(w.heldUnseen, key)
 		}
-	} else if s.CoalesceDuplicates && bufferHas(w.buf, f) {
+	} else if s.CoalesceDuplicates && slices.Contains(w.bufKeys, key) {
 		return
 	}
 	w.buf = append(w.buf, f)
+	w.bufKeys = append(w.bufKeys, key)
 	t.sends++
 }
 
@@ -816,15 +805,6 @@ func (s *Sim) transition(n *nodeRT, rcv *fact.Instance) error {
 	}
 	s.applyCross(n, le, rcv != nil, delivered)
 	return nil
-}
-
-func bufferHas(buf []fact.Fact, f fact.Fact) bool {
-	for _, g := range buf {
-		if g.Equal(f) {
-			return true
-		}
-	}
-	return false
 }
 
 // heldHas reports whether a message with the given key is parked in
@@ -963,8 +943,8 @@ func (s *Sim) quiescentAt(n *nodeRT) (bool, error) {
 		// need checking; the cached successes remain valid because the
 		// sets they depend on only grow.
 		pending := n.pendingProbe
-		for i, f := range pending {
-			ok, err := s.probe(n, n.rcvFor(f))
+		for i, key := range pending {
+			ok, err := s.probe(n, n.rcvFor(key, n.known[key]))
 			if err != nil {
 				return false, err
 			}
@@ -980,8 +960,8 @@ func (s *Sim) quiescentAt(n *nodeRT) (bool, error) {
 	if ok, err := s.probe(n, nil); err != nil || !ok {
 		return false, err
 	}
-	for _, f := range n.known {
-		if ok, err := s.probe(n, n.rcvFor(f)); err != nil || !ok {
+	for key, f := range n.known {
+		if ok, err := s.probe(n, n.rcvFor(key, f)); err != nil || !ok {
 			return false, err
 		}
 	}
@@ -1073,6 +1053,7 @@ func (s *Sim) Clone() *Sim {
 			idx:      n.idx,
 			state:    s.cloneSharingAll(n.state),
 			buf:      append([]fact.Fact(nil), n.buf...),
+			bufKeys:  append([]string(nil), n.bufKeys...),
 			known:    make(map[string]fact.Fact, len(n.known)),
 			rcvCache: map[string]*fact.Instance{},
 			clean:    n.clean,
@@ -1087,7 +1068,7 @@ func (s *Sim) Clone() *Sim {
 		for key, f := range n.known {
 			cn.known[key] = f
 		}
-		cn.pendingProbe = append([]fact.Fact(nil), n.pendingProbe...)
+		cn.pendingProbe = append([]string(nil), n.pendingProbe...)
 		c.nodes[n.v] = cn
 		c.order = append(c.order, cn)
 	}
@@ -1126,6 +1107,10 @@ func (s *Sim) HeartbeatFixpoint(maxRounds int) (bool, error) {
 			if err := s.transition(n, nil); err != nil {
 				return false, err
 			}
+			// A heartbeat that changes nothing leaves the state pointer
+			// as it was (the firing's identity contract), so an unchanged
+			// node costs Equal's O(1) pointer check, not a comparison of
+			// its state with the shared n-tuple All.
 			if !n.state.Equal(before) || s.out.Len() != outBefore {
 				changed = true
 			}

@@ -160,7 +160,7 @@ func SetBatchThreshold(n int) (prev int) {
 }
 
 // useBatch decides whether this execution takes the columnar pipeline.
-func (p *Plan) useBatch(s *schedule, relFor func(atom int, rel string) *fact.Relation) bool {
+func (p *Plan) useBatch(s *schedule, src *source) bool {
 	if !s.batch {
 		return false
 	}
@@ -172,7 +172,7 @@ func (p *Plan) useBatch(s *schedule, relFor func(atom int, rel string) *fact.Rel
 		return true
 	}
 	for i, a := range p.spec.Atoms {
-		if r := relFor(i, a.Rel); r != nil && r.Len() >= threshold {
+		if r := src.atom(i, a.Rel); r != nil && r.Len() >= threshold {
 			return true
 		}
 	}
@@ -200,9 +200,7 @@ func batchTerms(ts []Term) []fact.BatchTerm {
 // emitted and the caller must rerun on the tuple path. Guard errors
 // abort exactly like the tuple executor's.
 func (p *Plan) runBatch(s *schedule, args []fact.Value, guard GuardFunc,
-	relFor func(atom int, rel string) *fact.Relation,
-	notInRel func(rel string) *fact.Relation,
-	out fact.Sink) (done bool, err error) {
+	src *source, out fact.Sink) (done bool, err error) {
 
 	if len(args) != len(p.spec.Inputs) {
 		return true, fmt.Errorf("plan %s: got %d args for %d input registers", p.spec.Name, len(args), len(p.spec.Inputs))
@@ -216,7 +214,7 @@ func (p *Plan) runBatch(s *schedule, args []fact.Value, guard GuardFunc,
 		switch in.kind {
 		case opScan, opProbe:
 			op := fact.JoinOp{
-				Rel: relFor(in.atom, in.rel), Arity: in.arity,
+				Rel: src.atom(in.atom, in.rel), Arity: in.arity,
 				ProbeCol: -1, ProbeReg: -1,
 			}
 			if in.kind == opProbe {
@@ -256,7 +254,7 @@ func (p *Plan) runBatch(s *schedule, args []fact.Value, guard GuardFunc,
 				return false, nil
 			}
 		case opNotIn:
-			b.FilterNotIn(notInRel(in.rel), batchTerms(in.terms))
+			b.FilterNotIn(src.named(in.rel), batchTerms(in.terms))
 		case opCheckEq:
 			b.FilterEq(batchTerm(in.l), batchTerm(in.r), true)
 		case opCheckNeq:

@@ -239,15 +239,17 @@ func validate(spec *Spec) error {
 }
 
 // sched returns (building on first use) the schedule for the given
-// pin. card supplies relation cardinality estimates for order
-// tie-breaks and may be nil (ties then fall back to atom index).
-func (p *Plan) sched(pin int, card func(rel string) int) (*schedule, error) {
+// pin. The first execution's relation cardinalities break join-order
+// ties (ties among equal cardinalities fall back to atom index).
+func (p *Plan) sched(pin int, src *source) (*schedule, error) {
 	idx := pin + 1
 	if idx < 0 || idx >= len(p.scheds) {
 		return nil, fmt.Errorf("plan %s: pin %d out of range (%d atoms)", p.spec.Name, pin, len(p.spec.Atoms))
 	}
 	slot := &p.scheds[idx]
-	slot.once.Do(func() { slot.s.Store(compile(&p.spec, pin, card)) })
+	slot.once.Do(func() {
+		slot.s.Store(compile(&p.spec, pin, func(rel string) int { return p.card(src, rel) }))
+	})
 	s := slot.s.Load()
 	if s.err != nil {
 		return nil, s.err
@@ -279,10 +281,12 @@ func (p *Plan) peekSched(pin int) (*schedule, error) {
 
 // Run executes the plan against full. When pin >= 0, atom pin draws
 // its tuples from delta instead of full — the semi-naive pinned-atom
-// evaluation; negation anti-probes always read full. args supplies
-// the Spec.Inputs registers in order; guard resolves FilterGuard
-// filters (may be nil when the spec has none). Result tuples are
-// added to out.
+// evaluation. The other atoms and negation anti-probes read full, or
+// delta for a relation full does not hold at all, so full need not
+// contain delta when their relation names are disjoint (a transducer
+// state and the messages it receives). args supplies the Spec.Inputs
+// registers in order; guard resolves FilterGuard filters (may be nil
+// when the spec has none). Result tuples are added to out.
 func (p *Plan) Run(full, delta *fact.Instance, pin int, args []fact.Value, guard GuardFunc, out *fact.Relation) error {
 	return p.RunSink(full, delta, pin, args, guard, out)
 }
@@ -292,31 +296,22 @@ func (p *Plan) Run(full, delta *fact.Instance, pin int, args []fact.Value, guard
 // receive whole column slabs from the batch pipeline without an
 // intermediate head relation.
 func (p *Plan) RunSink(full, delta *fact.Instance, pin int, args []fact.Value, guard GuardFunc, out fact.Sink) error {
-	s, err := p.sched(pin, cardOf(full))
+	src := source{full: full, delta: delta, pin: pin}
+	s, err := p.sched(pin, &src)
 	if err != nil {
 		return err
-	}
-	relFor := func(atom int, rel string) *fact.Relation {
-		if atom == pin {
-			return delta.Relation(rel)
-		}
-		return full.Relation(rel)
 	}
 	// Pipeline selection: large inputs take the columnar batch path
 	// (merge joins on sorted ID runs, vectorized probes, one arena
 	// append — see batch.go), small ones the register-slot executor
 	// below. A refused batch (the materialization cap) falls through
 	// to the tuple path, which streams.
-	if p.useBatch(s, relFor) {
-		if done, err := p.runBatch(s, args, guard, relFor, full.Relation, out); done {
+	if p.useBatch(s, &src) {
+		if done, err := p.runBatch(s, args, guard, &src, out); done {
 			return err
 		}
 	}
-	fr := frame{
-		spec: &p.spec, instrs: s.instrs, guard: guard, out: out,
-		relFor:   relFor,
-		notInRel: full.Relation,
-	}
+	fr := frame{spec: &p.spec, instrs: s.instrs, guard: guard, out: out, src: src}
 	return fr.run(args)
 }
 
@@ -339,47 +334,77 @@ func (p *Plan) RunRels(rels []*fact.Relation, args []fact.Value, out *fact.Relat
 				map[FilterKind]string{FilterNotIn: "not-in", FilterGuard: "guard"}[f.Kind])
 		}
 	}
-	s, err := p.sched(-1, func(rel string) int {
-		// Estimate by name over the supplied relations (first match).
-		for i, a := range p.spec.Atoms {
-			if a.Rel == rel && rels[i] != nil {
-				return rels[i].Len()
-			}
-		}
-		return 0
-	})
+	src := source{pin: -1, rels: rels}
+	s, err := p.sched(-1, &src)
 	if err != nil {
 		return err
 	}
-	fr := frame{
-		spec: &p.spec, instrs: s.instrs, out: out,
-		relFor:   func(atom int, rel string) *fact.Relation { return rels[atom] },
-		notInRel: func(string) *fact.Relation { return nil },
-	}
+	fr := frame{spec: &p.spec, instrs: s.instrs, out: out, src: src}
 	return fr.run(args)
 }
 
-func cardOf(I *fact.Instance) func(rel string) int {
-	return func(rel string) int {
-		r := I.Relation(rel)
-		if r == nil {
-			return 0
-		}
-		return r.Len()
-	}
+// source resolves the relation every atom of one execution reads:
+// atom pin reads delta, the others full — or delta, for a relation
+// full does not hold — and a RunRels execution reads rels[atom].
+type source struct {
+	full, delta *fact.Instance
+	pin         int
+	rels        []*fact.Relation
 }
 
-// frame is the per-execution state: the register file plus resolved
-// relation accessors. It lives for one Run call only.
+// atom returns the relation atom i (over relation rel) reads.
+func (s *source) atom(i int, rel string) *fact.Relation {
+	switch {
+	case s.rels != nil:
+		return s.rels[i]
+	case i == s.pin:
+		return s.delta.Relation(rel)
+	}
+	return s.named(rel)
+}
+
+// named returns the relation called rel that unpinned atoms and
+// anti-probes read; nil when there is none (always for RunRels, which
+// has no instance).
+func (s *source) named(rel string) *fact.Relation {
+	if s.full == nil {
+		return nil
+	}
+	if r := s.full.Relation(rel); r != nil || s.delta == nil {
+		return r
+	}
+	return s.delta.Relation(rel)
+}
+
+// card estimates the cardinality of relation rel for join ordering:
+// over an instance, the relation atoms of that name read; over RunRels
+// relations, the first atom of that name.
+func (p *Plan) card(src *source, rel string) int {
+	if src.rels == nil {
+		if r := src.named(rel); r != nil {
+			return r.Len()
+		}
+		return 0
+	}
+	for i, a := range p.spec.Atoms {
+		if a.Rel == rel && src.rels[i] != nil {
+			return src.rels[i].Len()
+		}
+	}
+	return 0
+}
+
+// frame is the per-execution state: the register file plus the
+// relation source. It lives for one Run call only.
 type frame struct {
-	spec     *Spec
-	instrs   []instr
-	guard    GuardFunc
-	out      fact.Sink
-	relFor   func(atom int, rel string) *fact.Relation
-	notInRel func(rel string) *fact.Relation
-	regs     []fact.Value
-	err      error
+	spec   *Spec
+	instrs []instr
+	guard  GuardFunc
+	out    fact.Sink
+	src    source
+	regs   []fact.Value
+	head   fact.Tuple
+	err    error
 }
 
 func (fr *frame) run(args []fact.Value) error {
@@ -389,7 +414,10 @@ func (fr *frame) run(args []fact.Value) error {
 	if len(args) != len(fr.spec.Inputs) {
 		return fmt.Errorf("plan %s: got %d args for %d input registers", fr.spec.Name, len(args), len(fr.spec.Inputs))
 	}
-	fr.regs = make([]fact.Value, fr.spec.NumRegs)
+	// One allocation holds the registers and the result tuple the
+	// executor reuses for every row (sinks store private copies).
+	buf := make([]fact.Value, fr.spec.NumRegs+len(fr.spec.Head))
+	fr.regs, fr.head = buf[:fr.spec.NumRegs:fr.spec.NumRegs], buf[fr.spec.NumRegs:]
 	for i, r := range fr.spec.Inputs {
 		fr.regs[r] = args[i]
 	}
@@ -411,17 +439,16 @@ func (fr *frame) exec(i int) {
 		return
 	}
 	if i == len(fr.instrs) {
-		t := make(fact.Tuple, len(fr.spec.Head))
 		for j, h := range fr.spec.Head {
-			t[j] = fr.resolve(h)
+			fr.head[j] = fr.resolve(h)
 		}
-		fr.out.Add(t)
+		fr.out.Add(fr.head)
 		return
 	}
 	in := &fr.instrs[i]
 	switch in.kind {
 	case opScan, opProbe:
-		rel := fr.relFor(in.atom, in.rel)
+		rel := fr.src.atom(in.atom, in.rel)
 		if rel == nil || rel.Arity() != in.arity {
 			return
 		}
@@ -454,7 +481,7 @@ func (fr *frame) exec(i int) {
 		for j, tm := range in.terms {
 			t[j] = fr.resolve(tm)
 		}
-		if rel := fr.notInRel(in.rel); rel != nil && rel.Contains(t) {
+		if rel := fr.src.named(in.rel); rel != nil && rel.Contains(t) {
 			return
 		}
 		fr.exec(i + 1)

@@ -46,10 +46,13 @@ type DeltaEvaluable interface {
 	CanDelta() bool
 
 	// EvalDelta returns derivations that may involve at least one fact
-	// of delta, evaluated against full (which already contains delta).
-	// When CanDelta holds, the result satisfies
+	// of delta, evaluated against I = full ∪ delta. full either already
+	// contains delta or holds none of delta's relations (a transducer
+	// state and its received messages, whose schemas are disjoint), so
+	// callers never need to build the union. When CanDelta holds, the
+	// result satisfies
 	//
-	//	Eval(full) = Eval(full \ delta) ∪ EvalDelta(full, delta).
+	//	Eval(I) = Eval(I \ delta) ∪ EvalDelta(full, delta).
 	EvalDelta(full, delta *fact.Instance) (*fact.Relation, error)
 }
 

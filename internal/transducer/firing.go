@@ -23,7 +23,9 @@ import (
 //     (a query result is a function of the relations it reads and
 //     adom(I), so nothing it depends on has changed). Delta-evaluable
 //     queries (query.DeltaEvaluable — positive FO branches) are
-//     answered as cache ∪ EvalDelta(state ∪ Δrcv, Δrcv).
+//     answered as cache ∪ EvalDelta(state, Δrcv), over state and
+//     Δrcv side by side — the schemas are disjoint, so I' = state ∪
+//     Δrcv is never built for them.
 //   - State deltas. When a transition only adds memory facts (the
 //     paper's inflationary case), cached results advance by semi-naive
 //     delta firing over the added facts, or survive untouched when
@@ -33,6 +35,13 @@ import (
 //     subset checks, memoized on result pointers.
 //   - Fallback. Queries that fit none of the above are re-evaluated
 //     in full — the exact original semantics.
+//
+// A transition that changes nothing allocates nothing of its own: it
+// returns the input state itself as Effect.State and the previous
+// send instance as Effect.Snd (while the send results are the same
+// objects), so the steady state of a fair run — heartbeats and
+// re-deliveries at saturated nodes — builds no instance, map or
+// relation beyond what a delta evaluation derives.
 type Firing struct {
 	T *Transducer
 
@@ -53,6 +62,9 @@ type Firing struct {
 	// equality implies content equality and the memo never goes stale;
 	// it is reset whenever the cache moves to a new state.
 	quietMem map[string][3]*fact.Relation
+
+	// snd is the send instance of the last effect; see sndOf.
+	snd *fact.Instance
 
 	// sndScratch is reused by consecutive ProbeParts calls.
 	sndScratch []SndResult
@@ -117,10 +129,8 @@ func NewFiring(t *Transducer) *Firing {
 func (f *Firing) resync(state *fact.Instance) {
 	if f.state != state {
 		f.state = state
-		for i := range f.cache {
-			f.cache[i] = nil
-		}
-		f.quietMem = map[string][3]*fact.Relation{}
+		clear(f.cache)
+		clear(f.quietMem)
 	}
 }
 
@@ -137,37 +147,53 @@ func (f *Firing) cachedOn(state *fact.Instance, i int) (*fact.Relation, error) {
 	return f.cache[i], nil
 }
 
-// evalCtx carries the per-transition evaluation context: I' = state ∪
-// rcv (built lazily — cache hits never need it) and the lazily
-// decided "received values within adom(state)" verdict shared by all
-// queries of the transition.
+// evalCtx carries the per-transition evaluation context: the state,
+// the received facts, I' = state ∪ rcv (built lazily — only full
+// re-evaluations need it) and the lazily decided "received values
+// within adom(state)" verdict shared by all queries of the transition.
 type evalCtx struct {
 	state, rcv, iPrime *fact.Instance
-	rcvRels            map[string]bool
-	within             int8 // 0 unknown, 1 yes, -1 no
+	// received reports that rcv holds at least one fact; shadows, that
+	// a received relation is also a state relation — a receive instance
+	// outside the message schema, which only I' evaluates faithfully.
+	received, shadows bool
+	within            int8 // 0 unknown, 1 yes, -1 no
 }
 
-func newEvalCtx(state, rcv *fact.Instance) *evalCtx {
-	c := &evalCtx{state: state, rcv: rcv}
+func newEvalCtx(state, rcv *fact.Instance) evalCtx {
+	c := evalCtx{state: state, rcv: rcv}
 	if rcv != nil {
 		for _, n := range rcv.RelNames() {
-			if r := rcv.Relation(n); r != nil && !r.Empty() {
-				if c.rcvRels == nil {
-					c.rcvRels = map[string]bool{}
+			if !rcv.Relation(n).Empty() {
+				c.received = true
+				if state.Relation(n) != nil {
+					c.shadows = true
 				}
-				c.rcvRels[n] = true
 			}
 		}
 	}
 	return c
 }
 
+// sees reports whether a query reading the given relations reads a
+// received fact.
+func (c *evalCtx) sees(reads map[string]bool) bool {
+	for _, n := range c.rcv.RelNames() {
+		if reads[n] && !c.rcv.Relation(n).Empty() {
+			return true
+		}
+	}
+	return false
+}
+
 // prime materializes I' = state ∪ rcv on first use.
 func (c *evalCtx) prime() *fact.Instance {
 	if c.iPrime == nil {
 		iPrime := c.state.ShallowClone()
-		for n := range c.rcvRels {
-			iPrime.SetRelationOwned(n, c.rcv.Relation(n))
+		for _, n := range c.rcv.RelNames() {
+			if r := c.rcv.Relation(n); !r.Empty() {
+				iPrime.SetRelationOwned(n, r)
+			}
 		}
 		c.iPrime = iPrime
 	}
@@ -181,7 +207,7 @@ func (c *evalCtx) prime() *fact.Instance {
 func (c *evalCtx) withinAdom() bool {
 	if c.within == 0 {
 		c.within = 1
-		for n := range c.rcvRels {
+		for _, n := range c.rcv.RelNames() {
 			c.rcv.Relation(n).Each(func(t fact.Tuple) bool {
 				for _, v := range t {
 					if !c.state.AdomContains(v) {
@@ -206,14 +232,10 @@ func (c *evalCtx) withinAdom() bool {
 // memoize downstream bookkeeping.
 func (f *Firing) evalOne(c *evalCtx, i int) (*fact.Relation, error) {
 	fq := &f.queries[i]
-	if len(c.rcvRels) == 0 {
-		// No received facts: state ∪ rcv = state exactly.
-		return f.cachedOn(c.state, i)
-	}
-	if !intersects(fq.reads, c.rcvRels) && (fq.bounded || c.withinAdom()) {
-		// The query cannot see the received facts: its relations are
-		// untouched and (rel-bounded, or adom-unchanged) nothing else
-		// it may depend on moved.
+	if !c.received || !c.sees(fq.reads) && (fq.bounded || c.withinAdom()) {
+		// No received facts, or the query cannot see them: its
+		// relations are untouched and (rel-bounded, or adom-unchanged)
+		// nothing else it may depend on moved.
 		return f.cachedOn(c.state, i)
 	}
 	if fq.delta {
@@ -221,14 +243,25 @@ func (f *Firing) evalOne(c *evalCtx, i int) (*fact.Relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		d, err := fq.q.(query.DeltaEvaluable).EvalDelta(c.prime(), c.rcv)
+		// Message and state schemas are disjoint, so the delta
+		// evaluates over (state, rcv) without building I'.
+		full := c.state
+		if c.shadows {
+			full = c.prime()
+		}
+		d, err := fq.q.(query.DeltaEvaluable).EvalDelta(full, c.rcv)
 		if err != nil {
 			return nil, err
 		}
-		if d.SubsetOf(base) {
+		switch {
+		case d.SubsetOf(base):
 			// Nothing new (e.g. a re-delivered known fact): keep the
 			// pointer-stable cached result.
 			return base, nil
+		case base.Empty():
+			// The state alone derives nothing (e.g. an insert of the
+			// received facts): the delta is the whole result.
+			return d, nil
 		}
 		out := base.Clone()
 		out.UnionWith(d)
@@ -237,74 +270,107 @@ func (f *Firing) evalOne(c *evalCtx, i int) (*fact.Relation, error) {
 	return fq.q.Eval(c.prime())
 }
 
-// evalAll evaluates every transducer query on (state, rcv).
-func (f *Firing) evalAll(state, rcv *fact.Instance) ([]*fact.Relation, error) {
+// maxStackQueries sizes the per-call result buffer Step and ProbeParts
+// keep on the stack; transducers with more queries spill to the heap.
+const maxStackQueries = 8
+
+// evalAll evaluates every transducer query on (state, rcv), appending
+// the results to results.
+func (f *Firing) evalAll(state, rcv *fact.Instance, results []*fact.Relation) ([]*fact.Relation, error) {
 	c := newEvalCtx(state, rcv)
-	results := make([]*fact.Relation, len(f.queries))
 	for i := range f.queries {
-		r, err := f.evalOne(c, i)
+		r, err := f.evalOne(&c, i)
 		if err != nil {
 			return nil, fmt.Errorf("transducer %s: %s: %w", f.T.Name, f.queries[i].key, err)
 		}
-		results[i] = r
+		results = append(results, r)
 	}
 	return results, nil
 }
 
-func (f *Firing) resultOr(results []*fact.Relation, idx, arity int) *fact.Relation {
+// at returns results[idx], nil for an absent query (idx < 0).
+func at(results []*fact.Relation, idx int) *fact.Relation {
 	if idx < 0 {
-		if f.state != nil {
-			return f.state.Dict().NewRelation(arity)
-		}
-		return fact.NewRelation(arity)
+		return nil
 	}
 	return results[idx]
 }
 
+// outOf returns the output query's result (empty without one).
+func (f *Firing) outOf(state *fact.Instance, results []*fact.Relation) *fact.Relation {
+	if f.outIdx < 0 {
+		return state.Dict().NewRelation(f.T.Schema.OutArity)
+	}
+	return results[f.outIdx]
+}
+
 // effect assembles the full transition effect from the per-query
-// results. It performs no cache maintenance.
+// results. A memory relation the update leaves unchanged keeps its
+// object, and when none changes the successor is state itself; while
+// every send query returns the same relation objects, the previous
+// send instance is returned again. It performs no cache maintenance.
 func (f *Firing) effect(state *fact.Instance, results []*fact.Relation) Effect {
+	next := state
+	for _, e := range f.memRels {
+		ins, del, old := at(results, e.ins), at(results, e.del), state.Relation(e.rel)
+		if memUnchanged(ins, del, old) {
+			continue
+		}
+		if next == state {
+			next = state.ShallowClone()
+		}
+		next.SetRelationOwned(e.rel, memUpdate(state.Dict(), e.arity, ins, del, old))
+	}
+	return Effect{State: next, Snd: f.sndOf(state, results), Out: f.outOf(state, results)}
+}
+
+// sndOf returns the send instance holding the send-query results,
+// reusing the previous one when it holds exactly these relations.
+func (f *Firing) sndOf(state *fact.Instance, results []*fact.Relation) *fact.Instance {
+	if f.snd != nil && f.sndHolds(results) {
+		return f.snd
+	}
 	snd := state.Dict().NewInstance()
 	for i := range f.queries {
-		fq := &f.queries[i]
-		if fq.kind == 's' {
+		if fq := &f.queries[i]; fq.kind == 's' {
 			snd.SetRelationOwned(fq.rel, results[i])
 		}
 	}
-	out := f.resultOr(results, f.outIdx, f.T.Schema.OutArity)
+	f.snd = snd
+	return snd
+}
 
-	next := state.ShallowClone()
-	for _, e := range f.memRels {
-		ins := f.resultOr(results, e.ins, e.arity)
-		del := f.resultOr(results, e.del, e.arity)
-		old := state.RelationOr(e.rel, e.arity)
-		var updated *fact.Relation
-		if del.Empty() {
-			// Inflationary fast path: J(R) = Qins ∪ I(R); reuse the old
-			// relation object when the insert adds nothing, so that the
-			// state diff and the sim's memos can compare by pointer.
-			if ins.SubsetOf(old) {
-				updated = old
-			} else {
-				updated = old.Clone()
-				updated.UnionWith(ins)
-			}
-		} else {
-			updated = ins.Minus(del)                             // Qins \ Qdel
-			updated.UnionWith(ins.Intersect(del).Intersect(old)) // conflicts keep old tuples
-			updated.UnionWith(old.Minus(unionRel(ins, del)))     // untouched tuples persist
-			if updated.Equal(old) {
-				updated = old
-			}
+// sndHolds reports whether f.snd holds exactly the send results.
+func (f *Firing) sndHolds(results []*fact.Relation) bool {
+	for i := range f.queries {
+		if fq := &f.queries[i]; fq.kind == 's' && f.snd.Relation(fq.rel) != results[i] {
+			return false
 		}
-		if updated != old {
-			next.SetRelationOwned(e.rel, updated)
-		}
-		// An unchanged relation is already in next via ShallowClone;
-		// skipping the reinstall keeps the instance's active-domain
-		// memo (SetRelationOwned must conservatively drop it).
 	}
-	return Effect{State: next, Snd: snd, Out: out}
+	return true
+}
+
+// memUpdate computes the conflict-resolution update J(R) of a memory
+// relation the transition changes; nil stands for an absent query or
+// relation.
+func memUpdate(d *fact.Dict, arity int, ins, del, old *fact.Relation) *fact.Relation {
+	orEmpty := func(r *fact.Relation) *fact.Relation {
+		if r == nil {
+			return d.NewRelation(arity)
+		}
+		return r
+	}
+	if del == nil || del.Empty() {
+		// Inflationary: J(R) = Qins ∪ I(R).
+		updated := orEmpty(old).Clone()
+		updated.UnionWith(ins)
+		return updated
+	}
+	ins, old = orEmpty(ins), orEmpty(old)
+	updated := ins.Minus(del)                            // Qins \ Qdel
+	updated.UnionWith(ins.Intersect(del).Intersect(old)) // conflicts keep old tuples
+	updated.UnionWith(old.Minus(unionRel(ins, del)))     // untouched tuples persist
+	return updated
 }
 
 // SndResult is one send-query result: the message relation name and
@@ -324,18 +390,13 @@ type SndResult struct {
 // relations and slice are shared storage and must not be mutated.
 func (f *Firing) ProbeParts(state, rcv *fact.Instance) (stateChanged bool, snd []SndResult, out *fact.Relation, err error) {
 	f.resync(state)
-	results, err := f.evalAll(state, rcv)
+	var buf [maxStackQueries]*fact.Relation
+	results, err := f.evalAll(state, rcv, buf[:0])
 	if err != nil {
 		return false, nil, nil, err
 	}
 	for _, e := range f.memRels {
-		var ins, del *fact.Relation
-		if e.ins >= 0 {
-			ins = results[e.ins]
-		}
-		if e.del >= 0 {
-			del = results[e.del]
-		}
+		ins, del := at(results, e.ins), at(results, e.del)
 		// Relation (not RelationOr): nil is a stable sentinel for an
 		// absent relation, so the pointer memo keeps working for
 		// memory relations the node never materialized.
@@ -358,8 +419,7 @@ func (f *Firing) ProbeParts(state, rcv *fact.Instance) (stateChanged bool, snd [
 			snd = append(snd, SndResult{Rel: fq.rel, R: results[i]})
 		}
 	}
-	out = f.resultOr(results, f.outIdx, f.T.Schema.OutArity)
-	return false, snd, out, nil
+	return false, snd, f.outOf(state, results), nil
 }
 
 // memUnchanged reports whether the conflict-resolution update
@@ -369,12 +429,17 @@ func (f *Firing) ProbeParts(state, rcv *fact.Instance) (stateChanged bool, snd [
 // leaves I(R) unchanged, without materializing J(R): that holds iff
 // Qins \ Qdel ⊆ I(R) (nothing appears) and I(R) ∩ (Qdel \ Qins) = ∅
 // (nothing disappears). Cost is O(|Qins| + |Qdel|), independent of
-// the state size. A nil old stands for the absent (empty) relation.
+// the state size. Nil stands for an absent query or relation.
 func memUnchanged(ins, del, old *fact.Relation) bool {
+	if del == nil || del.Empty() {
+		// Inflationary: unchanged iff Qins ⊆ I(R), compared on packed
+		// keys without re-encoding a tuple.
+		return ins == nil || ins.SubsetOf(old)
+	}
 	unchanged := true
 	if ins != nil {
 		ins.Each(func(t fact.Tuple) bool {
-			if del != nil && del.Contains(t) {
+			if del.Contains(t) {
 				return true // conflict: tuple keeps its old status
 			}
 			if old == nil || !old.Contains(t) {
@@ -386,7 +451,7 @@ func memUnchanged(ins, del, old *fact.Relation) bool {
 			return false
 		}
 	}
-	if del != nil && old != nil {
+	if old != nil {
 		del.Each(func(t fact.Tuple) bool {
 			if ins != nil && ins.Contains(t) {
 				return true // conflict: tuple keeps its old status
@@ -400,73 +465,44 @@ func memUnchanged(ins, del, old *fact.Relation) bool {
 	return unchanged
 }
 
-// Probe evaluates the full transition effect from (state, rcv)
-// without executing it: the cache is read but never advanced, so the
-// configuration's evaluator stays consistent even when the probed
-// effect is discarded. Relations in the returned Effect may be shared
-// cache storage; callers must not mutate them.
-func (f *Firing) Probe(state, rcv *fact.Instance) (Effect, error) {
-	f.resync(state)
-	results, err := f.evalAll(state, rcv)
-	if err != nil {
-		return Effect{}, err
-	}
-	return f.effect(state, results), nil
-}
-
 // Step executes one transition from (state, rcv), advancing the cache
 // onto the new state: per-query results are kept verbatim when the
 // transition cannot have changed them, advanced by semi-naive delta
 // firing when the state only grew, and dropped otherwise. The second
-// return reports whether the state changed. Relations in the returned
-// Effect may be shared cache storage; callers must not mutate them.
+// return reports whether the state changed; when it did not,
+// Effect.State is state itself (the identity contract on Effect).
+// Relations and instances in the returned Effect may be shared cache
+// storage; callers must not mutate them.
 func (f *Firing) Step(state, rcv *fact.Instance) (Effect, bool, error) {
 	f.resync(state)
-	results, err := f.evalAll(state, rcv)
+	var buf [maxStackQueries]*fact.Relation
+	results, err := f.evalAll(state, rcv, buf[:0])
 	if err != nil {
 		return Effect{}, false, err
 	}
 	eff := f.effect(state, results)
+	if eff.State == state {
+		// State content unchanged: every cache entry remains valid.
+		return eff, false, nil
+	}
 
-	// Diff the memory update to learn how the state changed; effect
-	// reuses old relation objects for untouched memory, making the
-	// common no-change case a pointer compare.
-	var changed map[string]bool
-	var added *fact.Instance
+	// effect installs a new object exactly for the memory relations
+	// whose content changed; diff those to learn how the state moved.
+	changed := map[string]bool{}
+	added := state.Dict().NewInstance()
 	removedAny := false
 	for _, e := range f.memRels {
-		old := state.RelationOr(e.rel, e.arity)
-		now := eff.State.RelationOr(e.rel, e.arity)
+		old, now := state.Relation(e.rel), eff.State.Relation(e.rel)
 		if old == now {
 			continue
 		}
-		if old.Len() == now.Len() && now.SubsetOf(old) {
-			continue
-		}
-		if changed == nil {
-			changed = map[string]bool{}
-			added = state.Dict().NewInstance()
-		}
 		changed[e.rel] = true
-		add := now.Minus(old)
-		if !add.Empty() {
+		if add := now.Minus(old); !add.Empty() {
 			added.SetRelationOwned(e.rel, add)
 		}
-		if !old.SubsetOf(now) {
+		if old != nil && !old.SubsetOf(now) {
 			removedAny = true
 		}
-	}
-
-	if len(changed) == 0 {
-		// State content unchanged: every cache entry remains valid;
-		// only the state pointer moves. The successor has the same
-		// content, so it can share the active-domain memo — without
-		// this, every no-op firing (the steady state of a quiescing
-		// network) drops the memo and the next firing rescans the
-		// whole state, which is O(|All|) per node per round.
-		eff.State.AdoptActiveDomain(state, nil)
-		f.state = eff.State
-		return eff, false, nil
 	}
 
 	// newVals collects added values outside the state's active domain.
@@ -516,7 +552,7 @@ func (f *Firing) Step(state, rcv *fact.Instance) (Effect, bool, error) {
 		}
 	}
 	f.state = eff.State
-	f.quietMem = map[string][3]*fact.Relation{}
+	clear(f.quietMem)
 	return eff, true, nil
 }
 

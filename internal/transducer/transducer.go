@@ -171,6 +171,12 @@ func MustNew(name string, schema Schema, snd, ins, del map[string]query.Query, o
 
 // Effect is the result of one local transition: the new state, the
 // messages sent and the tuples output.
+//
+// Identity contract of Firing.Step: Effect.State == state (the input
+// pointer) exactly when the transition left the state's content
+// unchanged, so callers decide "unchanged" with one pointer compare.
+// Transducer.Step, the specification evaluator, always builds a fresh
+// successor.
 type Effect struct {
 	State *fact.Instance
 	Snd   *fact.Instance
