@@ -986,10 +986,10 @@ func BenchmarkE19Columnar(b *testing.B) {
 }
 
 // e20Sizes returns the node-count axis of the E20 scaling family.
-// The default medium tier (1k + 10k) is what `make bench-scale` and
-// the multi-core CI gate run; BENCH_SCALE=large adds the 100k-node
-// configurations, BENCH_SCALE=small keeps a 1k smoke for 1-CPU
-// determinism legs.
+// The default medium tier (1k + 10k) is what the scale row of
+// cmd/benchjson and the multi-core CI gate run; BENCH_SCALE=large
+// adds the 100k-node configurations, BENCH_SCALE=small keeps a 1k
+// smoke for 1-CPU determinism legs.
 func e20Sizes() []int {
 	switch os.Getenv("BENCH_SCALE") {
 	case "large":
@@ -1012,7 +1012,8 @@ func e20Sizes() []int {
 // retransmission and held-queue routing to the same drain). steps/op is the schedule
 // length, probes/op the dirty-set quiescence verdict count — compare
 // it against rounds x n to see the dirty-set win. The workers=4
-// speedup on the large ring rows is gated in CI by cmd/scalegate.
+// speedup on the large ring rows is gated in CI by `cmd/benchjson
+// -gate scale`.
 func BenchmarkE20Scale(b *testing.B) {
 	for _, family := range gen.NetFamilies() {
 		for _, n := range e20Sizes() {
@@ -1073,9 +1074,9 @@ func heapInUse() uint64 {
 //   - throughput/shards=S/procs=P: P goroutines (GOMAXPROCS pinned to
 //     P) intern a stream of fresh values into one dictionary — every
 //     op takes the fresh-assignment write path, the regime the
-//     single lock serializes. The acceptance gate (cmd/interngate)
-//     requires sharded >= 2x single-lock at procs=4 on a multi-core
-//     host.
+//     single lock serializes. The acceptance gate (`cmd/benchjson
+//     -gate intern`) requires sharded >= 2x single-lock at procs=4
+//     on a multi-core host.
 //   - e2e_project/shards=S: an intern-bound end-to-end run — a large
 //     two-way functional-graph join through the columnar batch
 //     pipeline, inputs rekeyed into a fresh per-run dictionary each

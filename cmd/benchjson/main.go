@@ -1,36 +1,116 @@
-// Command benchjson converts `go test -bench` output on stdin into
-// machine-readable JSON on stdout, so that the experiment suite's
-// performance trajectory (ns/op, steps/op, msgs/op per experiment —
-// see BENCHMARKS.md) can be recorded and diffed across commits.
-// `make bench` pipes through it to produce BENCH_kernel.json.
+// Command benchjson runs the experiments of bench_test.go (the
+// experiment index E1-E21, see BENCHMARKS.md), records each one as a
+// machine-readable BENCH_<name>.json artifact and, on request, gates
+// the artifact on the experiment's acceptance criteria. Run it from
+// the repository root:
 //
-// Usage:
+//	go run ./cmd/benchjson [-smoke] [-gate] [NAME...]
 //
-//	go test -run xxx -bench . -benchtime 300ms . | go run ./cmd/benchjson [-label name] [-workers n]
+// Each NAME is a row of the experiments table (kernel, scenarios,
+// plan, static, columnar, scale, intern); no NAME runs every row. The
+// row fixes everything about the run — bench regex, benchtime, sample
+// count, timeout, aggregation and gates — so an artifact is
+// reproducible from its name alone. benchjson runs `go test -bench`
+// on the root package with the row's settings, echoes the raw output
+// and writes BENCH_<name>.json.
 //
-// -workers records the worker count the benchmarked parallel runs
-// used (see the workers=N sub-benches of BenchmarkE15ParallelRuntime)
-// and -scenario the channel-model scenario matrix (see
-// BenchmarkE16Scenarios) in the report header, so bench artifacts are
-// self-describing. Every report embeds provenance — go version,
-// GOOS/GOARCH, NumCPU, GOMAXPROCS, git commit and dirty flag — so
-// caveats like "measured on a 1-CPU host" live in the artifact
-// itself.
+// -smoke runs every benchmark of the row once (-benchtime 1x
+// -count 1) and writes BENCH_<name>_smoke.json instead, so a smoke
+// run never overwrites a committed artifact. -gate applies the row's
+// acceptance predicates to the report and exits 1 if any fails; every
+// gated row requires multi-core provenance, because a 1-CPU artifact
+// can only ever show overhead.
+//
+// Header fields are derived from what ran, never passed in: the
+// channel scenarios from the E16 sub-benchmark names, the workload
+// tiers (BENCH_SIZE for E19, BENCH_SCALE for E20) from the
+// environment benchjson hands the child, recorded only when the
+// report holds rows of the benchmark that reads them, and the
+// aggregation and sample count from the row. Every report embeds
+// provenance — go version, GOOS/GOARCH, NumCPU, GOMAXPROCS, git
+// commit and dirty flag, batch pipeline configuration — so caveats
+// like "measured on a 1-CPU host" live in the artifact itself.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
+	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 
 	"declnet/internal/plan"
 )
+
+// An experiment is one row of the table: how to run a family of
+// benchmarks and what its artifact must satisfy.
+type experiment struct {
+	name      string // the artifact is BENCH_<name>.json
+	bench     string // go test -bench regex
+	benchtime string
+	count     int
+	timeout   string
+	// agg "min" keeps the fastest of the count samples per benchmark.
+	// The min rows time single whole runs, so any one sample can
+	// absorb a GC cycle or a scheduling stall, and interference only
+	// ever adds time.
+	agg   string
+	gates []gate
+}
+
+var experiments = []experiment{
+	{name: "kernel", bench: ".", benchtime: "300ms", count: 1, timeout: "1800s"},
+	{name: "scenarios", bench: "E16Scenarios", benchtime: "300ms", count: 1, timeout: "600s"},
+	{name: "plan", bench: "E17PlanRuntime", benchtime: "300ms", count: 1, timeout: "600s"},
+	{name: "static", bench: "E18StaticAnalysis", benchtime: "300ms", count: 1, timeout: "600s"},
+	{name: "columnar", bench: "E19Columnar", benchtime: "1x", count: 5, timeout: "3000s", agg: "min"},
+	{name: "scale", bench: "E20Scale", benchtime: "1x", count: 3, timeout: "5400s", agg: "min",
+		gates: []gate{{"multicore", multicore}, {"ring-speedup", ringSpeedup}}},
+	{name: "intern", bench: "E21Intern", benchtime: "300ms", count: 1, timeout: "1800s",
+		gates: []gate{{"multicore", multicore}, {"intern-speedup", internSpeedup}, {"reclaim", reclaim}}},
+}
+
+// artifact is the path a run of e writes.
+func (e experiment) artifact(smoke bool) string {
+	if smoke {
+		return "BENCH_" + e.name + "_smoke.json"
+	}
+	return "BENCH_" + e.name + ".json"
+}
+
+// tiers lists the workload-size variables the benchmarks read
+// (BENCH_SIZE in E19, BENCH_SCALE in E20), each with its accepted
+// values, default first.
+var tiers = map[string][]string{
+	"BENCH_SIZE":  {"small", "large"},
+	"BENCH_SCALE": {"medium", "small", "large"},
+}
+
+// tierEnv resolves every tier variable through getenv, defaulting the
+// unset ones and rejecting values the benchmarks do not know (they
+// would silently run the default tier under a header naming another).
+func tierEnv(getenv func(string) string) (map[string]string, error) {
+	env := map[string]string{}
+	for name, values := range tiers {
+		v := getenv(name)
+		if v == "" {
+			v = values[0]
+		}
+		if !slices.Contains(values, v) {
+			return nil, fmt.Errorf("%s=%q: want one of %s", name, v, strings.Join(values, ", "))
+		}
+		env[name] = v
+	}
+	return env, nil
+}
 
 // Result is one benchmark line: the benchmark name (GOMAXPROCS suffix
 // stripped), iteration count, ns/op, and any custom metrics
@@ -55,39 +135,33 @@ type Provenance struct {
 	// checkout); GitDirty marks uncommitted changes in the worktree.
 	GitCommit string `json:"git_commit"`
 	GitDirty  bool   `json:"git_dirty,omitempty"`
-	// BatchMode and BatchThreshold record the effective columnar
-	// batch-pipeline configuration (DECLNET_BATCH /
-	// DECLNET_BATCH_THRESHOLD as this process resolved them — the same
-	// environment the benchmarked test binary saw under make), so a
-	// forced-batch or re-thresholded artifact is distinguishable from a
-	// default-auto one.
+	// BatchMode is the columnar batch-pipeline mode as DECLNET_BATCH
+	// resolves in this process's environment, which the benchmarked
+	// test binary inherits, so a forced-batch artifact is
+	// distinguishable from a default-auto one. BatchThreshold is the
+	// auto mode's cardinality cutover.
 	BatchMode      string `json:"batch_mode"`
 	BatchThreshold int    `json:"batch_threshold"`
 }
 
 // Report is the emitted document.
 type Report struct {
-	Label string `json:"label,omitempty"`
-	// Scenario is the channel-model scenario (or scenario matrix) the
-	// benchmarked runs used, when the caller passed -scenario.
+	// Experiment names the table row that produced the report.
+	Experiment string `json:"experiment"`
+	// Smoke marks a one-iteration run: its numbers only show that
+	// every benchmark still runs.
+	Smoke bool `json:"smoke,omitempty"`
+	// Scenario lists the channel-model scenarios of the E16 rows.
 	Scenario string `json:"scenario,omitempty"`
-	// Workers is the parallel-runtime worker count the benchmarked
-	// runs used, when the caller passed -workers.
-	Workers int `json:"workers,omitempty"`
-	// Size is the workload scale knob the benchmarked runs used
-	// (BENCH_SIZE: "small" or "large"), when the caller passed -size.
+	// Size is the BENCH_SIZE tier of the E19 rows.
 	Size string `json:"size,omitempty"`
-	// Scale is the node-count tier of the E20 scaling family
-	// (BENCH_SCALE: "small", "medium" or "large"), when the caller
-	// passed -scale.
+	// Scale is the BENCH_SCALE tier of the E20 rows.
 	Scale string `json:"scale,omitempty"`
-	// Agg names the aggregation applied to repeated samples of the
-	// same benchmark (-count N runs): "min" keeps the fastest sample
-	// per name — the standard noise-robust statistic on shared hosts,
-	// where GC and scheduling interference only ever add time. Absent
-	// when every sample is reported as-is.
+	// Agg names the aggregation over the Samples runs of each
+	// benchmark: "min" keeps the fastest; absent, every sample is
+	// reported as-is.
 	Agg        string     `json:"agg,omitempty"`
-	Samples    int        `json:"samples,omitempty"`
+	Samples    int        `json:"samples"`
 	Provenance Provenance `json:"provenance"`
 	Context    []string   `json:"context,omitempty"` // goos/goarch/pkg/cpu lines
 	Results    []Result   `json:"results"`
@@ -95,7 +169,7 @@ type Report struct {
 
 // provenance gathers the environment of the run. Git queries fail
 // soft: a missing binary or non-repo directory yields "unknown", not
-// an error, so piping bench output works anywhere.
+// an error.
 func provenance() Provenance {
 	p := Provenance{
 		GoVersion:  runtime.Version(),
@@ -110,11 +184,10 @@ func provenance() Provenance {
 	}
 	if out, err := exec.Command("git", "rev-parse", "--short=12", "HEAD").Output(); err == nil {
 		p.GitCommit = strings.TrimSpace(string(out))
-		// -uno: untracked files (bench.out scratch) don't count as
-		// dirty. The BENCH_*.json exclusion matters because the bench
-		// targets redirect into those tracked artifacts, truncating
-		// them BEFORE this process runs — the in-flight rewrite of the
-		// output artifact itself must not mark the source tree dirty.
+		// -uno: untracked files (smoke artifacts) don't count as dirty.
+		// The BENCH_*.json exclusion lets experiments be regenerated
+		// one after another: an artifact rewritten by an earlier run
+		// does not make the benchmarked source dirty for the next.
 		if status, err := exec.Command("git", "status", "--porcelain", "-uno", "--",
 			".", ":(exclude)BENCH_*.json").Output(); err == nil {
 			p.GitDirty = len(strings.TrimSpace(string(status))) > 0
@@ -124,114 +197,207 @@ func provenance() Provenance {
 }
 
 func main() {
-	label := flag.String("label", "", "optional label recorded in the report")
-	workers := flag.Int("workers", 0, "parallel worker count to record in the report header")
-	scenario := flag.String("scenario", "",
-		"channel scenario (or scenario matrix) to record in the report header; \"auto\" derives it from the scenario sub-benchmark names")
-	size := flag.String("size", "", "workload scale (BENCH_SIZE) to record in the report header")
-	scale := flag.String("scale", "", "node-count tier (BENCH_SCALE) to record in the report header")
-	agg := flag.String("agg", "", "aggregate repeated samples of the same benchmark: \"min\" keeps the fastest")
+	smoke := flag.Bool("smoke", false, "run each benchmark once (-benchtime 1x -count 1) and write BENCH_<name>_smoke.json")
+	gated := flag.Bool("gate", false, "apply the experiment's acceptance gates to the report; exit 1 if any fails")
+	flag.Usage = func() {
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: benchjson [-smoke] [-gate] [NAME...]\n\nNAME is one of %s (default: all).\n\n",
+			strings.Join(names(), ", "))
+		flag.PrintDefaults()
+	}
 	flag.Parse()
-
-	rep := Report{Label: *label, Workers: *workers, Scenario: *scenario, Size: *size, Scale: *scale, Provenance: provenance()}
-	if rep.Provenance.GitDirty {
+	rows, err := selectRows(flag.Args())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(2)
+	}
+	env, err := tierEnv(os.Getenv)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(2)
+	}
+	prov := provenance()
+	if prov.GitDirty {
 		// Loud, not fatal: a dirty-tree artifact is fine as scratch but
 		// must not be committed — its git_commit does not identify the
-		// benchmarked source. The flag is already recorded in the JSON;
-		// this makes it visible in the terminal that produced the file.
+		// benchmarked source.
 		fmt.Fprintln(os.Stderr,
 			"benchjson: WARNING: worktree has uncommitted changes — provenance records git_dirty=true;",
-			"regenerate at a clean commit before committing this artifact")
+			"regenerate at a clean commit before committing an artifact")
 	}
-	sc := bufio.NewScanner(os.Stdin)
+	failed := false
+	for _, e := range rows {
+		rep, err := run(e, *smoke, env, prov)
+		if err == nil {
+			err = write(e.artifact(*smoke), rep)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", e.name, err)
+			os.Exit(1)
+		}
+		fmt.Fprintln(os.Stderr, "benchjson: wrote", e.artifact(*smoke))
+		if *gated && !check(os.Stdout, e, rep) {
+			failed = true
+		}
+	}
+	if failed {
+		os.Exit(1)
+	}
+}
+
+func names() []string {
+	var out []string
+	for _, e := range experiments {
+		out = append(out, e.name)
+	}
+	return out
+}
+
+// selectRows returns the named rows in argument order, or every row
+// when no name is given.
+func selectRows(args []string) ([]experiment, error) {
+	if len(args) == 0 {
+		return experiments, nil
+	}
+	var rows []experiment
+	for _, a := range args {
+		i := slices.IndexFunc(experiments, func(e experiment) bool { return e.name == a })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown experiment %q (want %s)", a, strings.Join(names(), ", "))
+		}
+		rows = append(rows, experiments[i])
+	}
+	return rows, nil
+}
+
+// run executes e's benchmarks in a child `go test`, echoing its output,
+// and returns the report.
+func run(e experiment, smoke bool, env map[string]string, prov Provenance) (*Report, error) {
+	benchtime, count := e.benchtime, e.count
+	if smoke {
+		benchtime, count = "1x", 1
+	}
+	cmd := exec.Command("go", "test", "-run", "^$", "-bench", e.bench, "-benchtime", benchtime,
+		"-count", strconv.Itoa(count), "-timeout", e.timeout, ".")
+	cmd.Env = os.Environ()
+	for k, v := range env {
+		cmd.Env = append(cmd.Env, k+"="+v)
+	}
+	cmd.Stderr = os.Stderr
+	out, err := cmd.StdoutPipe()
+	if err != nil {
+		return nil, err
+	}
+	if err := cmd.Start(); err != nil {
+		return nil, err
+	}
+	context, results, perr := parse(io.TeeReader(out, os.Stdout))
+	// Drain what parse left unread so the child can exit.
+	_, _ = io.Copy(os.Stdout, out)
+	if err := cmd.Wait(); err != nil {
+		return nil, fmt.Errorf("go test -bench %s: %w", e.bench, err)
+	}
+	if perr != nil {
+		return nil, perr
+	}
+	return newReport(e, smoke, env, prov, context, results), nil
+}
+
+// parse reads `go test -bench` output: the goos/goarch/pkg/cpu
+// context lines and one Result per benchmark line.
+func parse(r io.Reader) (context []string, results []Result, err error) {
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
 		switch {
 		case strings.HasPrefix(line, "goos:"), strings.HasPrefix(line, "goarch:"),
 			strings.HasPrefix(line, "pkg:"), strings.HasPrefix(line, "cpu:"):
-			rep.Context = append(rep.Context, strings.TrimSpace(line))
-			continue
-		case !strings.HasPrefix(line, "Benchmark"):
-			continue
+			context = append(context, strings.TrimSpace(line))
+		case strings.HasPrefix(line, "Benchmark"):
+			r, ok := parseLine(line)
+			if !ok {
+				fmt.Fprintf(os.Stderr, "benchjson: skipping unparsable line: %q\n", line)
+				continue
+			}
+			results = append(results, r)
 		}
-		r, ok := parseLine(line)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchjson: skipping unparsable line: %q\n", line)
-			continue
-		}
-		rep.Results = append(rep.Results, r)
 	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+	return context, results, sc.Err()
+}
+
+// newReport derives the report header from what ran: the row, the
+// tier environment handed to the child, and the results.
+func newReport(e experiment, smoke bool, env map[string]string, prov Provenance, context []string, results []Result) *Report {
+	rep := &Report{
+		Experiment: e.name,
+		Smoke:      smoke,
+		Scenario:   deriveScenarios(results),
+		Agg:        e.agg,
+		Samples:    e.count,
+		Provenance: prov,
+		Context:    context,
+		Results:    results,
 	}
-	if rep.Scenario == "auto" {
-		rep.Scenario = deriveScenarios(rep.Results)
+	if smoke {
+		rep.Samples = 1
 	}
-	switch *agg {
-	case "":
-	case "min":
-		rep.Results, rep.Samples = aggregateMin(rep.Results)
-		rep.Agg = "min"
-	default:
-		fmt.Fprintf(os.Stderr, "benchjson: unknown -agg %q (want min)\n", *agg)
-		os.Exit(2)
+	if ran(results, "BenchmarkE19Columnar") {
+		rep.Size = env["BENCH_SIZE"]
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+	if ran(results, "BenchmarkE20Scale") {
+		rep.Scale = env["BENCH_SCALE"]
 	}
+	if e.agg == "min" {
+		rep.Results = aggregateMin(results)
+	}
+	return rep
+}
+
+// ran reports whether results hold a row of the named benchmark.
+func ran(results []Result, bench string) bool {
+	return slices.ContainsFunc(results, func(r Result) bool {
+		return r.Name == bench || strings.HasPrefix(r.Name, bench+"/")
+	})
+}
+
+func write(path string, rep *Report) error {
+	data, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // aggregateMin collapses repeated samples of the same benchmark name
 // (a -count N run) into one result each — the sample with the lowest
-// ns/op, metrics and all — preserving first-appearance order. It also
-// reports the per-name sample count (the maximum, when uneven).
-func aggregateMin(results []Result) ([]Result, int) {
-	var order []string
-	best := map[string]Result{}
-	count := map[string]int{}
-	samples := 0
+// ns/op, metrics and all — preserving first-appearance order.
+func aggregateMin(results []Result) []Result {
+	var out []Result
+	at := map[string]int{}
 	for _, r := range results {
-		count[r.Name]++
-		if count[r.Name] > samples {
-			samples = count[r.Name]
-		}
-		b, seen := best[r.Name]
-		if !seen {
-			order = append(order, r.Name)
-			best[r.Name] = r
-			continue
-		}
-		if r.NsPerOp < b.NsPerOp {
-			best[r.Name] = r
+		i, seen := at[r.Name]
+		switch {
+		case !seen:
+			at[r.Name] = len(out)
+			out = append(out, r)
+		case r.NsPerOp < out[i].NsPerOp:
+			out[i] = r
 		}
 	}
-	out := make([]Result, len(order))
-	for i, name := range order {
-		out[i] = best[name]
-	}
-	return out, samples
+	return out
 }
 
 // deriveScenarios extracts the distinct channel scenario specs from
 // the scenario-matrix sub-benchmark names
-// (Benchmark…Scenarios/<spec>/workers=N), in bench order. Deriving
-// the header from the measured results keeps it truthful: the matrix
-// is defined once, in the benchmark itself.
+// (Benchmark…Scenarios/<spec>/workers=N), in bench order.
 func deriveScenarios(results []Result) string {
 	var specs []string
-	seen := map[string]bool{}
 	for _, r := range results {
 		parts := strings.Split(r.Name, "/")
 		if len(parts) < 2 || !strings.HasSuffix(parts[0], "Scenarios") {
 			continue
 		}
-		if !seen[parts[1]] {
-			seen[parts[1]] = true
+		if !slices.Contains(specs, parts[1]) {
 			specs = append(specs, parts[1])
 		}
 	}
@@ -274,4 +440,154 @@ func parseLine(line string) (Result, bool) {
 		r.Metrics[unit] = val
 	}
 	return r, r.NsPerOp != 0 || len(r.Metrics) > 0
+}
+
+// A gate is one acceptance predicate over a report. check returns
+// what it measured (empty when the rows it reads are missing) and a
+// non-nil error when the predicate fails.
+type gate struct {
+	name  string
+	check func(*Report) (measured string, err error)
+}
+
+// check applies e's gates to rep, printing one line per gate, and
+// reports whether every gate holds.
+func check(w io.Writer, e experiment, rep *Report) bool {
+	ok := true
+	for _, g := range e.gates {
+		measured, err := g.check(rep)
+		verdict := "ok"
+		if err != nil {
+			ok = false
+			verdict = "FAIL: " + err.Error()
+		}
+		if measured != "" {
+			verdict = measured + " — " + verdict
+		}
+		fmt.Fprintf(w, "benchjson: gate %s/%s: %s\n", e.name, g.name, verdict)
+	}
+	return ok
+}
+
+// Gate thresholds.
+const (
+	// E20: the largest fair ring row, at n >= scaleMinNodes, must run
+	// at least scaleMinSpeedup faster at scaleWorkers than at 1 worker.
+	scaleMinNodes   = 10000
+	scaleWorkers    = 4
+	scaleMinSpeedup = 1.5
+	// E21: the most-sharded dictionary must intern fresh values at
+	// least internMinSpeedup faster than the single lock at
+	// GOMAXPROCS internProcs.
+	internProcs      = 4
+	internMinSpeedup = 2.0
+	// E21 reclaim: a dropped per-run dictionary may leave at most this
+	// much heap growth behind.
+	reclaimMaxRetained = 1 << 20
+)
+
+var (
+	ringRow       = regexp.MustCompile(`^BenchmarkE20Scale/family=ring/n=(\d+)/chan=fair/workers=(\d+)$`)
+	throughputRow = regexp.MustCompile(`^BenchmarkE21Intern/throughput/shards=(\d+)/procs=(\d+)$`)
+)
+
+// multicore requires the report to come from a multi-core host: on
+// one CPU a parallel row times goroutines taking turns on one core.
+func multicore(rep *Report) (string, error) {
+	measured := fmt.Sprintf("num_cpu=%d, commit %s", rep.Provenance.NumCPU, rep.Provenance.GitCommit)
+	if rep.Provenance.NumCPU <= 1 {
+		return measured, errors.New("a speedup gate needs a multi-core host (a 1-CPU artifact is the determinism leg)")
+	}
+	return measured, nil
+}
+
+// ringSpeedup is the E20 gate: workers=4 vs workers=1 wall clock on
+// the largest fair-channel ring row.
+func ringSpeedup(rep *Report) (string, error) {
+	ns, n := grid(rep, ringRow)
+	switch {
+	case n == 0:
+		return "", errors.New("no fair-channel ring rows (BenchmarkE20Scale/family=ring/.../chan=fair)")
+	case n < scaleMinNodes:
+		return "", fmt.Errorf("largest ring row has n=%d, gate needs n >= %d", n, scaleMinNodes)
+	}
+	base, okBase := ns[[2]int{n, 1}]
+	par, okPar := ns[[2]int{n, scaleWorkers}]
+	if !okBase || !okPar {
+		return "", fmt.Errorf("ring n=%d rows missing workers=1 or workers=%d", n, scaleWorkers)
+	}
+	return speedup(fmt.Sprintf("ring n=%d workers=%d vs 1", n, scaleWorkers), base, par, scaleMinSpeedup)
+}
+
+// internSpeedup is the E21 throughput gate: the most-sharded
+// dictionary vs the single lock at procs=4.
+func internSpeedup(rep *Report) (string, error) {
+	ns, shards := grid(rep, throughputRow)
+	if shards <= 1 {
+		return "", errors.New("no sharded throughput rows (BenchmarkE21Intern/throughput/shards=N>1/...)")
+	}
+	base, okBase := ns[[2]int{1, internProcs}]
+	sharded, okSharded := ns[[2]int{shards, internProcs}]
+	if !okBase || !okSharded {
+		return "", fmt.Errorf("procs=%d rows missing for shards=1 or shards=%d", internProcs, shards)
+	}
+	return speedup(fmt.Sprintf("shards=%d vs single lock at procs=%d", shards, internProcs), base, sharded, internMinSpeedup)
+}
+
+// reclaim is the E21 memory gate: after dropping a per-run dictionary
+// the heap is back at baseline and the process-default dictionary is
+// untouched. A missing metric fails, not reads as zero.
+func reclaim(rep *Report) (string, error) {
+	i := slices.IndexFunc(rep.Results, func(r Result) bool { return r.Name == "BenchmarkE21Intern/reclaim" })
+	if i < 0 {
+		return "", errors.New("no reclaim row (BenchmarkE21Intern/reclaim)")
+	}
+	m := rep.Results[i].Metrics
+	var missing []string
+	for _, k := range []string{"live_bytes", "retained_bytes", "default_dict_growth"} {
+		if _, ok := m[k]; !ok {
+			missing = append(missing, k)
+		}
+	}
+	if len(missing) > 0 {
+		return "", fmt.Errorf("reclaim row lacks %s", strings.Join(missing, ", "))
+	}
+	live, retained, growth := m["live_bytes"], m["retained_bytes"], m["default_dict_growth"]
+	measured := fmt.Sprintf("%.0f bytes live -> %.0f retained after drop, default-dict growth %.0f values", live, retained, growth)
+	switch {
+	case live <= 0:
+		return measured, errors.New("no live heap growth measured — the measurement is broken, not the reclaim")
+	case retained > reclaimMaxRetained:
+		return measured, fmt.Errorf("dropped per-run dictionary retained %.0f bytes (> %d): the run's universe is not collectable", retained, reclaimMaxRetained)
+	case growth != 0:
+		return measured, fmt.Errorf("per-run interning grew the process-default dictionary by %.0f values", growth)
+	}
+	return measured, nil
+}
+
+// grid indexes the ns/op of the rows whose names match re (two integer
+// captures) by those integers, and returns the largest first capture.
+func grid(rep *Report, re *regexp.Regexp) (ns map[[2]int]float64, maxFirst int) {
+	ns = map[[2]int]float64{}
+	for _, r := range rep.Results {
+		m := re.FindStringSubmatch(r.Name)
+		if m == nil {
+			continue
+		}
+		a, _ := strconv.Atoi(m[1])
+		b, _ := strconv.Atoi(m[2])
+		ns[[2]int{a, b}] = r.NsPerOp
+		maxFirst = max(maxFirst, a)
+	}
+	return ns, maxFirst
+}
+
+// speedup measures base/fast ns/op against a floor.
+func speedup(what string, base, fast, floor float64) (string, error) {
+	s := base / fast
+	measured := fmt.Sprintf("%s: %.2fx (%.0f ns/op -> %.0f ns/op)", what, s, base, fast)
+	if s < floor {
+		return measured, fmt.Errorf("speedup %.2fx below the %.2fx floor", s, floor)
+	}
+	return measured, nil
 }

@@ -113,10 +113,9 @@
 // against the relation's whole-row run or by hash probes, survivors
 // appended through one byte arena (fact.Sink — also the staging path
 // of semi-naive delta rounds). The
-// pipeline engages per execution by a cardinality threshold (default
-// 4096 tuples; plan.SetBatchMode / DECLNET_BATCH select
-// "auto"/"off"/"always", plan.SetBatchThreshold /
-// DECLNET_BATCH_THRESHOLD tune the cutover), so small inputs keep the
+// pipeline engages per execution by a cardinality threshold (4096
+// tuples; plan.SetBatchMode / DECLNET_BATCH select
+// "auto"/"off"/"always"), so small inputs keep the
 // register-slot executor's low constant factors while million-tuple
 // relations get the batch operators — transparently, under Eval,
 // EvalDelta, incremental firing, Sim and RunParallel alike. Explain
@@ -211,10 +210,8 @@
 // cmd/calmcheck, cmd/calmlint, cmd/repolint, cmd/dedalusrun) and five
 // runnable examples (examples/) exercise the public surface; the
 // benchmark suite in bench_test.go regenerates the experiment index
-// E1-E21 against the paper's claims (BENCHMARKS.md has the index,
-// BENCH_kernel.json the measured trajectory, BENCH_parallel.json the
-// parallel-runtime numbers, BENCH_scenarios.json the fault-scenario
-// matrix, BENCH_plan.json the compiled query-plan ablation,
-// BENCH_static.json the static-analyzer experiment,
-// BENCH_columnar.json the columnar batch-kernel ablation).
+// E1-E21 against the paper's claims (BENCHMARKS.md has the index;
+// cmd/benchjson records each experiment in a BENCH_<name>.json
+// artifact: kernel for the whole suite, scenarios, plan, static,
+// columnar, scale and intern for E16-E21).
 package declnet

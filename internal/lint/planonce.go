@@ -22,7 +22,7 @@ import (
 // The same rule applies at package level: for every package-level
 // sync.Once variable, package-level variables assigned inside its
 // `<onceVar>.Do(func() {...})` closure are once-published defaults
-// (plan's batchEnvOnce/batchEnvMode/batchEnvThreshold), and
+// (plan's batchEnvOnce/batchEnvMode), and
 // assignments to them outside a Do closure are flagged.
 //
 // The check is syntactic (no type information): fields are matched by

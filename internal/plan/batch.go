@@ -12,18 +12,17 @@ package plan
 // the map-bindings reference executor.
 //
 // Selection is configurable for benchmarks and tests via SetBatchMode
-// ("auto"/"off"/"always") and SetBatchThreshold, or the DECLNET_BATCH
-// and DECLNET_BATCH_THRESHOLD environment variables (invalid values
-// warn on stderr and fall back to the defaults). The env-derived
-// defaults are published once under a package-level sync.Once — the
-// same once-published discipline as the plan's schedule caches,
-// enforced by the planonce linter — and the live knobs are atomics, so
-// concurrent executions race-freely observe a coherent mode.
+// ("auto"/"off"/"always") or the DECLNET_BATCH environment variable
+// (an invalid value warns on stderr and falls back to auto). The
+// env-derived default is published once under a package-level
+// sync.Once — the same once-published discipline as the plan's
+// schedule caches, enforced by the planonce linter — and the live
+// mode is an atomic, so concurrent executions race-freely observe a
+// coherent mode.
 
 import (
 	"fmt"
 	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -31,10 +30,10 @@ import (
 )
 
 const (
-	// defaultBatchThreshold is the auto-mode cardinality cutover: the
-	// batch pipeline engages when some atom's input relation has at
-	// least this many tuples.
-	defaultBatchThreshold = 4096
+	// batchThreshold is the auto-mode cardinality cutover: the batch
+	// pipeline engages when some atom's input relation has at least
+	// this many tuples.
+	batchThreshold = 4096
 
 	// batchMaxRows caps the materialized intermediate batch. A join
 	// about to exceed it (a cross-product-ish schedule on large
@@ -56,63 +55,46 @@ const (
 
 var (
 	batchEnvOnce sync.Once
-	// batchEnvMode and batchEnvThreshold are the environment-derived
-	// defaults, written exactly once under batchEnvOnce.Do and read
-	// only through batchConfig.
-	batchEnvMode      int32
-	batchEnvThreshold int64
+	// batchEnvMode is the environment-derived default, written exactly
+	// once under batchEnvOnce.Do and read only through batchConfig.
+	batchEnvMode int32
 
-	// The live knobs; initialized from the env defaults, mutable via
-	// SetBatchMode / SetBatchThreshold.
-	batchModeV      atomic.Int32
-	batchThresholdV atomic.Int64
+	// batchModeV is the live mode; initialized from the env default,
+	// mutable via SetBatchMode.
+	batchModeV atomic.Int32
 )
 
-// parseBatchEnv derives the env-default pipeline mode and threshold
-// from the raw DECLNET_BATCH and DECLNET_BATCH_THRESHOLD values.
-// Unrecognized modes and malformed or negative thresholds fall back to
-// the defaults but are reported in warnings — silently absorbing a
-// typo (DECLNET_BATCH=alwys in a CI matrix leg, say) would quietly
-// re-run the default path while claiming forced-batch coverage.
-func parseBatchEnv(batch, threshold string) (mode int32, thr int64, warnings []string) {
-	mode, thr = batchAuto, defaultBatchThreshold
+// parseBatchEnv derives the env-default pipeline mode from the raw
+// DECLNET_BATCH value. An unrecognized mode falls back to auto but is
+// reported in a warning — silently absorbing a typo
+// (DECLNET_BATCH=alwys in a CI matrix leg, say) would quietly re-run
+// the default path while claiming forced-batch coverage.
+func parseBatchEnv(batch string) (mode int32, warning string) {
 	switch batch {
 	case "", "auto":
+		return batchAuto, ""
 	case "off":
-		mode = batchOff
+		return batchOff, ""
 	case "always":
-		mode = batchAlways
-	default:
-		warnings = append(warnings, fmt.Sprintf(
-			"plan: unknown DECLNET_BATCH value %q (want auto, off or always); using auto", batch))
+		return batchAlways, ""
 	}
-	if threshold != "" {
-		if v, err := strconv.Atoi(threshold); err != nil || v < 0 {
-			warnings = append(warnings, fmt.Sprintf(
-				"plan: invalid DECLNET_BATCH_THRESHOLD %q (want a non-negative integer); using %d",
-				threshold, defaultBatchThreshold))
-		} else {
-			thr = int64(v)
-		}
-	}
-	return mode, thr, warnings
+	return batchAuto, fmt.Sprintf(
+		"plan: unknown DECLNET_BATCH value %q (want auto, off or always); using auto", batch)
 }
 
-// batchConfig returns the current pipeline mode and auto threshold,
-// parsing the environment overrides on first use. Invalid overrides
-// warn on stderr (once) and fall back to the defaults.
-func batchConfig() (mode int32, threshold int) {
+// batchConfig returns the current pipeline mode, parsing the
+// environment override on first use. An invalid override warns on
+// stderr (once) and falls back to auto.
+func batchConfig() int32 {
 	batchEnvOnce.Do(func() {
-		var warnings []string
-		batchEnvMode, batchEnvThreshold, warnings =
-			parseBatchEnv(os.Getenv("DECLNET_BATCH"), os.Getenv("DECLNET_BATCH_THRESHOLD"))
-		for _, w := range warnings {
-			fmt.Fprintln(os.Stderr, w)
+		var warning string
+		batchEnvMode, warning = parseBatchEnv(os.Getenv("DECLNET_BATCH"))
+		if warning != "" {
+			fmt.Fprintln(os.Stderr, warning)
 		}
 		batchModeV.Store(batchEnvMode)
-		batchThresholdV.Store(batchEnvThreshold)
 	})
-	return batchModeV.Load(), int(batchThresholdV.Load())
+	return batchModeV.Load()
 }
 
 var batchModeNames = map[int32]string{batchAuto: "auto", batchOff: "off", batchAlways: "always"}
@@ -121,8 +103,7 @@ var batchModeNames = map[int32]string{batchAuto: "auto", batchOff: "off", batchA
 // (cardinality threshold), "off" (tuple path always) or "always"
 // (batch path whenever the schedule is eligible).
 func BatchMode() string {
-	mode, _ := batchConfig()
-	return batchModeNames[mode]
+	return batchModeNames[batchConfig()]
 }
 
 // SetBatchMode sets the pipeline selection mode and returns the
@@ -130,8 +111,7 @@ func BatchMode() string {
 // the differential tests force "always" to drive every query through
 // the columnar operators. Production code leaves the mode on auto.
 func SetBatchMode(mode string) (prev string, err error) {
-	cur, _ := batchConfig()
-	prev = batchModeNames[cur]
+	prev = batchModeNames[batchConfig()]
 	switch mode {
 	case "auto":
 		batchModeV.Store(batchAuto)
@@ -146,33 +126,21 @@ func SetBatchMode(mode string) (prev string, err error) {
 }
 
 // BatchThreshold returns the auto-mode cardinality cutover.
-func BatchThreshold() int {
-	_, t := batchConfig()
-	return t
-}
-
-// SetBatchThreshold sets the auto-mode cutover and returns the
-// previous value.
-func SetBatchThreshold(n int) (prev int) {
-	_, prev = batchConfig()
-	batchThresholdV.Store(int64(n))
-	return prev
-}
+func BatchThreshold() int { return batchThreshold }
 
 // useBatch decides whether this execution takes the columnar pipeline.
 func (p *Plan) useBatch(s *schedule, src *source) bool {
 	if !s.batch {
 		return false
 	}
-	mode, threshold := batchConfig()
-	switch mode {
+	switch batchConfig() {
 	case batchOff:
 		return false
 	case batchAlways:
 		return true
 	}
 	for i, a := range p.spec.Atoms {
-		if r := src.atom(i, a.Rel); r != nil && r.Len() >= threshold {
+		if r := src.atom(i, a.Rel); r != nil && r.Len() >= batchThreshold {
 			return true
 		}
 	}

@@ -29,11 +29,6 @@ func TestBatchModeKnobs(t *testing.T) {
 	if _, err := SetBatchMode("columnar-ish"); err == nil {
 		t.Fatal("bad mode accepted")
 	}
-	prev := SetBatchThreshold(17)
-	defer SetBatchThreshold(prev)
-	if BatchThreshold() != 17 {
-		t.Fatalf("threshold %d, want 17", BatchThreshold())
-	}
 }
 
 // TestBatchDifferentialThreeWay drives random specs — atoms, filters,
@@ -242,41 +237,31 @@ func TestBatchInputRegisters(t *testing.T) {
 }
 
 // TestParseBatchEnv pins the environment-override parser: valid values
-// apply, invalid values fall back to the defaults AND warn — the old
+// apply, invalid values fall back to auto AND warn — the old
 // behaviour of silently absorbing DECLNET_BATCH typos meant a broken
 // CI matrix leg could claim forced-batch coverage while running the
 // default path.
 func TestParseBatchEnv(t *testing.T) {
 	cases := []struct {
-		batch, threshold string
-		wantMode         int32
-		wantThr          int64
-		wantWarnings     int
+		batch       string
+		wantMode    int32
+		wantWarning bool
 	}{
-		{"", "", batchAuto, defaultBatchThreshold, 0},
-		{"auto", "", batchAuto, defaultBatchThreshold, 0},
-		{"off", "", batchOff, defaultBatchThreshold, 0},
-		{"always", "", batchAlways, defaultBatchThreshold, 0},
-		{"alwys", "", batchAuto, defaultBatchThreshold, 1},
-		{"ALWAYS", "", batchAuto, defaultBatchThreshold, 1},
-		{"", "123", batchAuto, 123, 0},
-		{"", "0", batchAuto, 0, 0},
-		{"", "-5", batchAuto, defaultBatchThreshold, 1},
-		{"", "12x", batchAuto, defaultBatchThreshold, 1},
-		{"", "4096.0", batchAuto, defaultBatchThreshold, 1},
-		{"alwys", "nope", batchAuto, defaultBatchThreshold, 2},
-		{"always", "17", batchAlways, 17, 0},
+		{"", batchAuto, false},
+		{"auto", batchAuto, false},
+		{"off", batchOff, false},
+		{"always", batchAlways, false},
+		{"alwys", batchAuto, true},
+		{"ALWAYS", batchAuto, true},
 	}
 	for _, c := range cases {
-		mode, thr, warnings := parseBatchEnv(c.batch, c.threshold)
-		if mode != c.wantMode || thr != c.wantThr || len(warnings) != c.wantWarnings {
-			t.Errorf("parseBatchEnv(%q, %q) = (%d, %d, %d warnings), want (%d, %d, %d)",
-				c.batch, c.threshold, mode, thr, len(warnings), c.wantMode, c.wantThr, c.wantWarnings)
+		mode, warning := parseBatchEnv(c.batch)
+		if mode != c.wantMode || (warning != "") != c.wantWarning {
+			t.Errorf("parseBatchEnv(%q) = (%d, %q), want (%d, warning %v)",
+				c.batch, mode, warning, c.wantMode, c.wantWarning)
 		}
-		for _, w := range warnings {
-			if !strings.Contains(w, "DECLNET_BATCH") {
-				t.Errorf("parseBatchEnv(%q, %q): warning %q does not name the variable", c.batch, c.threshold, w)
-			}
+		if warning != "" && !strings.Contains(warning, "DECLNET_BATCH") {
+			t.Errorf("parseBatchEnv(%q): warning %q does not name the variable", c.batch, warning)
 		}
 	}
 }

@@ -46,14 +46,13 @@ func (p *Plan) explainInto(b *strings.Builder, pin int) {
 	// schedules go columnar above the cardinality threshold (or as the
 	// mode forces), everything else stays tuple-at-a-time.
 	if s.batch {
-		mode, threshold := batchConfig()
-		switch mode {
+		switch batchConfig() {
 		case batchOff:
 			fmt.Fprintf(b, "  pipeline tuple (batch mode off)\n")
 		case batchAlways:
 			fmt.Fprintf(b, "  pipeline batch (columnar, mode always)\n")
 		default:
-			fmt.Fprintf(b, "  pipeline batch>=%d rows, else tuple\n", threshold)
+			fmt.Fprintf(b, "  pipeline batch>=%d rows, else tuple\n", batchThreshold)
 		}
 	} else {
 		fmt.Fprintf(b, "  pipeline tuple (%s)\n", s.batchWhy)
