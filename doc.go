@@ -69,8 +69,9 @@
 // interning dictionary (Dict) sharded by value hash — per-shard
 // mutexes serialize only fresh-ID assignment, reads never lock —
 // tuples are keyed by their packed ID sequences, and relations are
-// hash sets over those keys with lazily built per-column hash
-// indexes; semi-naive fixpoints run on the kernel's delta-relation
+// insertion-ordered row stores over those keys (a key slab, the tuples
+// in row order, a pointer-free hash table of row numbers) with lazily
+// built per-column hash indexes; semi-naive fixpoints run on the kernel's delta-relation
 // type, and FO queries expose exact semi-naive delta evaluation for
 // their positive branches. Every relation, instance, delta and batch
 // carries its owning *Dict and derived values inherit it; a

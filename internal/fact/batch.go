@@ -372,9 +372,9 @@ func (b *Batch) FilterEq(l, r BatchTerm, want bool) {
 
 // FilterNotIn keeps the rows whose term tuple is absent from rel (the
 // anti-probe negation check), packing each row's IDs into a reusable
-// key and probing the relation's tuple set allocation-free.
+// key and probing the relation's row store allocation-free.
 func (b *Batch) FilterNotIn(rel *Relation, terms []BatchTerm) {
-	if b.n == 0 || rel == nil || len(rel.tuples) == 0 || rel.arity != len(terms) {
+	if b.n == 0 || rel == nil || rel.Len() == 0 || rel.arity != len(terms) {
 		return
 	}
 	mustShareDict(b.dict, rel.dict, "Batch.FilterNotIn")
@@ -401,7 +401,7 @@ func (b *Batch) FilterNotIn(rel *Relation, terms []BatchTerm) {
 			}
 			binary.BigEndian.PutUint32(scratch[4*j:], id)
 		}
-		if _, ok := rel.tuples[string(scratch)]; !ok {
+		if rel.find(scratch) < 0 {
 			keep = append(keep, int32(i))
 		}
 	}
@@ -443,10 +443,10 @@ func (b *Batch) FilterGuard(fn func(regs []Value) (bool, error)) error {
 // deduplicating within the batch and against the sink's existing
 // tuples through the columnar batch-append path (sink.go): one
 // lexicographic row sort removes in-batch duplicates, presence falls
-// to a sorted-run merge or hash probes, and packed keys plus output
-// tuples are arena-materialized only for the genuinely new rows — the
-// per-row map probe + insert of the scalar path disappears from the
-// full-output workloads.
+// to a sorted-run merge or row-store probes, and packed keys plus
+// output tuples are materialized only for the genuinely new rows — the
+// per-row pack, intern and insert of the scalar path disappears from
+// the full-output workloads.
 func (b *Batch) ProjectInto(head []BatchTerm, out Sink) {
 	if b.n == 0 {
 		return

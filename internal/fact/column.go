@@ -1,25 +1,28 @@
 package fact
 
-import "sort"
+import (
+	"encoding/binary"
+	"sort"
+)
 
 // This file is the columnar half of the kernel: a per-relation view
-// that decodes the packed tuple keys into per-column []uint32 ID
-// vectors, with lazily built sorted runs (radix-ordered permutations)
-// and ID→row hash indexes. The batch executor (batch.go and
-// internal/plan's columnar pipeline) joins over these vectors instead
-// of walking the tuple map tuple-at-a-time.
+// that transposes the row-major key slab (see Relation) into
+// per-column []uint32 ID vectors, with lazily built sorted runs
+// (radix-ordered permutations) and ID→row hash indexes. The batch
+// executor (batch.go and internal/plan's columnar pipeline) joins over
+// these vectors instead of walking the stored tuples one at a time.
 //
 // The view is memoized on the Relation and maintained incrementally:
-// addKeyed appends the new row's IDs to every column, and the runs and
-// indexes carry watermarks so they extend (indexes) or rebuild (runs)
-// only over the appended tail on next access. Remove drops the view,
-// exactly like the per-column tuple indexes — deletion is rare in the
-// paper's inflationary transducers.
+// addKeyed and insertRows append the new rows' IDs to every column,
+// and the runs and indexes carry watermarks so they extend (indexes)
+// or rebuild (runs) only over the appended tail on next access. Remove
+// drops the view, exactly like the per-column tuple indexes — deletion
+// is rare in the paper's inflationary transducers.
 
 // colview is the columnar decoding of a relation: col[c][row] is the
-// interned ID at column c of the row-th stored tuple. Row order is the
-// (arbitrary) order rows were appended in; all consumers treat the
-// relation as a set, so no meaning attaches to it.
+// interned ID at column c of the relation's row-th stored tuple, so
+// the view's rows are the slab's rows in the same order. All consumers
+// treat the relation as a set, so no meaning attaches to that order.
 type colview struct {
 	n   int
 	col [][]uint32
@@ -46,17 +49,17 @@ type colview struct {
 
 // columns returns (building on first access) the columnar view of the
 // relation. Like the tuple indexes, the view is memoized in place and
-// maintained by addKeyed; Remove invalidates it.
+// maintained by addKeyed and insertRows; Remove invalidates it.
 func (r *Relation) columns() *colview {
 	if r.cview == nil {
-		cv := &colview{n: len(r.tuples), col: make([][]uint32, r.arity)}
+		n := len(r.rows)
+		cv := &colview{n: n, col: make([][]uint32, r.arity)}
 		for c := range cv.col {
-			cv.col[c] = make([]uint32, 0, len(r.tuples))
-		}
-		for k := range r.tuples {
-			for c := 0; c < r.arity; c++ {
-				cv.col[c] = append(cv.col[c], keyID(k, c))
+			col := make([]uint32, n)
+			for i := range col {
+				col[i] = r.rowID(i, c)
 			}
+			cv.col[c] = col
 		}
 		r.cview = cv
 	}
@@ -66,9 +69,9 @@ func (r *Relation) columns() *colview {
 // appendRow extends every column with the IDs of a newly stored key.
 // Runs and indexes go stale behind their watermarks and catch up on
 // next access.
-func (cv *colview) appendRow(k string, arity int) {
-	for c := 0; c < arity; c++ {
-		cv.col[c] = append(cv.col[c], keyID(k, c))
+func (cv *colview) appendRow(k []byte) {
+	for c := range cv.col {
+		cv.col[c] = append(cv.col[c], binary.BigEndian.Uint32(k[4*c:]))
 	}
 	cv.n++
 }
@@ -86,11 +89,15 @@ func (cv *colview) index(c int) map[uint32][]int32 {
 		cv.idx[c] = m
 		cv.idxN[c] = 0
 	}
-	keys := cv.col[c]
-	for i := cv.idxN[c]; i < cv.n; i++ {
-		m[keys[i]] = append(m[keys[i]], int32(i))
+	// A caught-up index is returned without writing the watermark, so
+	// a sealed relation's view stays read-only under concurrent probes.
+	if cv.idxN[c] < cv.n {
+		keys := cv.col[c]
+		for i := cv.idxN[c]; i < cv.n; i++ {
+			m[keys[i]] = append(m[keys[i]], int32(i))
+		}
+		cv.idxN[c] = cv.n
 	}
-	cv.idxN[c] = cv.n
 	return m
 }
 

@@ -34,29 +34,28 @@ func (d *Delta) Stage(f Fact) bool {
 
 // StageRelation stages every tuple of heads under predicate pred —
 // the batch counterpart of Stage, working at the packed-key level:
-// tuples already committed or already staged are skipped with one map
-// probe each, and new tuples move their keys into the staging area
+// tuples already committed or already staged are skipped with one
+// probe each, and new tuples copy their keys into the staging area
 // without re-packing or re-interning anything. Semi-naive evaluation
 // calls it once per rule firing with the firing's whole head relation.
 // heads' stored tuples are shared (they are immutable by convention).
 func (d *Delta) StageRelation(pred string, heads *Relation) {
-	if heads == nil || len(heads.tuples) == 0 {
+	if heads == nil || heads.Len() == 0 {
 		return
 	}
 	mustShareDict(d.Full.dict, heads.dict, "StageRelation")
 	full := d.Full.rels[pred]
 	sr := d.staged.rels[pred]
 	dirty := false
-	for k, t := range heads.tuples {
-		if full != nil {
-			if _, ok := full.tuples[k]; ok {
-				continue
-			}
+	for i, t := range heads.rows {
+		k := heads.key(i)
+		if full != nil && full.find(k) >= 0 {
+			continue
 		}
 		if sr == nil {
 			sr = d.Full.dict.NewRelation(heads.arity)
 			d.staged.rels[pred] = sr
-		} else if _, ok := sr.tuples[k]; ok {
+		} else if sr.find(k) >= 0 {
 			continue
 		}
 		sr.addKeyed(k, t)
@@ -92,19 +91,17 @@ type deltaSink struct {
 func (s deltaSink) Add(t Tuple) bool {
 	var scratch [64]byte
 	k := s.d.Full.dict.packTuple(scratch[:0], t)
-	if full := s.d.Full.rels[s.pred]; full != nil {
-		if _, ok := full.tuples[string(k)]; ok {
-			return false
-		}
+	if full := s.d.Full.rels[s.pred]; full != nil && full.find(k) >= 0 {
+		return false
 	}
 	sr := s.d.staged.rels[s.pred]
 	if sr == nil {
 		sr = s.d.Full.dict.NewRelation(s.arity)
 		s.d.staged.rels[s.pred] = sr
-	} else if _, ok := sr.tuples[string(k)]; ok {
+	} else if sr.find(k) >= 0 {
 		return false
 	}
-	sr.addKeyed(string(k), t.Clone())
+	sr.addKeyed(k, t.Clone())
 	s.d.staged.dirty()
 	return true
 }
@@ -122,9 +119,9 @@ func (s deltaSink) appendBatch(cols [][]uint32, n int) {
 	if fresh {
 		sr = s.d.Full.dict.NewRelation(s.arity)
 	}
-	before := len(sr.tuples)
+	before := sr.Len()
 	batchAppend(sr, s.d.Full.rels[s.pred], cols, n)
-	if len(sr.tuples) == before {
+	if sr.Len() == before {
 		return
 	}
 	if fresh {

@@ -10,9 +10,11 @@
 // package network on top of the Fact type.
 //
 // Internally the package is an interned relational kernel: every Value
-// is mapped to a dense uint32 ID by a process-global dictionary
-// (intern.go), tuples are keyed by their packed ID sequences, and
-// relations are hash sets over those packed keys with lazily built
+// is mapped to a dense uint32 ID by an interning dictionary
+// (intern.go), tuples are keyed by their packed ID sequences, and a
+// relation is an insertion-ordered row store — a slab of those packed
+// keys, the tuples in the same row order, and a pointer-free hash table
+// of row numbers once it outgrows a linear scan — with lazily built
 // per-column hash indexes (Lookup) that the join-based evaluators in
 // packages fo and datalog bind against. The string-typed API is a thin
 // surface over the interned representation.
@@ -21,6 +23,8 @@ package fact
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -130,21 +134,37 @@ func (f Fact) Clone() Fact { return Fact{Rel: f.Rel, Args: f.Args.Clone()} }
 
 func (f Fact) String() string { return f.Rel + f.Args.String() }
 
-// Relation is a finite set of tuples of a fixed arity, stored as a
-// hash set over packed interned-ID keys. The zero value is not usable;
-// construct with NewRelation (process-default dictionary) or
-// Dict.NewRelation. Like the rest of the data model, Relations are not
-// safe for concurrent use: reads memoize (column indexes, sorted
-// order) in place. Only the interning dictionary is shared safely
-// across goroutines.
+// Relation is a finite set of tuples of a fixed arity. It is stored as
+// one insertion-ordered row store: a slab of packed interned-ID keys
+// (4 bytes per column, row-major), the stored tuples in the same row
+// order, and, once the relation outgrows a linear scan, a pointer-free
+// open-addressing table of row numbers over the slab. The zero value
+// is not usable; construct with NewRelation (process-default
+// dictionary) or Dict.NewRelation. Like the rest of the data model,
+// Relations are not safe for concurrent use: reads memoize (column
+// indexes, sorted order) in place — see Seal for the read-only
+// exception. Only the interning dictionary is shared safely across
+// goroutines.
 type Relation struct {
 	// dict is the interning dictionary the relation's packed keys are
 	// encoded in. Every derived relation (Clone, Minus, Intersect,
 	// ApplyPermutationRel) inherits it; set operations across different
 	// dictionaries are checked errors (see mustShareDict).
-	dict   *Dict
-	arity  int
-	tuples map[string]Tuple
+	dict  *Dict
+	arity int
+
+	// keys is the row-major key slab: row i's packed key is the
+	// 4*arity bytes at keys[4*arity*i:], and rows[i] is its stored
+	// tuple. Rows keep insertion order, except that Remove moves the
+	// last row into the freed one.
+	keys []byte
+	rows []Tuple
+
+	// table, when non-nil, is a linear-probing hash table over the
+	// slab: a slot holds row+1, 0 marks it empty, and its power-of-two
+	// length is at least twice the row count. It is nil while the
+	// relation has at most linearMax rows, which probes scan instead.
+	table []int32
 
 	// idx[c], when non-nil, maps the interned ID of a value to the
 	// stored tuples whose column c holds that value. Indexes are built
@@ -162,6 +182,12 @@ type Relation struct {
 	sorted []Tuple
 }
 
+// linearMax is the row count up to which a relation keeps no hash
+// table: a membership probe scans at most this many keys of the slab,
+// which costs less than hashing, and the many tiny relations of a
+// transition (deltas, single-fact sends) allocate no table.
+const linearMax = 8
+
 // NewRelation returns an empty relation of the given arity over the
 // process-default dictionary.
 func NewRelation(arity int) *Relation { return defaultDict.NewRelation(arity) }
@@ -169,7 +195,7 @@ func NewRelation(arity int) *Relation { return defaultDict.NewRelation(arity) }
 // NewRelation returns an empty relation of the given arity interning
 // through d.
 func (d *Dict) NewRelation(arity int) *Relation {
-	return &Relation{dict: d, arity: arity, tuples: make(map[string]Tuple)}
+	return &Relation{dict: d, arity: arity}
 }
 
 // Dict returns the relation's interning dictionary — the handle every
@@ -181,24 +207,130 @@ func (r *Relation) Dict() *Dict { return r.dict }
 func (r *Relation) Arity() int { return r.arity }
 
 // Len returns the number of tuples in the relation.
-func (r *Relation) Len() int { return len(r.tuples) }
+func (r *Relation) Len() int { return len(r.rows) }
 
 // Empty reports whether the relation has no tuples.
-func (r *Relation) Empty() bool { return len(r.tuples) == 0 }
+func (r *Relation) Empty() bool { return len(r.rows) == 0 }
 
-// addKeyed inserts a stored tuple under its packed key, maintaining
-// any built indexes.
-func (r *Relation) addKeyed(k string, t Tuple) {
-	r.tuples[k] = t
+// key returns the packed key of row i, a view into the slab.
+func (r *Relation) key(i int) []byte {
+	kw := 4 * r.arity
+	return r.keys[i*kw : (i+1)*kw : (i+1)*kw]
+}
+
+// rowID returns the interned ID at column c of row i.
+func (r *Relation) rowID(i, c int) uint32 {
+	return binary.BigEndian.Uint32(r.keys[4*(i*r.arity+c):])
+}
+
+// hashKey hashes a packed key one 4-byte ID at a time (multiply-xor,
+// high half folded into the low bits the table masks with).
+func hashKey(k []byte) uint64 {
+	const m = 0x9E3779B97F4A7C15
+	h := uint64(len(k)) * m
+	for ; len(k) >= 4; k = k[4:] {
+		h = (h ^ uint64(binary.LittleEndian.Uint32(k))) * m
+	}
+	return h ^ h>>32
+}
+
+// tableSize is the hash table length for n rows: the least power of
+// two keeping the load at or under one half.
+func tableSize(n int) int { return 1 << bits.Len(uint(2*n-1)) }
+
+// find returns the row whose packed key is k, or -1 if k is absent (a
+// key of another arity's width included).
+func (r *Relation) find(k []byte) int {
+	kw := 4 * r.arity
+	if len(k) != kw {
+		return -1
+	}
+	if r.table == nil {
+		for i := range r.rows {
+			if string(r.keys[i*kw:(i+1)*kw]) == string(k) {
+				return i
+			}
+		}
+		return -1
+	}
+	mask := len(r.table) - 1
+	for s := int(hashKey(k)) & mask; ; s = (s + 1) & mask {
+		e := r.table[s]
+		if e == 0 {
+			return -1
+		}
+		if string(r.key(int(e-1))) == string(k) {
+			return int(e - 1)
+		}
+	}
+}
+
+// slotOf returns the table slot holding row i.
+func (r *Relation) slotOf(i int) int {
+	mask := len(r.table) - 1
+	s := int(hashKey(r.key(i))) & mask
+	for int(r.table[s]) != i+1 {
+		s = (s + 1) & mask
+	}
+	return s
+}
+
+// placeFrom enters rows [from, Len) — freshly appended, distinct and
+// absent before — into the hash table, building the table once the
+// relation outgrows linearMax and doubling it past half load.
+func (r *Relation) placeFrom(from int) {
+	n := len(r.rows)
+	switch {
+	case r.table != nil && 2*n <= len(r.table):
+	case r.table != nil || n > linearMax:
+		r.table = make([]int32, tableSize(n))
+		from = 0
+	default:
+		return
+	}
+	mask := len(r.table) - 1
+	for i := from; i < n; i++ {
+		s := int(hashKey(r.key(i))) & mask
+		for r.table[s] != 0 {
+			s = (s + 1) & mask
+		}
+		r.table[s] = int32(i + 1)
+	}
+}
+
+// unplace empties row i's table slot by backward-shift deletion: each
+// later entry of the probe cluster moves into the hole unless its home
+// slot lies between the hole and the entry, so probe sequences never
+// cross an empty slot and no tombstones are needed.
+func (r *Relation) unplace(i int) {
+	mask := len(r.table) - 1
+	hole := r.slotOf(i)
+	for j := (hole + 1) & mask; r.table[j] != 0; j = (j + 1) & mask {
+		home := int(hashKey(r.key(int(r.table[j]-1)))) & mask
+		if (j-home)&mask >= (j-hole)&mask {
+			r.table[hole] = r.table[j]
+			hole = j
+		}
+	}
+	r.table[hole] = 0
+}
+
+// addKeyed appends a tuple absent from the relation under its packed
+// key, maintaining the hash table and any built indexes and columnar
+// view. k is copied into the slab; t is stored as is.
+func (r *Relation) addKeyed(k []byte, t Tuple) {
+	r.keys = append(r.keys, k...)
+	r.rows = append(r.rows, t)
+	r.placeFrom(len(r.rows) - 1)
 	r.sorted = nil
 	for c, m := range r.idx {
 		if m != nil {
-			id := keyID(k, c)
+			id := binary.BigEndian.Uint32(k[4*c:])
 			m[id] = append(m[id], t)
 		}
 	}
 	if r.cview != nil {
-		r.cview.appendRow(k, r.arity)
+		r.cview.appendRow(k)
 	}
 }
 
@@ -210,26 +342,41 @@ func (r *Relation) Add(t Tuple) bool {
 	}
 	var scratch [64]byte
 	k := r.dict.packTuple(scratch[:0], t)
-	if _, ok := r.tuples[string(k)]; ok {
+	if r.find(k) >= 0 {
 		return false
 	}
-	r.addKeyed(string(k), t.Clone())
+	r.addKeyed(k, t.Clone())
 	return true
 }
 
-// Remove deletes a tuple, reporting whether it was present. Built
-// column indexes are dropped (deletion is rare; the paper's
-// inflationary transducers never delete).
+// Remove deletes a tuple, reporting whether it was present. The last
+// row moves into the freed one, so the slab stays dense. Built column
+// indexes are dropped (deletion is rare; the paper's inflationary
+// transducers never delete).
 func (r *Relation) Remove(t Tuple) bool {
 	var scratch [64]byte
 	k, ok := r.dict.packTupleLookup(scratch[:0], t)
 	if !ok {
 		return false
 	}
-	if _, ok := r.tuples[string(k)]; !ok {
+	i := r.find(k)
+	if i < 0 {
 		return false
 	}
-	delete(r.tuples, string(k))
+	last := len(r.rows) - 1
+	if r.table != nil {
+		r.unplace(i)
+		if i != last {
+			r.table[r.slotOf(last)] = int32(i + 1)
+		}
+	}
+	if i != last {
+		copy(r.key(i), r.key(last))
+		r.rows[i] = r.rows[last]
+	}
+	r.rows[last] = nil
+	r.rows = r.rows[:last]
+	r.keys = r.keys[:4*r.arity*last]
 	r.idx = nil
 	r.cview = nil
 	r.sorted = nil
@@ -240,11 +387,7 @@ func (r *Relation) Remove(t Tuple) bool {
 func (r *Relation) Contains(t Tuple) bool {
 	var scratch [64]byte
 	k, ok := r.dict.packTupleLookup(scratch[:0], t)
-	if !ok {
-		return false
-	}
-	_, ok = r.tuples[string(k)]
-	return ok
+	return ok && r.find(k) >= 0
 }
 
 // Lookup returns the stored tuples whose column col equals v, backed
@@ -259,19 +402,24 @@ func (r *Relation) Lookup(col int, v Value) []Tuple {
 	if !ok {
 		return nil
 	}
+	return r.index(col)[id]
+}
+
+// index returns (building on first access) the tuple index of column
+// c: interned ID → the stored tuples holding it at c.
+func (r *Relation) index(c int) map[uint32][]Tuple {
 	if r.idx == nil {
 		r.idx = make([]map[uint32][]Tuple, r.arity)
 	}
-	m := r.idx[col]
-	if m == nil {
-		m = make(map[uint32][]Tuple, len(r.tuples))
-		for k, t := range r.tuples {
-			cid := keyID(k, col)
-			m[cid] = append(m[cid], t)
+	if r.idx[c] == nil {
+		m := make(map[uint32][]Tuple, len(r.rows))
+		for i, t := range r.rows {
+			id := r.rowID(i, c)
+			m[id] = append(m[id], t)
 		}
-		r.idx[col] = m
+		r.idx[c] = m
 	}
-	return m[id]
+	return r.idx[c]
 }
 
 // Tuples returns the tuples in deterministic (column-wise value)
@@ -279,36 +427,42 @@ func (r *Relation) Lookup(col int, v Value) []Tuple {
 // be modified; the sort is memoized until the next mutation.
 func (r *Relation) Tuples() []Tuple {
 	if r.sorted == nil {
-		out := make([]Tuple, 0, len(r.tuples))
-		for _, t := range r.tuples {
-			out = append(out, t)
-		}
+		out := make([]Tuple, len(r.rows))
+		copy(out, r.rows)
 		sort.Slice(out, func(a, b int) bool { return out[a].Less(out[b]) })
 		r.sorted = out
 	}
 	return r.sorted
 }
 
-// Each calls fn for every tuple, in unspecified order, stopping early
-// if fn returns false.
+// Each calls fn for every tuple, in insertion order (see Remove for
+// the one exception), stopping early if fn returns false. Tuples added
+// by fn are not visited.
 func (r *Relation) Each(fn func(Tuple) bool) {
-	for _, t := range r.tuples {
+	for _, t := range r.rows {
 		if !fn(t) {
 			return
 		}
 	}
 }
 
-// Clone returns a copy of the relation over the same dictionary.
-// Stored tuples are shared: they are immutable by convention (Add
-// stores a private copy and no accessor exposes them for writing).
-// Column indexes are not copied.
+// Clone returns a copy of the relation over the same dictionary: one
+// copy each of the key slab, the row slice and the hash table. Stored
+// tuples are shared: they are immutable by convention (Add stores a
+// private copy and no accessor exposes them for writing). Column
+// indexes are not copied.
 func (r *Relation) Clone() *Relation {
-	c := &Relation{dict: r.dict, arity: r.arity, tuples: make(map[string]Tuple, len(r.tuples))}
-	for k, t := range r.tuples {
-		c.tuples[k] = t
+	// Room for a quarter more rows: callers mostly clone to grow (an
+	// inflationary update is a clone plus a few new facts), and the
+	// slack spares that growth a second copy of the slab and rows.
+	n := len(r.rows) + len(r.rows)/4 + 1
+	return &Relation{
+		dict:  r.dict,
+		arity: r.arity,
+		keys:  append(make([]byte, 0, 4*r.arity*n), r.keys...),
+		rows:  append(make([]Tuple, 0, n), r.rows...),
+		table: slices.Clone(r.table),
 	}
-	return c
 }
 
 // Rekey re-encodes the relation into the destination dictionary: every
@@ -323,14 +477,14 @@ func (r *Relation) Rekey(dst *Dict) *Relation {
 	if dst == r.dict {
 		return r.Clone()
 	}
-	out := dst.NewRelation(r.arity)
-	for _, t := range r.tuples {
-		var scratch [64]byte
-		k := dst.packTuple(scratch[:0], t)
-		if _, ok := out.tuples[string(k)]; !ok {
-			out.addKeyed(string(k), t)
-		}
+	// Interning is injective in both dictionaries, so distinct stored
+	// tuples get distinct keys: rows go in without a membership probe,
+	// into a store sized up front.
+	out := &Relation{dict: dst, arity: r.arity, keys: make([]byte, 0, len(r.keys)), rows: slices.Clone(r.rows)}
+	for _, t := range r.rows {
+		out.keys = dst.packTuple(out.keys, t)
 	}
+	out.placeFrom(0)
 	return out
 }
 
@@ -338,27 +492,16 @@ func (r *Relation) Rekey(dst *Dict) *Relation {
 // relation: the per-column tuple indexes, the memoized sorted order,
 // and the columnar view with its per-column indexes, sorted runs and
 // whole-row run. After Seal, read accessors (Lookup, Tuples, Each,
-// Contains and the batch executor's columnar probes) perform no
-// in-place memoization, so a sealed relation that is never mutated
-// again may be shared read-only across goroutines — the loophole the
-// shard-resident runtime uses to share one All relation across every
-// node state instead of materializing n copies. Mutating a sealed
-// relation is permitted (memos are maintained or rebuilt as usual)
-// but forfeits the concurrent-read guarantee.
+// Contains, SubsetOf, Equal and the batch executor's columnar probes)
+// perform no in-place memoization, so a sealed relation that is never
+// mutated again may be shared read-only across goroutines — the
+// loophole the shard-resident runtime uses to share one All relation
+// across every node state instead of materializing n copies. Mutating
+// a sealed relation is permitted (memos are maintained or rebuilt as
+// usual) but forfeits the concurrent-read guarantee.
 func (r *Relation) Seal() {
-	if r.idx == nil {
-		r.idx = make([]map[uint32][]Tuple, r.arity)
-	}
 	for c := 0; c < r.arity; c++ {
-		if r.idx[c] != nil {
-			continue
-		}
-		m := make(map[uint32][]Tuple, len(r.tuples))
-		for k, t := range r.tuples {
-			cid := keyID(k, c)
-			m[cid] = append(m[cid], t)
-		}
-		r.idx[c] = m
+		r.index(c)
 	}
 	r.Tuples()
 	cv := r.columns()
@@ -373,15 +516,15 @@ func (r *Relation) Seal() {
 // and the same interning dictionary (keys move between the relations
 // without re-encoding; use Rekey to cross dictionaries).
 func (r *Relation) UnionWith(s *Relation) {
-	if s == nil {
+	if s == nil || s == r {
 		return
 	}
 	if s.arity != r.arity {
 		panic("fact: union of relations with different arities")
 	}
 	mustShareDict(r.dict, s.dict, "UnionWith")
-	for k, t := range s.tuples {
-		if _, ok := r.tuples[k]; !ok {
+	for i, t := range s.rows {
+		if k := s.key(i); r.find(k) < 0 {
 			r.addKeyed(k, t)
 		}
 	}
@@ -390,17 +533,14 @@ func (r *Relation) UnionWith(s *Relation) {
 // Minus returns r \ s as a new relation over r's dictionary; r and s
 // must share a dictionary.
 func (r *Relation) Minus(s *Relation) *Relation {
-	out := r.dict.NewRelation(r.arity)
-	if s != nil {
-		mustShareDict(r.dict, s.dict, "Minus")
+	if s == nil {
+		return r.Clone()
 	}
-	for k, t := range r.tuples {
-		if s == nil {
-			out.tuples[k] = t
-			continue
-		}
-		if _, ok := s.tuples[k]; !ok {
-			out.tuples[k] = t
+	mustShareDict(r.dict, s.dict, "Minus")
+	out := r.dict.NewRelation(r.arity)
+	for i, t := range r.rows {
+		if k := r.key(i); s.find(k) < 0 {
+			out.addKeyed(k, t)
 		}
 	}
 	return out
@@ -414,9 +554,9 @@ func (r *Relation) Intersect(s *Relation) *Relation {
 		return out
 	}
 	mustShareDict(r.dict, s.dict, "Intersect")
-	for k, t := range r.tuples {
-		if _, ok := s.tuples[k]; ok {
-			out.tuples[k] = t
+	for i, t := range r.rows {
+		if k := r.key(i); s.find(k) >= 0 {
+			out.addKeyed(k, t)
 		}
 	}
 	return out
@@ -436,18 +576,10 @@ func (r *Relation) Equal(s *Relation) bool {
 	if s == nil {
 		return r.Len() == 0
 	}
-	if r.arity != s.arity || len(r.tuples) != len(s.tuples) {
+	if r.arity != s.arity || r.Len() != s.Len() {
 		return false
 	}
-	if r.dict != s.dict {
-		return r.subsetRekeyed(s)
-	}
-	for k := range r.tuples {
-		if _, ok := s.tuples[k]; !ok {
-			return false
-		}
-	}
-	return true
+	return r.SubsetOf(s)
 }
 
 // SubsetOf reports whether every tuple of r is in s. Like Equal it is
@@ -462,8 +594,8 @@ func (r *Relation) SubsetOf(s *Relation) bool {
 	if r.dict != s.dict {
 		return r.subsetRekeyed(s)
 	}
-	for k := range r.tuples {
-		if _, ok := s.tuples[k]; !ok {
+	for i := range r.rows {
+		if s.find(r.key(i)) < 0 {
 			return false
 		}
 	}
@@ -473,15 +605,12 @@ func (r *Relation) SubsetOf(s *Relation) bool {
 // subsetRekeyed is the cross-dictionary membership sweep: each of r's
 // stored tuples is re-encoded under s's dictionary (lookup-only — a
 // value never interned in s's dictionary proves absence) and probed
-// against s's key set.
+// against s's keys.
 func (r *Relation) subsetRekeyed(s *Relation) bool {
 	var scratch [64]byte
-	for _, t := range r.tuples {
+	for _, t := range r.rows {
 		k, ok := s.dict.packTupleLookup(scratch[:0], t)
-		if !ok {
-			return false
-		}
-		if _, ok := s.tuples[string(k)]; !ok {
+		if !ok || s.find(k) < 0 {
 			return false
 		}
 	}

@@ -211,12 +211,6 @@ func (d *Dict) packTupleLookup(buf []byte, t Tuple) ([]byte, bool) {
 	return buf, true
 }
 
-// keyID extracts the ID at column col of a packed key. Decoding needs
-// no dictionary — only resolving the ID back to a value does.
-func keyID(key string, col int) uint32 {
-	return binary.BigEndian.Uint32([]byte(key[4*col : 4*col+4]))
-}
-
 // mustShareDict panics unless a and b are handles on the same
 // dictionary: packed keys and interned IDs are only comparable within
 // one Dict, so silently mixing them would corrupt set semantics. The

@@ -5,17 +5,20 @@ package fact
 // staging area) and the batch-append machinery behind it. The scalar
 // executors emit one tuple at a time through Add; the batch executor
 // hands over whole ID column slabs through appendBatch, which picks a
-// dedup regime by size: tiny batches probe the tuple maps row by row;
-// batches that could meet a large dedup target in the merge regime
+// dedup regime by size. Batches that could meet a large dedup target
 // take one lexicographic row sort, drop within-batch duplicates
 // adjacently, merge against the destination's sorted key run, and
-// arena-materialize packed keys ONLY for the genuinely new rows;
-// everything else dedups by hash probes over a single packed-key
-// arena. That lifts the recursive-closure rounds that were bounded by
-// key-by-key re-staging without taxing full-output joins (pairs-class)
-// with a sort they cannot amortize.
+// write packed keys straight into the destination's key slab ONLY for
+// the genuinely new rows. Everything else packs each row into one
+// reused scratch key and probes the destination's row store. That
+// lifts the recursive-closure rounds that were bounded by key-by-key
+// re-staging without taxing full-output joins (pairs-class) with a
+// sort they cannot amortize.
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"slices"
+)
 
 // Sink is a destination for derived tuples. Relation is the plain
 // sink; Delta.Sink stages against a growing instance without
@@ -38,11 +41,6 @@ type Sink interface {
 	// and verify it before handing over raw columns.
 	sinkDict() *Dict
 }
-
-// batchProbeMin is the batch size below which batchAppend skips the
-// sorted-run dedup and probes the tuple maps row by row: sorting
-// tiny batches costs more than it saves.
-const batchProbeMin = 64
 
 // dedupMergeMin and dedupMergeRatio gate the merge dedup against a
 // relation's lexicographic key run: both sides must reach
@@ -70,9 +68,9 @@ func (s deltaSink) sinkDict() *Dict { return s.d.Full.dict }
 // already present in dst or in exclude (when non-nil) — the columnar
 // counterpart of an Add loop. Within-batch duplicates fall to one
 // lexicographic row sort; presence against each relation is tested by
-// a sorted-run merge or allocation-free map probes (dropPresent); and
-// packed keys plus output tuples are materialized only for the rows
-// that survive.
+// a sorted-run merge or allocation-free row-store probes
+// (dropPresent); and packed keys plus output tuples are materialized
+// only for the rows that survive.
 func batchAppend(dst *Relation, exclude *Relation, cols [][]uint32, n int) {
 	if n == 0 {
 		return
@@ -86,35 +84,8 @@ func batchAppend(dst *Relation, exclude *Relation, cols [][]uint32, n int) {
 	}
 	if w == 0 {
 		// The zero-width relation holds at most the empty tuple.
-		if exclude == nil || len(exclude.tuples) == 0 {
+		if exclude == nil || exclude.Len() == 0 {
 			dst.Add(Tuple{})
-		}
-		return
-	}
-	if n < batchProbeMin {
-		scratch := make([]byte, 4*w)
-		var slab []Value
-		for i := 0; i < n; i++ {
-			for c := 0; c < w; c++ {
-				binary.BigEndian.PutUint32(scratch[4*c:], cols[c][i])
-			}
-			if _, ok := dst.tuples[string(scratch)]; ok {
-				continue
-			}
-			if exclude != nil {
-				if _, ok := exclude.tuples[string(scratch)]; ok {
-					continue
-				}
-			}
-			if len(slab) < w {
-				slab = make([]Value, (n-i)*w)
-			}
-			t := Tuple(slab[:w:w])
-			slab = slab[w:]
-			for c := 0; c < w; c++ {
-				t[c] = dst.dict.value(cols[c][i])
-			}
-			dst.addKeyed(string(scratch), t)
 		}
 		return
 	}
@@ -123,10 +94,10 @@ func batchAppend(dst *Relation, exclude *Relation, cols [][]uint32, n int) {
 	// packing when many candidates are duplicates. Neither can pay off
 	// unless the merge gate is reachable at all — the batch and at
 	// least one dedup target must reach dedupMergeMin — so below that,
-	// dedup by hash probes over one arena — inserting as we go makes
-	// the destination map double as the within-batch filter.
+	// dedup by row probes: inserting as we go makes the destination
+	// double as the within-batch filter.
 	if n < dedupMergeMin ||
-		(len(dst.tuples) < dedupMergeMin && (exclude == nil || len(exclude.tuples) < dedupMergeMin)) {
+		(dst.Len() < dedupMergeMin && (exclude == nil || exclude.Len() < dedupMergeMin)) {
 		probeAppend(dst, exclude, cols, n)
 		return
 	}
@@ -149,31 +120,22 @@ func batchAppend(dst *Relation, exclude *Relation, cols [][]uint32, n int) {
 	}
 }
 
-// probeAppend is the hash dedup regime: all n keys packed into one
-// arena, one map probe per row against dst (and exclude), insertion
-// via addKeyed so indexes and the columnar view extend incrementally.
-// Within-batch duplicates need no extra pass — the first occurrence
-// lands in dst.tuples before the second is probed.
+// probeAppend is the probe dedup regime: each row is packed into one
+// reused scratch key and probed against dst (and exclude), and new
+// rows go in via addKeyed, which copies the key into dst's slab and
+// extends indexes and the columnar view incrementally. Within-batch
+// duplicates need no extra pass — the first occurrence lands in dst
+// before the second is probed.
 func probeAppend(dst *Relation, exclude *Relation, cols [][]uint32, n int) {
 	w := dst.arity
-	kw := 4 * w
-	buf := make([]byte, 0, kw*n)
-	for i := 0; i < n; i++ {
-		for c := 0; c < w; c++ {
-			buf = binary.BigEndian.AppendUint32(buf, cols[c][i])
-		}
-	}
-	arena := string(buf)
+	scratch := make([]byte, 4*w)
 	var slab []Value
 	for i := 0; i < n; i++ {
-		k := arena[i*kw : (i+1)*kw]
-		if _, ok := dst.tuples[k]; ok {
-			continue
+		for c := 0; c < w; c++ {
+			binary.BigEndian.PutUint32(scratch[4*c:], cols[c][i])
 		}
-		if exclude != nil {
-			if _, ok := exclude.tuples[k]; ok {
-				continue
-			}
+		if dst.find(scratch) >= 0 || (exclude != nil && exclude.find(scratch) >= 0) {
+			continue
 		}
 		if len(slab) < w {
 			rows := n - i
@@ -187,7 +149,7 @@ func probeAppend(dst *Relation, exclude *Relation, cols [][]uint32, n int) {
 		for c := 0; c < w; c++ {
 			t[c] = dst.dict.value(cols[c][i])
 		}
-		dst.addKeyed(k, t)
+		dst.addKeyed(scratch, t)
 	}
 }
 
@@ -220,11 +182,11 @@ func rowCmp(acols [][]uint32, a int32, bcols [][]uint32, b int32) int {
 // stored in r. sel must be in lexicographic row order; the order is
 // preserved.
 func dropPresent(r *Relation, cols [][]uint32, sel []int32) []int32 {
-	if r == nil || len(r.tuples) == 0 || len(sel) == 0 {
+	if r == nil || r.Len() == 0 || len(sel) == 0 {
 		return sel
 	}
-	if len(sel) >= dedupMergeMin && len(r.tuples) >= dedupMergeMin &&
-		len(r.tuples) <= dedupMergeRatio*len(sel) {
+	if len(sel) >= dedupMergeMin && r.Len() >= dedupMergeMin &&
+		r.Len() <= dedupMergeRatio*len(sel) {
 		// Merge the sorted candidates against r's lexicographic key
 		// run: one linear pass, no hashing, no key packing.
 		cv := r.columns()
@@ -249,7 +211,7 @@ func dropPresent(r *Relation, cols [][]uint32, sel []int32) []int32 {
 		for c := 0; c < w; c++ {
 			binary.BigEndian.PutUint32(scratch[4*c:], cols[c][p])
 		}
-		if _, ok := r.tuples[string(scratch)]; !ok {
+		if r.find(scratch) < 0 {
 			out = append(out, p)
 		}
 	}
@@ -257,24 +219,21 @@ func dropPresent(r *Relation, cols [][]uint32, sel []int32) []int32 {
 }
 
 // insertRows materializes and stores the selected rows, which the
-// caller guarantees are distinct and absent from r: one arena
-// allocation packs all their keys, output tuples are carved from
+// caller guarantees are distinct and absent from r: their keys are
+// written straight into the key slab, output tuples are carved from
 // shared []Value slabs, built tuple indexes are extended in place, and
 // the columnar view grows by bulk column copies instead of per-row key
 // decoding.
 func (r *Relation) insertRows(cols [][]uint32, sel []int32) {
 	w := r.arity
-	kw := 4 * w
-	buf := make([]byte, 0, kw*len(sel))
-	for _, p := range sel {
-		for c := 0; c < w; c++ {
-			buf = binary.BigEndian.AppendUint32(buf, cols[c][p])
-		}
-	}
-	arena := string(buf)
+	from := len(r.rows)
+	r.keys = slices.Grow(r.keys, 4*w*len(sel))
+	r.rows = slices.Grow(r.rows, len(sel))
 	var slab []Value
 	for i, p := range sel {
-		k := arena[i*kw : (i+1)*kw]
+		for c := 0; c < w; c++ {
+			r.keys = binary.BigEndian.AppendUint32(r.keys, cols[c][p])
+		}
 		if len(slab) < w {
 			rows := len(sel) - i
 			if rows > 1024 {
@@ -287,7 +246,7 @@ func (r *Relation) insertRows(cols [][]uint32, sel []int32) {
 		for c := 0; c < w; c++ {
 			t[c] = r.dict.value(cols[c][p])
 		}
-		r.tuples[k] = t
+		r.rows = append(r.rows, t)
 		for c, m := range r.idx {
 			if m != nil {
 				id := cols[c][p]
@@ -295,6 +254,7 @@ func (r *Relation) insertRows(cols [][]uint32, sel []int32) {
 			}
 		}
 	}
+	r.placeFrom(from)
 	if cv := r.cview; cv != nil {
 		for c := 0; c < w; c++ {
 			col := cv.col[c]

@@ -673,8 +673,9 @@ func (s *Sim) fireLocal(n *nodeRT, rcv *fact.Instance) (localEffect, error) {
 			}
 			return true
 		})
-		// Each iterates in map order; sort so traces and the out(ρ)
-		// insertion order are deterministic run to run.
+		// Each iterates in the relation's insertion order, which
+		// depends on the evaluation path; sort so traces and the out(ρ)
+		// insertion order list new outputs by value.
 		sort.Slice(le.outNew, func(a, b int) bool { return le.outNew[a].Less(le.outNew[b]) })
 		n.outApplied = eff.Out
 	}

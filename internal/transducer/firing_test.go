@@ -63,11 +63,11 @@ func TestSaturatedFiringAllocs(t *testing.T) {
 			_, _, err := f.Step(state, nil)
 			return err
 		}},
-		{"re-delivery Step", 6, func() error {
+		{"re-delivery Step", 5, func() error {
 			_, _, err := f.Step(state, rcv)
 			return err
 		}},
-		{"re-delivery ProbeParts", 6, func() error {
+		{"re-delivery ProbeParts", 5, func() error {
 			_, _, _, err := f.ProbeParts(state, rcv)
 			return err
 		}},
