@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-batch bench-raw scenarios fuzz vet lint check clean
+.PHONY: build test race race-parallel race-batch bench-raw scenarios fuzz vet lint check clean
 
 build:
 	$(GO) build ./...
@@ -25,9 +25,10 @@ bench-raw:
 
 # race-parallel runs the differential correctness harness under the
 # race detector: parallel ≡ sequential, firing ≡ Step, permutation
-# invariance.
+# invariance, and the sharded interning dictionary (concurrent intern,
+# cross-dict misuse, Rekey round-trips, per-run dictionaries).
 race-parallel:
-	$(GO) test -race -run 'Parallel|Differential' ./...
+	$(GO) test -race -run 'Parallel|Differential|Dict|Rekey' ./...
 
 # race-batch forces every sized plan evaluation through the columnar
 # batch pipeline (DECLNET_BATCH=always) and runs the columnar

@@ -91,13 +91,13 @@
 // cardinality tie-breaks from the first bound instance) into a
 // schedule of scan / index-probe / check / guard / project ops, and
 // executed over dense register slots instead of per-call binding
-// maps. FO branch conjunctions, Datalog rule bodies (with Dedalus'
-// NOW/NEXT as pre-bound input registers) and the algebra's bridging
-// σ(L×R) join all lower onto it; the per-pinned-atom delta schedules
-// behind EvalDelta and incremental firing are cached alongside, each
-// sync.Once-guarded so one plan serves every worker of the parallel
-// runtime. run.Explain renders the compiled plans of a transducer's
-// queries in a stable, diffable format (transduce -explain).
+// maps. FO branch conjunctions and Datalog rule bodies (with Dedalus'
+// NOW/NEXT as pre-bound input registers) both lower onto it; the
+// per-pinned-atom delta schedules behind EvalDelta and incremental
+// firing are cached alongside, each sync.Once-guarded so one plan
+// serves every worker of the parallel runtime. run.Explain renders
+// the compiled plans of a transducer's queries in a stable, diffable
+// format (transduce -explain).
 //
 // # The columnar batch kernel
 //

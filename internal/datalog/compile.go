@@ -2,7 +2,6 @@ package datalog
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"declnet/internal/fact"
@@ -103,13 +102,9 @@ func (cr *compiledRule) fire(I *fact.Instance, pinLit int, delta *fact.Instance,
 	if cr.err != nil {
 		return nil, cr.err
 	}
-	pin := -1
-	if pinLit >= 0 {
-		pin = cr.litAtom[pinLit]
-	}
 	out := I.Dict().NewRelation(cr.arity)
-	if err := cr.plan.Run(I, delta, pin, args, nil, out); err != nil {
-		return nil, fmt.Errorf("datalog: rule %s: %w", cr.rule, err)
+	if err := cr.fireInto(I, pinLit, delta, args, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -127,7 +122,7 @@ func (cr *compiledRule) fireInto(I *fact.Instance, pinLit int, delta *fact.Insta
 	if pinLit >= 0 {
 		pin = cr.litAtom[pinLit]
 	}
-	if err := cr.plan.RunSink(I, delta, pin, args, nil, out); err != nil {
+	if err := cr.plan.Run(I, delta, pin, args, nil, out); err != nil {
 		return fmt.Errorf("datalog: rule %s: %w", cr.rule, err)
 	}
 	return nil
@@ -257,13 +252,4 @@ func (q *Query) ExplainPlan() string {
 		}
 	}
 	return b.String()
-}
-
-func sortedVarNames(m map[string]fact.Value) []string {
-	out := make([]string, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
 }

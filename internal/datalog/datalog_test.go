@@ -107,6 +107,21 @@ func TestArityConsistency(t *testing.T) {
 	}
 }
 
+// TestParseFactsArityMismatch: a facts file using one predicate at two
+// arities is an error naming the statement and both arities, not a
+// panic inside the relation store.
+func TestParseFactsArityMismatch(t *testing.T) {
+	_, err := ParseFacts(`e(a, b). e(c).`)
+	if err == nil {
+		t.Fatal("facts with inconsistent arity accepted")
+	}
+	for _, want := range []string{"statement 2", "arity 1", "2 in an earlier fact"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+}
+
 func TestEvalTransitiveClosure(t *testing.T) {
 	p := MustParse(tcProgram)
 	edb := fact.FromFacts(ff("e", "a", "b"), ff("e", "b", "c"), ff("e", "c", "d"))

@@ -142,34 +142,3 @@ func (p *Program) TP(I *fact.Instance) (*fact.Instance, error) {
 	}
 	return out, nil
 }
-
-// FireRule evaluates a single (safe) rule against an instance and
-// returns the derived head facts, compiling the rule's plan on the
-// fly. Callers firing the same rule repeatedly should hold a
-// CompiledRule instead (package dedalus does).
-func FireRule(r Rule, I *fact.Instance) ([]fact.Fact, error) {
-	cr := compileRule(r, nil)
-	out, err := cr.fire(I, -1, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return relFacts(cr.headPred, out), nil
-}
-
-// FireRuleBound is FireRule with variables pre-bound: every variable
-// in bound is fixed to its value before evaluation begins. It
-// compiles per call; for the repeated-firing case (the NOW/NEXT
-// pinning of package dedalus) use CompileRule once and Fire many
-// times.
-func FireRuleBound(r Rule, I *fact.Instance, bound map[string]fact.Value) ([]fact.Fact, error) {
-	vars := sortedVarNames(bound)
-	cr, err := CompileRule(r, vars...)
-	if err != nil {
-		return nil, err
-	}
-	args := make([]fact.Value, len(vars))
-	for i, v := range vars {
-		args[i] = bound[v]
-	}
-	return cr.Fire(I, args...)
-}

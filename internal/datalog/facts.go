@@ -27,6 +27,10 @@ func ParseFacts(src string) (*fact.Instance, error) {
 			}
 			t[i] = tm.Const
 		}
+		if rel := I.Relation(r.Head.Pred); rel != nil && rel.Arity() != len(t) {
+			return nil, fmt.Errorf("datalog: facts statement %d: %s has arity %d here but %d in an earlier fact",
+				lineNo+1, r.Head, len(t), rel.Arity())
+		}
 		I.AddFact(fact.Fact{Rel: r.Head.Pred, Args: t})
 	}
 	return I, nil

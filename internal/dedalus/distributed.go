@@ -86,6 +86,24 @@ func DistRun(p *Program, net *network.Network, partition map[fact.Value]*fact.In
 		}
 	}
 
+	// One run, one ID space: every instance the run builds lives in
+	// the partition's interning dictionary (the process default when
+	// no node holds a fragment), the way Exec adopts its input's.
+	var dict *fact.Dict
+	for v, frag := range partition {
+		if frag == nil {
+			continue
+		}
+		if dict == nil {
+			dict = frag.Dict()
+		} else if frag.Dict() != dict {
+			return nil, fmt.Errorf("dedalus: partition fragment at %s interned in a different dictionary (rekey it with Instance.Rekey)", v)
+		}
+	}
+	if dict == nil {
+		dict = fact.NewInstance().Dict()
+	}
+
 	nodes := net.Nodes()
 	execs := map[fact.Value]*Exec{}
 	known := map[fact.Value]*fact.Instance{}                // EDB facts known at node
@@ -93,7 +111,7 @@ func DistRun(p *Program, net *network.Network, partition map[fact.Value]*fact.In
 	inbox := map[int]map[fact.Value]*fact.Instance{}        // round -> node -> arrivals
 	for i, v := range nodes {
 		execs[v] = NewExec(p, opt.Seed+int64(i)*7919, opt.MaxDelay)
-		known[v] = fact.NewInstance()
+		known[v] = dict.NewInstance()
 		if frag := partition[v]; frag != nil {
 			known[v].UnionWith(frag)
 		}
@@ -107,7 +125,7 @@ func DistRun(p *Program, net *network.Network, partition map[fact.Value]*fact.In
 			inbox[round] = map[fact.Value]*fact.Instance{}
 		}
 		if inbox[round][v] == nil {
-			inbox[round][v] = fact.NewInstance()
+			inbox[round][v] = dict.NewInstance()
 		}
 		inbox[round][v].AddFact(f)
 	}
@@ -130,7 +148,7 @@ func DistRun(p *Program, net *network.Network, partition map[fact.Value]*fact.In
 		// fragment (round 0) plus this round's arrivals; persistence
 		// is the program's business, as in the paper.
 		for _, v := range nodes {
-			edb := fact.NewInstance()
+			edb := dict.NewInstance()
 			if firstRound[v] {
 				firstRound[v] = false
 				if frag := partition[v]; frag != nil {
@@ -153,7 +171,7 @@ func DistRun(p *Program, net *network.Network, partition map[fact.Value]*fact.In
 				if !shipped[f.Rel] {
 					continue
 				}
-				key := f.Key()
+				key := f.KeyIn(dict)
 				for _, w := range net.Neighbors(v) {
 					if !sent[v][w][key] {
 						sent[v][w][key] = true

@@ -10,16 +10,6 @@ import (
 // arities.
 type Schema map[string]int
 
-// NewSchema builds a schema from alternating name/arity pairs given as
-// a map literal convenience.
-func NewSchema(pairs map[string]int) Schema {
-	s := make(Schema, len(pairs))
-	for k, v := range pairs {
-		s[k] = v
-	}
-	return s
-}
-
 // Has reports whether the schema declares rel.
 func (s Schema) Has(rel string) bool {
 	_, ok := s[rel]

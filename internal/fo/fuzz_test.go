@@ -62,7 +62,12 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzParseQuery exercises the query front-end (head := body).
+// FuzzParseQuery exercises the query front-end (head := body). The
+// committed corpus also holds seed_codd_* queries, one per rule of the
+// FO → relational algebra translation behind the paper's FO ≡ RA
+// remark (padding, repeated and duplicated head variables, nullary
+// heads, ∀ as ¬∃¬); the differential corpus tests evaluate them
+// against the generic and reference engines.
 func FuzzParseQuery(f *testing.F) {
 	seeds := []string{
 		"q(x, y) := S(x, y)",

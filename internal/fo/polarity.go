@@ -155,7 +155,7 @@ func RelPolarities(f Formula) map[string]query.Polarity {
 // QueryDeps implements query.DepAnalyzable: the polarized read
 // dependencies of the query, one group per disjunctive branch. For
 // branches lowered onto the compiled plan layer the positive, required
-// atom reads come from the physical plan itself (plan.SpecDeps) — the
+// atom reads come from the physical plan itself (plan.Plan.Deps) — the
 // analyzed join is exactly the executed join — and residual guard
 // formulas contribute their AST polarity walk.
 func (q *Query) QueryDeps() []query.Dep {

@@ -2,30 +2,21 @@ package plan
 
 import "declnet/internal/query"
 
-// SpecDeps derives the polarized read dependencies of a compiled join
-// Spec: every relational atom is a positive, required read (the join
-// cannot produce a binding without a tuple in it), every FilterNotIn
-// is a negated read, and guard filters contribute nothing here — the
+// Deps reports the polarized read dependencies of the compiled plan:
+// every relational atom is a positive, required read (the join cannot
+// produce a binding without a tuple in it), every FilterNotIn is a
+// negated read, and guard filters contribute nothing here — the
 // caller owns the guard formulas and reports their dependencies from
 // the AST. branch tags the produced deps; the language front-ends use
 // it to group one plan per disjunct.
 //
 // This is the "analysis over the compiled plan IR" half of the static
-// analyzer: languages that lower onto internal/plan (fo branches,
-// datalog rules, algebra joins) get their dependency polarity straight
-// from the physical plan rather than from a second AST walk, so the
-// analyzed program is exactly the program that executes.
-func SpecDeps(spec *Spec, branch int) []query.Dep {
-	return specDeps(spec, branch)
-}
-
-// Deps reports the polarized read dependencies of the compiled plan
-// (see SpecDeps); branch tags the produced deps.
+// analyzer: FO branches lowered onto internal/plan get their
+// dependency polarity straight from the physical plan rather than from
+// a second AST walk, so the analyzed join is exactly the join that
+// executes.
 func (p *Plan) Deps(branch int) []query.Dep {
-	return specDeps(&p.spec, branch)
-}
-
-func specDeps(spec *Spec, branch int) []query.Dep {
+	spec := &p.spec
 	var deps []query.Dep
 	for _, a := range spec.Atoms {
 		deps = append(deps, query.Dep{

@@ -1,10 +1,10 @@
 // Package plan is the compiled physical query-plan layer shared by
 // every conjunctive evaluator in the repository. The paper's
 // transducer model is parameterized by a local query language L; each
-// L here (fo, datalog, relational algebra — while and dedalus ride on
-// the first two) used to own its own greedy join machinery, re-planned
-// on every evaluation over string-keyed binding maps. This package
-// replaces all three with one physical IR:
+// L here (fo and datalog — while and dedalus ride on them) used to
+// own its own greedy join machinery, re-planned on every evaluation
+// over string-keyed binding maps. This package replaces both with one
+// physical IR:
 //
 //   - a Spec describes a conjunctive join: relational atoms over
 //     compile-time numbered registers, plus filters (anti-probe
@@ -177,9 +177,6 @@ func MustNew(spec Spec) *Plan {
 // NumAtoms returns the number of atoms in the plan's conjunction.
 func (p *Plan) NumAtoms() int { return len(p.spec.Atoms) }
 
-// AtomRel returns the relation name of atom i.
-func (p *Plan) AtomRel(i int) string { return p.spec.Atoms[i].Rel }
-
 // Name returns the spec name.
 func (p *Plan) Name() string { return p.spec.Name }
 
@@ -248,7 +245,7 @@ func (p *Plan) sched(pin int, src *source) (*schedule, error) {
 	}
 	slot := &p.scheds[idx]
 	slot.once.Do(func() {
-		slot.s.Store(compile(&p.spec, pin, func(rel string) int { return p.card(src, rel) }))
+		slot.s.Store(compile(&p.spec, pin, src.card))
 	})
 	s := slot.s.Load()
 	if s.err != nil {
@@ -286,16 +283,11 @@ func (p *Plan) peekSched(pin int) (*schedule, error) {
 // contain delta when their relation names are disjoint (a transducer
 // state and the messages it receives). args supplies the Spec.Inputs
 // registers in order; guard resolves FilterGuard filters (may be nil
-// when the spec has none). Result tuples are added to out.
-func (p *Plan) Run(full, delta *fact.Instance, pin int, args []fact.Value, guard GuardFunc, out *fact.Relation) error {
-	return p.RunSink(full, delta, pin, args, guard, out)
-}
-
-// RunSink is Run emitting into any fact.Sink: a plain relation, or a
-// delta staging sink (fact.Delta.Sink) so semi-naive round drivers
-// receive whole column slabs from the batch pipeline without an
-// intermediate head relation.
-func (p *Plan) RunSink(full, delta *fact.Instance, pin int, args []fact.Value, guard GuardFunc, out fact.Sink) error {
+// when the spec has none). Result tuples are added to out: a plain
+// relation, or a delta staging sink (fact.Delta.Sink) so semi-naive
+// round drivers receive whole column slabs from the batch pipeline
+// without an intermediate head relation.
+func (p *Plan) Run(full, delta *fact.Instance, pin int, args []fact.Value, guard GuardFunc, out fact.Sink) error {
 	src := source{full: full, delta: delta, pin: pin}
 	s, err := p.sched(pin, &src)
 	if err != nil {
@@ -315,61 +307,25 @@ func (p *Plan) RunSink(full, delta *fact.Instance, pin int, args []fact.Value, g
 	return fr.run(args)
 }
 
-// RunRels executes the plan with each atom i reading rels[i] directly
-// instead of resolving relation names against an instance — the mode
-// the algebra bridging join uses, where the joined sides are
-// materialized subexpression results. args supplies the Spec.Inputs
-// registers, exactly as in Run. Specs run this way must not contain
-// FilterNotIn or FilterGuard filters.
-func (p *Plan) RunRels(rels []*fact.Relation, args []fact.Value, out *fact.Relation) error {
-	if len(rels) != len(p.spec.Atoms) {
-		return fmt.Errorf("plan %s: RunRels got %d relations for %d atoms", p.spec.Name, len(rels), len(p.spec.Atoms))
-	}
-	for _, f := range p.spec.Filters {
-		// Without an instance there is nothing to anti-probe against,
-		// and no guard resolver: error out instead of silently
-		// accepting tuples the spec forbids.
-		if f.Kind == FilterNotIn || f.Kind == FilterGuard {
-			return fmt.Errorf("plan %s: RunRels cannot execute %s filters", p.spec.Name,
-				map[FilterKind]string{FilterNotIn: "not-in", FilterGuard: "guard"}[f.Kind])
-		}
-	}
-	src := source{pin: -1, rels: rels}
-	s, err := p.sched(-1, &src)
-	if err != nil {
-		return err
-	}
-	fr := frame{spec: &p.spec, instrs: s.instrs, out: out, src: src}
-	return fr.run(args)
-}
-
 // source resolves the relation every atom of one execution reads:
 // atom pin reads delta, the others full — or delta, for a relation
-// full does not hold — and a RunRels execution reads rels[atom].
+// full does not hold.
 type source struct {
 	full, delta *fact.Instance
 	pin         int
-	rels        []*fact.Relation
 }
 
 // atom returns the relation atom i (over relation rel) reads.
 func (s *source) atom(i int, rel string) *fact.Relation {
-	switch {
-	case s.rels != nil:
-		return s.rels[i]
-	case i == s.pin:
+	if i == s.pin {
 		return s.delta.Relation(rel)
 	}
 	return s.named(rel)
 }
 
 // named returns the relation called rel that unpinned atoms and
-// anti-probes read; nil when there is none (always for RunRels, which
-// has no instance).
+// anti-probes read; nil when there is none.
 func (s *source) named(rel string) *fact.Relation {
-	if s.full == nil {
-		return nil
-	}
 	if r := s.full.Relation(rel); r != nil || s.delta == nil {
 		return r
 	}
@@ -377,19 +333,10 @@ func (s *source) named(rel string) *fact.Relation {
 }
 
 // card estimates the cardinality of relation rel for join ordering:
-// over an instance, the relation atoms of that name read; over RunRels
-// relations, the first atom of that name.
-func (p *Plan) card(src *source, rel string) int {
-	if src.rels == nil {
-		if r := src.named(rel); r != nil {
-			return r.Len()
-		}
-		return 0
-	}
-	for i, a := range p.spec.Atoms {
-		if a.Rel == rel && src.rels[i] != nil {
-			return src.rels[i].Len()
-		}
+// the size of the relation atoms of that name read.
+func (s *source) card(rel string) int {
+	if r := s.named(rel); r != nil {
+		return r.Len()
 	}
 	return 0
 }

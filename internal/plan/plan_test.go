@@ -212,29 +212,6 @@ func TestUnsafeSpecRejected(t *testing.T) {
 	}
 }
 
-func TestRunRels(t *testing.T) {
-	// The algebra mode: atoms read positionally supplied relations.
-	p := MustNew(Spec{
-		Name: "bridge", NumRegs: 3,
-		Head:  []Term{Reg(0), Reg(1), Reg(1), Reg(2)},
-		Atoms: []Atom{{Rel: "L", Terms: []Term{Reg(0), Reg(1)}}, {Rel: "R", Terms: []Term{Reg(1), Reg(2)}}},
-	})
-	l := fact.NewRelation(2)
-	l.Add(fact.Tuple{"a", "b"})
-	l.Add(fact.Tuple{"c", "d"})
-	r := fact.NewRelation(2)
-	r.Add(fact.Tuple{"b", "z"})
-	out := fact.NewRelation(4)
-	if err := p.RunRels([]*fact.Relation{l, r}, nil, out); err != nil {
-		t.Fatal(err)
-	}
-	want := fact.NewRelation(4)
-	want.Add(fact.Tuple{"a", "b", "b", "z"})
-	if !out.Equal(want) {
-		t.Fatalf("got %v want %v", out, want)
-	}
-}
-
 func TestMissingOrMismatchedRelation(t *testing.T) {
 	p := MustNew(Spec{
 		Name: "missing", NumRegs: 1,
@@ -297,20 +274,6 @@ func TestExplainDoesNotBindSchedule(t *testing.T) {
 	}
 	if got := p.Explain(-1); !strings.Contains(got, "scan Small(y,z)") {
 		t.Fatalf("cardinality tie-break lost (Small not scanned first):\n%s", got)
-	}
-}
-
-func TestRunRelsRejectsInstanceFilters(t *testing.T) {
-	p := MustNew(Spec{
-		Name: "relsGuard", NumRegs: 1,
-		Head:    []Term{Reg(0)},
-		Atoms:   []Atom{{Rel: "L", Terms: []Term{Reg(0)}}},
-		Filters: []Filter{{Kind: FilterNotIn, Rel: "X", Terms: []Term{Reg(0)}}},
-	})
-	r := fact.NewRelation(1)
-	r.Add(fact.Tuple{"a"})
-	if err := p.RunRels([]*fact.Relation{r}, nil, fact.NewRelation(1)); err == nil {
-		t.Fatal("RunRels accepted a not-in filter it cannot execute")
 	}
 }
 

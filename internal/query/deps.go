@@ -1,7 +1,7 @@
 package query
 
 // This file is the extraction contract between the concrete query
-// languages (fo, datalog, while, algebra, opaque Funcs) and the static
+// languages (fo, datalog, while, opaque Funcs) and the static
 // CALM analyzer (internal/sa): a query exposes its reads as *polarized
 // dependencies* — which relation, read positively, under negation, or
 // through an opaque guard — instead of the flat name list of Rels().

@@ -23,7 +23,7 @@
 //
 //  1. Dependency graph: every transducer query contributes polarized
 //     edges target → read (query.DepsOf, backed per language by the
-//     compiled plan IR via plan.SpecDeps, the fo/datalog polarity
+//     compiled plan IR via plan.Plan.Deps, the fo/datalog polarity
 //     walks, and the while-program dataflow). Deletion queries invert
 //     the polarity of their reads (growing a read can shrink memory).
 //  2. Populatable-relation fixpoint: starting from the input and

@@ -257,10 +257,10 @@ func ToQuiescence(net *Network, tr *itransducer.Transducer, p Partition, opt Opt
 // Explain renders the compiled physical query plan of every query of
 // the transducer (send, insert, delete, output): the chosen join
 // order, index-probe columns, filter and guard placement, and the
-// delta-pinned variants semi-naive firing uses. Every FO, Datalog and
-// algebra query evaluates through these plans — compiled once per
-// query, cached (sync.Once-guarded per delta pin, safe under the
-// parallel runtime's worker pool), and executed over dense register
-// slots. The rendering is stable: diff it across commits to catch
-// plan regressions (cmd/transduce -explain prints it).
+// delta-pinned variants semi-naive firing uses. Every FO and Datalog
+// query evaluates through these plans — compiled once per query,
+// cached (sync.Once-guarded per delta pin, safe under the parallel
+// runtime's worker pool), and executed over dense register slots.
+// The rendering is stable: diff it across commits to catch plan
+// regressions (cmd/transduce -explain prints it).
 func Explain(tr *itransducer.Transducer) string { return itransducer.ExplainPlans(tr) }
