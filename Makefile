@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-parallel race-batch bench-raw scenarios fuzz vet lint check clean
+.PHONY: build test race race-parallel bench-raw scenarios fuzz vet lint check clean
 
 build:
 	$(GO) build ./...
@@ -24,26 +24,20 @@ bench-raw:
 	$(GO) test -run xxx -bench . -benchmem .
 
 # race-parallel runs the differential correctness harness under the
-# race detector: parallel ≡ sequential, firing ≡ Step, permutation
-# invariance, and the sharded interning dictionary (concurrent intern,
-# cross-dict misuse, Rekey round-trips, per-run dictionaries).
+# race detector: the configuration matrix (runtime × channel ×
+# dictionary × batch pipeline × probe × budget, every cell
+# bit-identical to its reference), firing ≡ Step, permutation
+# invariance, the forced-columnar corpus and plan suites, and the
+# sharded interning dictionary (concurrent intern, cross-dict misuse,
+# Rekey round-trips, per-run dictionaries).
 race-parallel:
 	$(GO) test -race -run 'Parallel|Differential|Dict|Rekey' ./...
 
-# race-batch forces every sized plan evaluation through the columnar
-# batch pipeline (DECLNET_BATCH=always) and runs the columnar
-# differential suites — three-way plan executor agreement, corpus
-# queries/programs vs their oracles, parallel runs — under the race
-# detector. Catches batch-only bugs the threshold would hide on
-# test-sized inputs.
-race-batch:
-	DECLNET_BATCH=always $(GO) test -race -run 'Columnar|BatchDifferential' ./...
-
-# scenarios runs the fault-scenario matrix under the race detector:
-# channel-model unit tests, the fair-channel bit-identity and
-# monotone-preservation property harness over the construction zoo,
-# and the CALM channel-robustness checks. All runs use fixed seeds —
-# deterministic per (seed, scenario).
+# scenarios runs the fault-scenario tests under the race detector:
+# channel-model unit tests, monotone-preservation over the
+# construction zoo, the configuration matrix's fair-channel and
+# rerun-determinism views, and the CALM channel-robustness checks.
+# All runs use fixed seeds — deterministic per (seed, scenario).
 scenarios:
 	$(GO) test -race -run 'Channel|Scenario|Robust|Crash' ./...
 

@@ -135,11 +135,10 @@ type Provenance struct {
 	// checkout); GitDirty marks uncommitted changes in the worktree.
 	GitCommit string `json:"git_commit"`
 	GitDirty  bool   `json:"git_dirty,omitempty"`
-	// BatchMode is the columnar batch-pipeline mode as DECLNET_BATCH
-	// resolves in this process's environment, which the benchmarked
-	// test binary inherits, so a forced-batch artifact is
-	// distinguishable from a default-auto one. BatchThreshold is the
-	// auto mode's cardinality cutover.
+	// BatchMode is the columnar batch-pipeline mode the benchmarked
+	// binaries start in: "auto", the plan package default (benchmarks
+	// that ablate the pipeline pin their own mode per sub-benchmark).
+	// BatchThreshold is the auto mode's cardinality cutover.
 	BatchMode      string `json:"batch_mode"`
 	BatchThreshold int    `json:"batch_threshold"`
 }

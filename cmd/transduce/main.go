@@ -7,7 +7,7 @@
 //
 //	transduce -t tc -topology ring:4 -facts edges.dl \
 //	          [-partition roundrobin] [-seed 1] [-steps 200000] \
-//	          [-workers 4] [-shards 8] [-channel lossy:25] \
+//	          [-workers 4] [-channel lossy:25] \
 //	          [-scale-profile ring:10000] [-explain] [-lint] [-list]
 //
 // With -explain the compiled physical query plan of every transducer
@@ -16,17 +16,13 @@
 // output across commits to catch plan regressions.
 //
 // With -workers N > 0 the run executes on the parallel sharded
-// runtime: all nodes fire concurrently in rounds on N goroutines,
-// deterministically per seed (the worker count never changes the
-// outcome, only wall-clock time). -workers 0 (the default) keeps the
-// sequential fair random scheduler.
-//
-// With -shards K > 0 the parallel runtime's shard count is overridden
-// (default: min(workers, nodes)); like -workers it can only change
-// wall-clock time, never the outcome. When -workers > 0 the summary
-// includes a per-shard table of fire/merge/probe wall-clock and
-// verdict-probe counts — the phase breakdown of the shard-resident
-// runtime.
+// runtime: all nodes fire concurrently in rounds on N goroutines, each
+// owning one contiguous shard of min(N, nodes), deterministically per
+// seed (the worker count never changes the outcome, only wall-clock
+// time). -workers 0 (the default) keeps the sequential fair random
+// scheduler. When -workers > 0 the summary includes a per-shard table
+// of fire/merge/probe wall-clock and verdict-probe counts — the phase
+// breakdown of the shard-resident runtime.
 //
 // -scale-profile family:n replaces -t/-topology/-facts with an E20
 // scaling configuration: the one-hop gossip transducer on a generated
@@ -71,7 +67,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "scheduler seed")
 	steps := flag.Int("steps", 200000, "step budget")
 	workers := flag.Int("workers", 0, "parallel round runtime worker count (0 = sequential scheduler)")
-	shards := flag.Int("shards", 0, "parallel runtime shard count override (0 = min(workers, nodes))")
 	scaleProfile := flag.String("scale-profile", "", "E20 scaling configuration family:n (gossip on a generated graph; overrides -t/-topology/-facts)")
 	channelSpec := flag.String("channel", "", "channel model / fault scenario (see -list); empty = default fair channel")
 	explain := flag.Bool("explain", false, "print the compiled query plans of the transducer (join order, probe columns, guards, delta pins), then exit")
@@ -196,7 +191,7 @@ func main() {
 	start := time.Now()
 	if *workers > 0 {
 		res, err = sim.RunParallel(run.ParallelOptions{
-			Seed: *seed, Workers: *workers, Shards: *shards, MaxSteps: *steps})
+			Seed: *seed, Workers: *workers, MaxSteps: *steps})
 	} else {
 		res, err = sim.Run(run.NewRandomScheduler(*seed), *steps)
 	}

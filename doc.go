@@ -115,8 +115,8 @@
 // appended through one byte arena (fact.Sink — also the staging path
 // of semi-naive delta rounds). The
 // pipeline engages per execution by a cardinality threshold (4096
-// tuples; plan.SetBatchMode / DECLNET_BATCH select
-// "auto"/"off"/"always"), so small inputs keep the
+// tuples; plan.SetBatchMode pins "auto"/"off"/"always" for
+// benchmarks and tests), so small inputs keep the
 // register-slot executor's low constant factors while million-tuple
 // relations get the batch operators — transparently, under Eval,
 // EvalDelta, incremental firing, Sim and RunParallel alike. Explain
@@ -141,16 +141,14 @@
 // # The shard-resident parallel runtime
 //
 // run.Options.Workers > 0 (or Sim.RunParallel directly) executes a
-// run in parallel rounds: the nodes are cut into contiguous-index
-// shards (run.Options.Shards overrides the count; the default is
-// min(workers, nodes)), each shard resident on one worker for the
+// run in parallel rounds: the nodes are cut into min(workers, nodes)
+// contiguous-index shards, each resident on its own worker for the
 // whole run, and every node performs one transition per round — a
 // heartbeat, or the delivery of a buffered fact chosen by the node's
-// own PCG stream — inside its shard. Effects that stay inside the
-// shard (sends to same-shard neighbors) are applied shard-locally;
-// cross-shard sends are batched into per-(source, destination) outbox
-// mailboxes and drained by the destination shard at the round
-// barrier in stable node order, so no shard ever writes another
+// own PCG stream — inside its shard. Every send, to a same-shard
+// neighbor or not, is batched into a per-(source shard, destination
+// shard) outbox mailbox and drained by the destination shard at the
+// round barrier in stable node order, so no shard ever writes another
 // shard's nodes. Quiescence detection is dirty-set driven: a node is
 // re-probed only when its buffer gained an unseen fact, its state
 // changed, or it crashed/restarted — verdict monotonicity (a
@@ -166,13 +164,13 @@
 // is a fair run of the paper's §3 semantics.
 //
 // Determinism contract: the trajectory is a pure function of the
-// seed. Workers and Shards change wall-clock time, never outputs,
-// states, buffers, counters, probe counts or traces — Workers=8 is
-// bit-identical to Workers=1, and any Shards override is
-// bit-identical to the default geometry. The differential harness in
+// seed. Workers changes wall-clock time, never outputs, states,
+// buffers, counters, probe counts or traces — Workers=8 is
+// bit-identical to Workers=1. The configuration matrix in
 // internal/dist verifies this under the race detector for every
-// construction of the paper (and, for the dirty set, against the
-// full-sweep ablation across every fault scenario), and cross-checks
+// construction of the paper, across every channel model, dictionary,
+// plan pipeline, probe strategy (dirty set vs full sweep) and step
+// budget, and the differential harness cross-checks
 // the incremental firing against the specification evaluator under
 // random schedules. The consistency and topology-independence sweeps
 // and the CALM analyses fan their independent runs across all cores

@@ -160,6 +160,8 @@ type Program struct {
 	splitOnce    sync.Once
 	stratumRules [][]*compiledRule
 	stratumPreds []map[string]bool
+	preds        []string
+	arities      fact.Schema
 	monoOnce     sync.Once
 	monoEv       query.MonotoneEvidence
 	monoAbsorbed map[litKey]bool

@@ -122,6 +122,37 @@ func TestParseFactsArityMismatch(t *testing.T) {
 	}
 }
 
+// TestEvalInputArityMismatch: an input relation at another arity than
+// the program's — an IDB predicate (tc/1 against tc/2) or an EDB one
+// (e/1 against e/2) — is an error naming the predicate and both
+// arities from both evaluators, not a panic inside the relation store
+// or a silently empty answer.
+func TestEvalInputArityMismatch(t *testing.T) {
+	p := MustParse(`tc(X, Y) :- e(X, Y).`)
+	for _, c := range []struct{ facts, pred string }{
+		{`e(a, b). tc(a).`, "tc"},
+		{`e(a).`, "e"},
+	} {
+		I, err := ParseFacts(c.facts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, eval := range map[string]func(*fact.Instance) (*fact.Instance, error){
+			"Eval": p.Eval, "EvalNaive": p.EvalNaive,
+		} {
+			_, err := eval(I)
+			if err == nil {
+				t.Fatalf("%s(%s) accepted a mismatched arity", name, c.facts)
+			}
+			for _, want := range []string{"relation " + c.pred, "arity 1", "2 in the program"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s(%s): error %q does not mention %q", name, c.facts, err, want)
+				}
+			}
+		}
+	}
+}
+
 func TestEvalTransitiveClosure(t *testing.T) {
 	p := MustParse(tcProgram)
 	edb := fact.FromFacts(ff("e", "a", "b"), ff("e", "b", "c"), ff("e", "c", "d"))

@@ -1,6 +1,8 @@
 package datalog
 
 import (
+	"fmt"
+
 	"declnet/internal/fact"
 )
 
@@ -8,7 +10,8 @@ import (
 // extensional database, using semi-naive evaluation within each
 // stratum over the program's compiled rule plans (see compile.go).
 // The result contains the input facts plus all derived facts. The
-// input is not modified.
+// input is not modified. An input relation whose arity differs from
+// the program's use of that predicate is an error.
 func (p *Program) Eval(edb *fact.Instance) (*fact.Instance, error) {
 	return p.eval(edb.Clone(), true)
 }
@@ -41,6 +44,7 @@ func (p *Program) eval(edb *fact.Instance, seminaive bool) (*fact.Instance, erro
 	// Once-guarded so concurrent evaluations of a shared program are
 	// safe (the same discipline as the plan caches themselves).
 	p.splitOnce.Do(func() {
+		p.preds, p.arities = p.Preds(), p.Arities()
 		p.stratumRules = make([][]*compiledRule, len(strata))
 		p.stratumPreds = make([]map[string]bool, len(strata))
 		for i, stratum := range strata {
@@ -56,6 +60,12 @@ func (p *Program) eval(edb *fact.Instance, seminaive bool) (*fact.Instance, erro
 			}
 		}
 	})
+	for _, pred := range p.preds {
+		if r := edb.Relation(pred); r != nil && r.Arity() != p.arities[pred] {
+			return nil, fmt.Errorf("datalog: input relation %s has arity %d here but %d in the program",
+				pred, r.Arity(), p.arities[pred])
+		}
+	}
 	I := edb
 	for i := range strata {
 		if seminaive {

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"declnet/internal/fact"
+	"declnet/internal/plan"
 )
 
 func corpusPrograms(t *testing.T) []*Program {
@@ -110,7 +111,36 @@ func TestExplainPlanPinsAreInStratum(t *testing.T) {
 	}
 }
 
+// TestDifferentialCorpusPrograms runs the corpus harness under the
+// auto and forced-columnar pipelines, each over the default and a
+// per-run interning dictionary.
 func TestDifferentialCorpusPrograms(t *testing.T) {
+	for _, mode := range []string{"auto", "always"} {
+		for _, perRun := range []bool{false, true} {
+			t.Run(mode+"/"+dictName(perRun), func(t *testing.T) {
+				prev, err := plan.SetBatchMode(mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { _, _ = plan.SetBatchMode(prev) })
+				checkCorpusPrograms(t, perRun)
+			})
+		}
+	}
+}
+
+func dictName(perRun bool) string {
+	if perRun {
+		return "per-run"
+	}
+	return "default"
+}
+
+// checkCorpusPrograms runs the corpus harness on random EDBs —
+// rekeyed into a fresh per-run dictionary when perRun is set, whose
+// fixpoints must then stay in that dictionary and equal the
+// default-dictionary ones value for value.
+func checkCorpusPrograms(t *testing.T, perRun bool) {
 	rng := rand.New(rand.NewPCG(7, 2026))
 	vals := []fact.Value{"a", "b", "c", "d"}
 	for pi, p := range corpusPrograms(t) {
@@ -127,6 +157,11 @@ func TestDifferentialCorpusPrograms(t *testing.T) {
 					I.AddFact(fact.Fact{Rel: e, Args: args})
 				}
 			}
+			var base *fact.Instance
+			if perRun {
+				base, _ = p.Eval(I) // an error shows again on the rekeyed EDB
+				I = I.Rekey(fact.NewDict())
+			}
 			sn, snErr := p.Eval(I)
 			nv, nvErr := p.EvalNaive(I)
 			if (snErr == nil) != (nvErr == nil) {
@@ -134,6 +169,9 @@ func TestDifferentialCorpusPrograms(t *testing.T) {
 			}
 			if snErr != nil {
 				continue
+			}
+			if perRun && (sn.Dict() != I.Dict() || !sn.Equal(base)) {
+				t.Fatalf("program %d:\n%s\non %v:\nper-run dict fixpoint %v\ndefault dict %v", pi, p, I, sn, base)
 			}
 			if !sn.Equal(nv) {
 				t.Fatalf("program %d:\n%s\non %v:\nseminaive(plan) %v\nnaive(reference) %v", pi, p, I, sn, nv)

@@ -1,17 +1,15 @@
 package dist
 
-// Forced-columnar differential coverage: the same zoo harnesses that
-// pin the compiled plan executor against its oracles, re-run with
-// every eligible query forced through the columnar batch pipeline
-// (plan.SetBatchMode "always"), plus a direct run-level comparison
-// that requires quiescent runs to be bit-identical between the two
-// pipelines — output, step count and send count.
+// Forced-columnar differential coverage at the query and firing level:
+// the zoo harnesses that pin the compiled plan executor against its
+// oracles, re-run with every eligible query forced through the
+// columnar batch pipeline (plan.SetBatchMode "always"). Whole runs
+// under every pipeline mode are cells of the configuration matrix
+// (matrix_test.go).
 
 import (
 	"testing"
 
-	"declnet/internal/fact"
-	"declnet/internal/network"
 	"declnet/internal/plan"
 )
 
@@ -41,58 +39,4 @@ func TestDifferentialColumnarPlanVsOracles(t *testing.T) {
 func TestDifferentialColumnarFiringVsStep(t *testing.T) {
 	forceColumnar(t)
 	TestDifferentialFiringVsStep(t)
-}
-
-// TestDifferentialColumnarParallelWorkers: parallel runs stay
-// bit-identical to the Workers=1 reference when every firing goes
-// through the batch pipeline.
-func TestDifferentialColumnarParallelWorkers(t *testing.T) {
-	forceColumnar(t)
-	TestDifferentialParallelWorkers(t)
-}
-
-// TestDifferentialColumnarRunEquivalence: for every zoo construction,
-// a seeded sequential run under the tuple pipeline and the same run
-// under the columnar pipeline agree on the quiescence flag, the step
-// count, the send count, the output relation, and every node's final
-// state — the strongest whole-run bit-identity check.
-func TestDifferentialColumnarRunEquivalence(t *testing.T) {
-	for _, e := range diffZoo(t) {
-		t.Run(e.name, func(t *testing.T) {
-			runOnce := func(mode string) (network.RunResult, map[fact.Value]*fact.Instance) {
-				prev, err := plan.SetBatchMode(mode)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer plan.SetBatchMode(prev)
-				sim, err := NewSim(e.net, e.tr, RoundRobinSplit(e.I, e.net), RunOptions{Seed: 23})
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := sim.Run(RunOptions{Seed: 23}.scheduler(), 200000)
-				if err != nil {
-					t.Fatal(err)
-				}
-				states := map[fact.Value]*fact.Instance{}
-				for _, v := range e.net.Nodes() {
-					states[v] = sim.State(v)
-				}
-				return res, states
-			}
-			tr, ts := runOnce("off")
-			br, bs := runOnce("always")
-			if tr.Quiescent != br.Quiescent || tr.Steps != br.Steps || tr.Sends != br.Sends {
-				t.Errorf("run shape diverged: tuple (quiescent=%v steps=%d sends=%d) vs batch (quiescent=%v steps=%d sends=%d)",
-					tr.Quiescent, tr.Steps, tr.Sends, br.Quiescent, br.Steps, br.Sends)
-			}
-			if !tr.Output.Equal(br.Output) {
-				t.Errorf("output diverged: tuple %v vs batch %v", tr.Output, br.Output)
-			}
-			for v, st := range ts {
-				if !st.Equal(bs[v]) {
-					t.Errorf("node %s state diverged between pipelines", v)
-				}
-			}
-		})
-	}
 }

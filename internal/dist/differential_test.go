@@ -1,14 +1,12 @@
 package dist
 
-// Differential correctness harness for the parallel sharded runtime
-// and the incremental firing engine: every construction of the paper
-// (the package's transducer zoo) is run through
+// Differential correctness harness for the incremental firing engine
+// and the schedule: every construction of the paper (the package's
+// transducer zoo) is run through
 //
-//  1. the parallel runtime at Workers = 2, 4, 8 against the Workers=1
-//     reference — the trajectory must be bit-identical (the worker
-//     count may only change wall-clock time), and additionally equal
-//     to the sequential scheduler's output whenever the network is
-//     consistent;
+//  1. the configuration matrix (matrix_test.go): every runtime,
+//     channel, dictionary, pipeline, probe and budget configuration
+//     bit-identical to its reference run;
 //  2. a node-local cross-check of transducer.Firing against the
 //     specification evaluator Transducer.Step under 50 random
 //     schedules per example;
@@ -102,39 +100,6 @@ output T/2
 		{"eitherNonempty", EitherNonempty(), ab, network.Line(3), true},
 		{"pingIdentity", PingIdentity(), set, network.Line(3), true},
 		{"evenCardinality", must(EvenCardinality()), set, network.Line(2), true},
-	}
-}
-
-// TestDifferentialParallelWorkers: for every zoo construction the
-// parallel runs at Workers = 2, 4, 8 are bit-identical to the
-// Workers=1 reference with the same seed, and — on consistent
-// networks — identical to the sequential scheduler's quiescent
-// output.
-func TestDifferentialParallelWorkers(t *testing.T) {
-	for _, e := range diffZoo(t) {
-		t.Run(e.name, func(t *testing.T) {
-			p := RoundRobinSplit(e.I, e.net)
-			seq, err := RunToQuiescence(e.net, e.tr, p, RunOptions{Seed: 7})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := RunToQuiescence(e.net, e.tr, p, RunOptions{Seed: 7, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{2, 4, 8} {
-				out, err := RunToQuiescence(e.net, e.tr, p, RunOptions{Seed: 7, Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if out.String() != ref.String() {
-					t.Errorf("workers=%d output %s != workers=1 reference %s", workers, out, ref)
-				}
-			}
-			if e.consistent && !ref.Equal(seq) {
-				t.Errorf("parallel output %s != sequential %s on a consistent network", ref, seq)
-			}
-		})
 	}
 }
 

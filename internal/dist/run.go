@@ -30,10 +30,6 @@ type RunOptions struct {
 	// Seed, never on Workers. Scheduler is ignored in parallel mode.
 	// 0 keeps the sequential scheduler-driven runtime.
 	Workers int
-	// Shards overrides the shard count of the parallel runtime (see
-	// network.ParallelOptions.Shards); 0 derives min(Workers, nodes).
-	// Like Workers it never affects the trajectory.
-	Shards int
 	// Scheduler overrides the default fair random scheduler
 	// (sequential mode only).
 	Scheduler network.Scheduler
@@ -127,8 +123,7 @@ func RunToQuiescence(net *network.Network, tr *transducer.Transducer, p Partitio
 	var res network.RunResult
 	if opt.Workers > 0 {
 		res, err = sim.RunParallel(network.ParallelOptions{
-			Seed: opt.Seed, Workers: opt.Workers, Shards: opt.Shards,
-			MaxSteps: opt.maxSteps()})
+			Seed: opt.Seed, Workers: opt.Workers, MaxSteps: opt.maxSteps()})
 	} else {
 		res, err = sim.Run(opt.scheduler(), opt.maxSteps())
 	}

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"declnet/internal/fact"
+	"declnet/internal/plan"
 )
 
 // corpusStrings decodes the committed `go test fuzz v1` corpus files
@@ -137,12 +138,46 @@ func randomInstanceFor(rng *rand.Rand, q *Query, vals []fact.Value) *fact.Instan
 	return I
 }
 
+// TestDifferentialCorpusQueries runs the corpus harness under the
+// auto and forced-columnar pipelines, each over the default and a
+// per-run interning dictionary.
 func TestDifferentialCorpusQueries(t *testing.T) {
+	for _, mode := range []string{"auto", "always"} {
+		for _, perRun := range []bool{false, true} {
+			t.Run(mode+"/"+dictName(perRun), func(t *testing.T) {
+				prev, err := plan.SetBatchMode(mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { _, _ = plan.SetBatchMode(prev) })
+				checkCorpusQueries(t, perRun)
+			})
+		}
+	}
+}
+
+func dictName(perRun bool) string {
+	if perRun {
+		return "per-run"
+	}
+	return "default"
+}
+
+// checkCorpusQueries runs the corpus harness on random instances —
+// rekeyed into a fresh per-run dictionary when perRun is set, whose
+// answers must then stay in that dictionary and equal the
+// default-dictionary ones value for value.
+func checkCorpusQueries(t *testing.T, perRun bool) {
 	rng := rand.New(rand.NewPCG(2026, 1))
 	vals := []fact.Value{"a", "b", "c"}
 	for qi, q := range corpusQueries(t) {
 		for trial := 0; trial < 25; trial++ {
 			I := randomInstanceFor(rng, q, vals)
+			var base *fact.Relation
+			if perRun {
+				base, _ = q.Eval(I) // an error shows again on the rekeyed instance
+				I = I.Rekey(fact.NewDict())
+			}
 			want, err := q.Eval(I)
 			if err != nil {
 				// Engines must agree on errors too.
@@ -150,6 +185,9 @@ func TestDifferentialCorpusQueries(t *testing.T) {
 					t.Fatalf("query %d (%s): plan errored (%v), generic did not", qi, q, err)
 				}
 				continue
+			}
+			if perRun && (want.Dict() != I.Dict() || !want.Equal(base)) {
+				t.Fatalf("query %d (%s) on %v: per-run dict answer %v, default dict %v", qi, q, I, want, base)
 			}
 			gen, err := q.EvalGeneric(I)
 			if err != nil {
@@ -180,7 +218,7 @@ func checkQueryDeltaPins(t *testing.T, qi int, q *Query, full *fact.Instance, wa
 	}
 	splits := append(q.Rels(), "")
 	for _, target := range splits {
-		delta := fact.NewInstance()
+		delta := full.Dict().NewInstance()
 		old := full.Clone()
 		for _, rel := range q.Rels() {
 			if target != "" && rel != target {

@@ -21,9 +21,10 @@ import (
 //
 // The same rule applies at package level: for every package-level
 // sync.Once variable, package-level variables assigned inside its
-// `<onceVar>.Do(func() {...})` closure are once-published defaults
-// (plan's batchEnvOnce/batchEnvMode), and
-// assignments to them outside a Do closure are flagged.
+// `<onceVar>.Do(func() {...})` closure are once-published defaults,
+// and assignments to them outside a Do closure are flagged. No
+// package-level once-published default exists in the tree today; the
+// package-level fixture keeps the rule pinned for the next one.
 //
 // The check is syntactic (no type information): fields are matched by
 // name within the set of structs that carry a sync.Once field, and

@@ -31,17 +31,16 @@ import (
 // Determinism. The schedule is a function of (seed, node index,
 // round) only: each node owns a PCG stream seeded from the run seed
 // and its index, and the merge applies cross-node effects in stable
-// (sorted) node order. Worker and shard counts change wall-clock
+// (sorted) node order. The worker count changes wall-clock
 // time, never the configuration trajectory — Workers=8 is
-// bit-identical to Workers=1, which the differential harness in
+// bit-identical to Workers=1, which the configuration matrix in
 // internal/dist verifies for the whole construction zoo.
 //
-// Sharding. Nodes are partitioned into contiguous-index shards
-// (par.Cut geometry: balanced, never empty), and each worker owns a
-// contiguous block of shards for the entire run — shard residency
-// keeps a node's state, buffer and evaluator caches on one goroutine
-// (and its core) across rounds. All three per-round phases run
-// shard-parallel:
+// Sharding. Nodes are partitioned into one contiguous-index shard per
+// worker (par.Cut geometry: balanced, never empty), and each worker
+// owns its shard for the entire run — shard residency keeps a node's
+// state, buffer and evaluator caches on one goroutine (and its core)
+// across rounds. All three per-round phases run shard-parallel:
 //
 //   - fire: every node transitions against the pre-round
 //     configuration, touching only its own nodeRT; the channel model
@@ -68,18 +67,14 @@ import (
 type ParallelOptions struct {
 	// Seed determines the schedule: per-node PCG streams are derived
 	// from (Seed, node index). Runs with equal seeds are bit-identical
-	// regardless of Workers and Shards.
+	// regardless of Workers.
 	Seed int64
-	// Workers is the worker-pool size; 0 means GOMAXPROCS, 1 executes
-	// the identical round schedule serially (the differential
-	// reference). Clamped to the shard count (never more workers than
-	// shards, never more shards than nodes).
+	// Workers is the worker-pool size and the shard count: each worker
+	// owns one contiguous node range for the whole run. 0 means
+	// GOMAXPROCS, 1 executes the identical round schedule serially
+	// (the differential reference). Clamped to the node count, so a
+	// shard is never empty.
 	Workers int
-	// Shards overrides the shard count: the number of contiguous node
-	// ranges with static worker affinity. 0 derives min(Workers, n).
-	// Like Workers, it only changes wall-clock time and the
-	// granularity of ShardStats, never the trajectory.
-	Shards int
 	// MaxSteps bounds the run in transitions (a round performs one
 	// transition per node; the budget is checked between rounds, so
 	// the last round may overshoot by at most |N|-1). 0 means one
@@ -181,23 +176,13 @@ func (s *Sim) RunParallel(opt ParallelOptions) (RunResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// Clamp the geometry: at most one shard per node (a shard is never
-	// zero-width), at most one worker per shard. Workers > n therefore
-	// degrades to n single-node shards, not to idle workers racing on
-	// an empty range.
+	// One shard per worker, at most one shard per node (a shard is
+	// never zero-width): Workers > n degrades to n single-node shards,
+	// not to idle workers racing on an empty range.
 	if workers > n {
 		workers = n
 	}
-	shards := opt.Shards
-	if shards <= 0 {
-		shards = workers
-	}
-	if shards > n {
-		shards = n
-	}
-	if workers > shards {
-		workers = shards
-	}
+	shards := workers
 	maxSteps := opt.maxSteps()
 	m := s.model()
 
@@ -226,10 +211,9 @@ func (s *Sim) RunParallel(opt ParallelOptions) (RunResult, error) {
 	folds := make([]shardFold, shards)
 	outbox := make([][]outboxEntry, shards*shards)
 
-	// Shard-resident pool: worker w owns the contiguous shard block
-	// par.Cut(shards, workers, w) for the whole run and executes every
-	// phase over its own shards in ascending order. Per-worker start
-	// channels (not a shared token queue) pin the affinity.
+	// Shard-resident pool: worker w owns shard w for the whole run.
+	// Per-worker start channels (not a shared token queue) pin the
+	// affinity.
 	var (
 		phase  func(sh int)
 		wg     sync.WaitGroup
@@ -237,9 +221,7 @@ func (s *Sim) RunParallel(opt ParallelOptions) (RunResult, error) {
 	)
 	runPhase := func(f func(int)) {
 		if workers == 1 {
-			for sh := 0; sh < shards; sh++ {
-				f(sh)
-			}
+			f(0)
 			return
 		}
 		phase = f
@@ -254,11 +236,8 @@ func (s *Sim) RunParallel(opt ParallelOptions) (RunResult, error) {
 		for w := range starts {
 			starts[w] = make(chan struct{})
 			go func(w int) {
-				wlo, whi := par.Cut(shards, workers, w)
 				for range starts[w] {
-					for sh := wlo; sh < whi; sh++ {
-						phase(sh)
-					}
+					phase(w)
 					wg.Done()
 				}
 			}(w)

@@ -11,19 +11,12 @@ package plan
 // same tuple set; the differential tests pin them bit-identical to
 // the map-bindings reference executor.
 //
-// Selection is configurable for benchmarks and tests via SetBatchMode
-// ("auto"/"off"/"always") or the DECLNET_BATCH environment variable
-// (an invalid value warns on stderr and falls back to auto). The
-// env-derived default is published once under a package-level
-// sync.Once — the same once-published discipline as the plan's
-// schedule caches, enforced by the planonce linter — and the live
-// mode is an atomic, so concurrent executions race-freely observe a
-// coherent mode.
+// Selection is pinnable for benchmarks and tests via SetBatchMode
+// ("auto"/"off"/"always"). The live mode is an atomic that defaults to
+// auto, so concurrent executions race-freely observe a coherent mode.
 
 import (
 	"fmt"
-	"os"
-	"sync"
 	"sync/atomic"
 
 	"declnet/internal/fact"
@@ -53,49 +46,8 @@ const (
 	batchAlways
 )
 
-var (
-	batchEnvOnce sync.Once
-	// batchEnvMode is the environment-derived default, written exactly
-	// once under batchEnvOnce.Do and read only through batchConfig.
-	batchEnvMode int32
-
-	// batchModeV is the live mode; initialized from the env default,
-	// mutable via SetBatchMode.
-	batchModeV atomic.Int32
-)
-
-// parseBatchEnv derives the env-default pipeline mode from the raw
-// DECLNET_BATCH value. An unrecognized mode falls back to auto but is
-// reported in a warning — silently absorbing a typo
-// (DECLNET_BATCH=alwys in a CI matrix leg, say) would quietly re-run
-// the default path while claiming forced-batch coverage.
-func parseBatchEnv(batch string) (mode int32, warning string) {
-	switch batch {
-	case "", "auto":
-		return batchAuto, ""
-	case "off":
-		return batchOff, ""
-	case "always":
-		return batchAlways, ""
-	}
-	return batchAuto, fmt.Sprintf(
-		"plan: unknown DECLNET_BATCH value %q (want auto, off or always); using auto", batch)
-}
-
-// batchConfig returns the current pipeline mode, parsing the
-// environment override on first use. An invalid override warns on
-// stderr (once) and falls back to auto.
-func batchConfig() int32 {
-	batchEnvOnce.Do(func() {
-		var warning string
-		batchEnvMode, warning = parseBatchEnv(os.Getenv("DECLNET_BATCH"))
-		if warning != "" {
-			fmt.Fprintln(os.Stderr, warning)
-		}
-		batchModeV.Store(batchEnvMode)
-	})
-	return batchModeV.Load()
-}
+// batchModeV is the live mode: batchAuto until SetBatchMode changes it.
+var batchModeV atomic.Int32
 
 var batchModeNames = map[int32]string{batchAuto: "auto", batchOff: "off", batchAlways: "always"}
 
@@ -103,7 +55,7 @@ var batchModeNames = map[int32]string{batchAuto: "auto", batchOff: "off", batchA
 // (cardinality threshold), "off" (tuple path always) or "always"
 // (batch path whenever the schedule is eligible).
 func BatchMode() string {
-	return batchModeNames[batchConfig()]
+	return batchModeNames[batchModeV.Load()]
 }
 
 // SetBatchMode sets the pipeline selection mode and returns the
@@ -111,7 +63,7 @@ func BatchMode() string {
 // the differential tests force "always" to drive every query through
 // the columnar operators. Production code leaves the mode on auto.
 func SetBatchMode(mode string) (prev string, err error) {
-	prev = batchModeNames[batchConfig()]
+	prev = batchModeNames[batchModeV.Load()]
 	switch mode {
 	case "auto":
 		batchModeV.Store(batchAuto)
@@ -133,7 +85,7 @@ func (p *Plan) useBatch(s *schedule, src *source) bool {
 	if !s.batch {
 		return false
 	}
-	switch batchConfig() {
+	switch batchModeV.Load() {
 	case batchOff:
 		return false
 	case batchAlways:

@@ -236,36 +236,6 @@ func TestBatchInputRegisters(t *testing.T) {
 	}
 }
 
-// TestParseBatchEnv pins the environment-override parser: valid values
-// apply, invalid values fall back to auto AND warn — the old
-// behaviour of silently absorbing DECLNET_BATCH typos meant a broken
-// CI matrix leg could claim forced-batch coverage while running the
-// default path.
-func TestParseBatchEnv(t *testing.T) {
-	cases := []struct {
-		batch       string
-		wantMode    int32
-		wantWarning bool
-	}{
-		{"", batchAuto, false},
-		{"auto", batchAuto, false},
-		{"off", batchOff, false},
-		{"always", batchAlways, false},
-		{"alwys", batchAuto, true},
-		{"ALWAYS", batchAuto, true},
-	}
-	for _, c := range cases {
-		mode, warning := parseBatchEnv(c.batch)
-		if mode != c.wantMode || (warning != "") != c.wantWarning {
-			t.Errorf("parseBatchEnv(%q) = (%d, %q), want (%d, warning %v)",
-				c.batch, mode, warning, c.wantMode, c.wantWarning)
-		}
-		if warning != "" && !strings.Contains(warning, "DECLNET_BATCH") {
-			t.Errorf("parseBatchEnv(%q): warning %q does not name the variable", c.batch, warning)
-		}
-	}
-}
-
 // TestBatchRemoveReAddDifferential interleaves Add/Remove/Add on the
 // instance relations between executions: Remove invalidates the
 // columnar view (watermarked indexes, sorted runs), the next batch

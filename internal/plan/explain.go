@@ -46,7 +46,7 @@ func (p *Plan) explainInto(b *strings.Builder, pin int) {
 	// schedules go columnar above the cardinality threshold (or as the
 	// mode forces), everything else stays tuple-at-a-time.
 	if s.batch {
-		switch batchConfig() {
+		switch batchModeV.Load() {
 		case batchOff:
 			fmt.Fprintf(b, "  pipeline tuple (batch mode off)\n")
 		case batchAlways:

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"declnet/internal/calm"
-	"declnet/internal/channel"
 	"declnet/internal/dist"
 	"declnet/internal/fact"
 	"declnet/internal/network"
@@ -169,19 +168,6 @@ func ParseTopology(spec string) (*network.Network, error) {
 	}
 	return mk(size), nil
 }
-
-// ChannelScenarios returns the recognized channel-model scenario spec
-// templates, sorted.
-func ChannelScenarios() []string { return channel.Names() }
-
-// DescribeChannelScenarios returns "template — description" lines for
-// the channel scenarios, for CLI listings.
-func DescribeChannelScenarios() []string { return channel.Describe() }
-
-// ParseChannel resolves a channel scenario spec ("fair", "lossy:25",
-// "dup:25", "partition:64", "crash:0@40,2@90"); unknown names list
-// the available scenarios.
-func ParseChannel(spec string) (channel.Scenario, error) { return channel.Parse(spec) }
 
 // ParsePartition builds the named partition of I over the network:
 // "roundrobin", "replicate", "first" (everything at the first node),

@@ -213,16 +213,16 @@ func CrashRestart(schedule []CrashEvent) ChannelModel { return ichannel.CrashRes
 
 // ChannelScenarios returns the recognized channel scenario spec
 // templates, sorted.
-func ChannelScenarios() []string { return iregistry.ChannelScenarios() }
+func ChannelScenarios() []string { return ichannel.Names() }
 
 // DescribeChannelScenarios returns "template — description" lines for
 // the channel scenarios, for CLI listings.
-func DescribeChannelScenarios() []string { return iregistry.DescribeChannelScenarios() }
+func DescribeChannelScenarios() []string { return ichannel.Describe() }
 
 // ParseChannel resolves a channel scenario spec ("fair", "lossy:25",
 // "dup:25", "partition:64", "crash:0@40"); unknown names list the
 // available scenarios.
-func ParseChannel(spec string) (ChannelScenario, error) { return iregistry.ParseChannel(spec) }
+func ParseChannel(spec string) (ChannelScenario, error) { return ichannel.Parse(spec) }
 
 // Options configures a run.
 type Options = idist.RunOptions
