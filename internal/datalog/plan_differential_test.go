@@ -116,24 +116,17 @@ func TestExplainPlanPinsAreInStratum(t *testing.T) {
 // per-run interning dictionary.
 func TestDifferentialCorpusPrograms(t *testing.T) {
 	for _, mode := range []string{"auto", "always"} {
-		for _, perRun := range []bool{false, true} {
-			t.Run(mode+"/"+dictName(perRun), func(t *testing.T) {
+		for _, dict := range []string{"default", "per-run"} {
+			t.Run(mode+"/"+dict, func(t *testing.T) {
 				prev, err := plan.SetBatchMode(mode)
 				if err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { _, _ = plan.SetBatchMode(prev) })
-				checkCorpusPrograms(t, perRun)
+				checkCorpusPrograms(t, dict == "per-run")
 			})
 		}
 	}
-}
-
-func dictName(perRun bool) string {
-	if perRun {
-		return "per-run"
-	}
-	return "default"
 }
 
 // checkCorpusPrograms runs the corpus harness on random EDBs —

@@ -11,13 +11,17 @@ package dist
 // the auto pipeline and the dirty set) exactly: final configuration,
 // counters, output, and — under the dirty set — the probe count.
 //
-// The committed table covers every pair of axis values (pinned by
-// TestDifferentialMatrixCoversAllPairs) over the whole zoo, and
+// Every row of the committed pairwise table runs over the whole zoo,
+// once to quiescence and once cut at the step budget, so every pair of
+// axis values occurs in a cell and every pair of the five non-budget
+// axes in an uncut one (pinned by TestDifferentialMatrixCoversAllPairs).
 // transitiveClosure and firstElement run the full product.
 
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"declnet/internal/fact"
@@ -27,18 +31,25 @@ import (
 
 // cfg is one execution configuration: a value on every axis.
 type cfg struct {
+	axes
+	cut bool // MaxSteps = 2·|N| instead of running to quiescence
+}
+
+// axes are the five configuration axes besides the step budget.
+type axes struct {
 	workers int    // 0: sequential scheduler; > 0: parallel rounds on that many workers
 	channel string // channel spec (RunOptions.Channel); "" binds no model
 	perRun  bool   // a fresh per-run interning dictionary (RunOptions.Dict)
 	batch   string // plan pipeline mode: "auto", "off" or "always"
 	sweep   bool   // full probe sweep instead of the dirty set
-	cut     bool   // MaxSteps = 2·|N| instead of running to quiescence
 }
 
-// The axes and their values.
+// The axes and their values. The crash schedule hits node 1 once
+// inside every budget (2·|N| ≥ 4 steps on the multi-node entries) and
+// once after it, so cut cells crash a node too.
 var (
 	runtimeAxis = []int{0, 1, 2, 4, 8}
-	channelAxis = []string{"", "fair", "lossy:30", "dup:30", "partition:12", "crash:1@10"}
+	channelAxis = []string{"", "fair", "lossy:30", "dup:30", "partition:12", "crash:1@3,1@10"}
 	batchAxis   = []string{"auto", "off", "always"}
 	boolAxis    = []bool{false, true}
 	axisNames   = [...]string{"workers", "channel", "perRun", "batch", "sweep", "cut"}
@@ -60,7 +71,7 @@ func (c cfg) String() string {
 // ref is the cell's reference configuration. Channel "fair" must
 // reproduce the unbound channel, so its reference binds no model.
 func (c cfg) ref() cfg {
-	r := cfg{channel: c.channel, batch: "auto", cut: c.cut}
+	r := cfg{axes: axes{channel: c.channel, batch: "auto"}, cut: c.cut}
 	if c.workers > 0 {
 		r.workers = 1
 	}
@@ -70,40 +81,61 @@ func (c cfg) ref() cfg {
 	return r
 }
 
-// pairwiseCells is the committed covering table: every pair of axis
-// values occurs in some row.
-var pairwiseCells = []cfg{
-	// workers, channel, perRun, batch, sweep, cut
-	{0, "", false, "always", true, true},
-	{0, "fair", true, "off", false, true},
-	{0, "lossy:30", false, "always", false, true},
-	{0, "dup:30", false, "auto", false, false},
-	{0, "partition:12", false, "off", false, true},
-	{0, "crash:1@10", false, "off", false, false},
-	{1, "", false, "off", true, true},
-	{1, "fair", true, "always", false, true},
-	{1, "lossy:30", false, "off", true, false},
-	{1, "dup:30", true, "off", true, true},
-	{1, "partition:12", false, "auto", true, false},
-	{1, "crash:1@10", false, "always", true, false},
-	{2, "", false, "auto", true, false},
-	{2, "fair", false, "always", true, false},
-	{2, "lossy:30", true, "always", false, true},
-	{2, "dup:30", true, "auto", true, false},
-	{2, "partition:12", false, "off", false, false},
-	{2, "crash:1@10", false, "auto", false, true},
-	{4, "", true, "always", true, true},
-	{4, "fair", true, "off", false, false},
-	{4, "lossy:30", false, "always", false, false},
-	{4, "dup:30", false, "off", false, false},
-	{4, "partition:12", true, "always", false, true},
-	{4, "crash:1@10", true, "auto", false, false},
-	{8, "", false, "off", false, true},
-	{8, "fair", false, "auto", true, false},
-	{8, "lossy:30", false, "auto", true, true},
-	{8, "dup:30", false, "always", true, false},
-	{8, "partition:12", true, "off", true, true},
-	{8, "crash:1@10", false, "auto", false, true},
+// pairwiseRows is the committed covering table over the five
+// non-budget axes: every pair of their values occurs in some row.
+var pairwiseRows = []axes{
+	// workers, channel, perRun, batch, sweep
+	{0, "", false, "always", true},
+	{0, "fair", true, "off", false},
+	{0, "lossy:30", false, "always", false},
+	{0, "dup:30", false, "auto", false},
+	{0, "partition:12", false, "off", false},
+	{0, "crash:1@3,1@10", false, "off", false},
+	{1, "", false, "off", true},
+	{1, "fair", true, "always", false},
+	{1, "lossy:30", false, "off", true},
+	{1, "dup:30", true, "off", true},
+	{1, "partition:12", false, "auto", true},
+	{1, "crash:1@3,1@10", false, "always", true},
+	{2, "", false, "auto", true},
+	{2, "fair", false, "always", true},
+	{2, "lossy:30", true, "always", false},
+	{2, "dup:30", true, "auto", true},
+	{2, "partition:12", false, "off", false},
+	{2, "crash:1@3,1@10", false, "auto", false},
+	{4, "", true, "always", true},
+	{4, "fair", true, "off", false},
+	{4, "lossy:30", false, "always", false},
+	{4, "dup:30", false, "off", false},
+	{4, "partition:12", true, "always", false},
+	{4, "crash:1@3,1@10", true, "auto", false},
+	{8, "", false, "off", false},
+	{8, "fair", false, "auto", true},
+	{8, "lossy:30", false, "auto", true},
+	{8, "dup:30", false, "always", true},
+	{8, "partition:12", true, "off", true},
+	{8, "crash:1@3,1@10", false, "auto", false},
+}
+
+// pairwiseCells runs every row both to quiescence and cut at the
+// budget, so every pair of axis values occurs in an uncut cell and the
+// cut cells repeat them. The cells' references run as ordinary cells
+// too: a rerun must reproduce the reference bit for bit.
+func pairwiseCells() []cfg {
+	seen := map[cfg]bool{}
+	var cells []cfg
+	for _, r := range pairwiseRows {
+		for _, cut := range boolAxis {
+			c := cfg{r, cut}
+			for _, d := range []cfg{c, c.ref()} {
+				if !seen[d] {
+					seen[d] = true
+					cells = append(cells, d)
+				}
+			}
+		}
+	}
+	return cells
 }
 
 // productCells is every configuration.
@@ -115,7 +147,7 @@ func productCells() []cfg {
 				for _, b := range batchAxis {
 					for _, sweep := range boolAxis {
 						for _, cut := range boolAxis {
-							cells = append(cells, cfg{w, ch, perRun, b, sweep, cut})
+							cells = append(cells, cfg{axes{w, ch, perRun, b, sweep}, cut})
 						}
 					}
 				}
@@ -125,45 +157,56 @@ func productCells() []cfg {
 	return cells
 }
 
-// withRefs appends the references of the cells, so reference
-// configurations also run as ordinary cells: a rerun must reproduce
-// the reference bit for bit.
-func withRefs(cells []cfg) []cfg {
-	seen := map[cfg]bool{}
-	for _, c := range cells {
-		seen[c] = true
-	}
-	out := append([]cfg(nil), cells...)
-	for _, c := range cells {
-		if r := c.ref(); !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
-	return out
+// views are the per-axis tests the matrix replaced. They keep their
+// names and split the pairwise cells between them: a view owns the
+// cells whose named axis leaves the reference value and that no
+// earlier view owns. Every pairwise cell leaves its reference on some
+// axis or is one, so the views run the pairwise table once over;
+// TestDifferentialMatrix runs the rest of the full product.
+var views = []struct {
+	name string
+	owns func(cfg) bool
+}{
+	{"TestScenarioFairBitIdentical", func(c cfg) bool { return c.channel == "fair" }},
+	{"TestScenarioDeterministic", func(c cfg) bool { return c == c.ref() }}, // reruns
+	{"TestDifferentialPerRunDict", func(c cfg) bool { return c.perRun }},
+	{"TestDifferentialDirtySetOnOff", func(c cfg) bool { return c.sweep }},
+	{"TestDifferentialColumnarParallelWorkers", func(c cfg) bool { return c.batch != "auto" && c.workers > 1 }},
+	{"TestDifferentialColumnarRunEquivalence", func(c cfg) bool { return c.batch != "auto" }},
+	{"TestDifferentialParallelWorkers", func(c cfg) bool { return c.workers > 1 }},
 }
 
-// matrixCells is the table one example runs: the full product on the
-// two entries that carry it, the pairwise table on the rest.
+// owner is the name of the view that owns pairwise cell c.
+func owner(c cfg) string {
+	for _, v := range views {
+		if v.owns(c) {
+			return v.name
+		}
+	}
+	return ""
+}
+
+// matrixCells is what TestDifferentialMatrix runs of an example: the
+// full product (references included) on the two entries that carry
+// it, less the pairwise cells the views run.
 func matrixCells(e diffExample) []cfg {
-	if e.name == "transitiveClosure" || e.name == "firstElement" {
-		return withRefs(productCells())
+	if e.name != "transitiveClosure" && e.name != "firstElement" {
+		return nil
 	}
-	return withRefs(pairwiseCells)
+	inViews := map[cfg]bool{}
+	for _, c := range pairwiseCells() {
+		inViews[c] = true
+	}
+	return slices.DeleteFunc(productCells(), func(c cfg) bool { return inViews[c] })
 }
 
-// pairwiseWhere selects the pairwise cells (and references) keep
-// accepts.
-func pairwiseWhere(keep func(cfg) bool) func(diffExample) []cfg {
-	return func(diffExample) []cfg {
-		var out []cfg
-		for _, c := range withRefs(pairwiseCells) {
-			if keep(c) {
-				out = append(out, c)
-			}
-		}
-		return out
+// testView runs the pairwise cells the calling view owns.
+func testView(t *testing.T) {
+	cells := slices.DeleteFunc(pairwiseCells(), func(c cfg) bool { return owner(c) != t.Name() })
+	if len(cells) == 0 {
+		t.Fatalf("%s owns no pairwise cell", t.Name())
 	}
+	testMatrix(t, func(diffExample) []cfg { return cells })
 }
 
 // cellRun is what a cell's run leaves to compare.
@@ -172,6 +215,7 @@ type cellRun struct {
 	probes    int64
 	quiescent bool
 	steps     int
+	crashes   int
 	out       *fact.Relation
 }
 
@@ -209,7 +253,7 @@ func runCell(e diffExample, c cfg) (cellRun, error) {
 		return cellRun{}, errors.New("output left the per-run dictionary")
 	}
 	return cellRun{fp: dirtyFingerprint(sim, res), probes: sim.ProbeCount(),
-		quiescent: res.Quiescent, steps: res.Steps, out: res.Output}, nil
+		quiescent: res.Quiescent, steps: res.Steps, crashes: sim.Crashes, out: res.Output}, nil
 }
 
 // dirtyFingerprint captures everything observable about a finished
@@ -225,23 +269,18 @@ func dirtyFingerprint(s *network.Sim, res network.RunResult) string {
 	return out
 }
 
-type refKey struct {
-	example string
-	c       cfg
-}
-
 type refRun struct {
 	run cellRun
 	err error
 }
 
-// refRuns memoizes reference runs across the matrix tests; each cell
-// still runs afresh, so a reference cell is compared with an
-// independent rerun.
-var refRuns = map[refKey]refRun{}
+// refRuns memoizes reference runs, by example and configuration,
+// across the matrix tests; each cell still runs afresh, so a reference
+// cell is compared with an independent rerun.
+var refRuns = map[string]refRun{}
 
 func reference(e diffExample, c cfg) (cellRun, error) {
-	k := refKey{e.name, c}
+	k := e.name + " " + c.String()
 	r, ok := refRuns[k]
 	if !ok {
 		r.run, r.err = runCell(e, c)
@@ -282,11 +321,11 @@ func testMatrix(t *testing.T, cellsOf func(diffExample) []cfg) {
 			if !e.consistent {
 				return
 			}
-			seq, err := reference(e, cfg{batch: "auto"})
+			seq, err := reference(e, cfg{axes: axes{batch: "auto"}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := reference(e, cfg{workers: 1, batch: "auto"})
+			par, err := reference(e, cfg{axes: axes{workers: 1, batch: "auto"}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -300,7 +339,7 @@ func testMatrix(t *testing.T, cellsOf func(diffExample) []cfg) {
 // checkCut: a run cut at MaxSteps = 2·|N| reports Quiescent=false
 // after exactly the budget, in both runtime families — unless the
 // uncut run quiesced within the budget, which the cut must then
-// reproduce.
+// reproduce. A crash channel's in-budget event must have landed.
 func checkCut(t *testing.T, e diffExample, c cfg, got cellRun) {
 	t.Helper()
 	budget := 2 * e.net.Size()
@@ -317,19 +356,25 @@ func checkCut(t *testing.T, e diffExample, c cfg, got cellRun) {
 	case got.quiescent || got.steps != budget:
 		t.Errorf("%v: cut reported quiescent=%v after %d steps, want false after %d",
 			c, got.quiescent, got.steps, budget)
+	case strings.HasPrefix(c.channel, "crash") && got.crashes == 0:
+		t.Errorf("%v: cut after %d steps with no crash", c, got.steps)
 	}
 }
 
-// TestDifferentialMatrix runs the whole configuration matrix.
+// TestDifferentialMatrix runs the full product its views leave, and
+// checks parallel against sequential output on every consistent entry.
 func TestDifferentialMatrix(t *testing.T) { testMatrix(t, matrixCells) }
 
-// TestDifferentialMatrixCoversAllPairs: the committed table covers
-// every pair of axis values, so an edit cannot quietly drop one.
+// TestDifferentialMatrixCoversAllPairs: the pairwise cells cover every
+// pair of axis values, every pair of the five non-budget axes in a
+// cell that runs to quiescence, and each belongs to a view, so an edit
+// cannot quietly drop a pair.
 func TestDifferentialMatrixCoversAllPairs(t *testing.T) {
 	type pair struct {
 		i, j int
 		a, b string
 	}
+	budgetAxis := len(axisNames) - 1
 	pairs := func(c cfg, visit func(pair)) {
 		v := c.values()
 		for i := range v {
@@ -338,49 +383,35 @@ func TestDifferentialMatrixCoversAllPairs(t *testing.T) {
 			}
 		}
 	}
-	covered := map[pair]bool{}
-	for _, c := range pairwiseCells {
-		pairs(c, func(p pair) { covered[p] = true })
+	covered, uncut := map[pair]bool{}, map[pair]bool{}
+	for _, c := range pairwiseCells() {
+		pairs(c, func(p pair) {
+			covered[p] = true
+			uncut[p] = uncut[p] || !c.cut
+		})
+		if owner(c) == "" {
+			t.Errorf("no view runs %v", c)
+		}
 	}
 	for _, c := range productCells() {
 		pairs(c, func(p pair) {
-			if !covered[p] {
-				covered[p] = true // report once
+			switch {
+			case !covered[p]:
 				t.Errorf("no cell has %s=%s and %s=%s", axisNames[p.i], p.a, axisNames[p.j], p.b)
+			case p.j != budgetAxis && !uncut[p]:
+				t.Errorf("no uncut cell has %s=%s and %s=%s", axisNames[p.i], p.a, axisNames[p.j], p.b)
 			}
+			covered[p], uncut[p] = true, true // report once
 		})
 	}
 }
 
-// The per-axis harnesses the matrix replaced keep their names as
-// -run selectors over its pairwise table: each runs the cells whose
-// named axis leaves the reference value.
+// The views: the per-axis tests the matrix replaced, by name.
 
-func TestDifferentialPerRunDict(t *testing.T) {
-	testMatrix(t, pairwiseWhere(func(c cfg) bool { return c.perRun }))
-}
-
-func TestDifferentialDirtySetOnOff(t *testing.T) {
-	testMatrix(t, pairwiseWhere(func(c cfg) bool { return c.sweep }))
-}
-
-func TestDifferentialParallelWorkers(t *testing.T) {
-	testMatrix(t, pairwiseWhere(func(c cfg) bool { return c.workers > 1 }))
-}
-
-func TestDifferentialColumnarRunEquivalence(t *testing.T) {
-	testMatrix(t, pairwiseWhere(func(c cfg) bool { return c.batch != "auto" }))
-}
-
-func TestDifferentialColumnarParallelWorkers(t *testing.T) {
-	testMatrix(t, pairwiseWhere(func(c cfg) bool { return c.batch != "auto" && c.workers > 1 }))
-}
-
-func TestScenarioFairBitIdentical(t *testing.T) {
-	testMatrix(t, pairwiseWhere(func(c cfg) bool { return c.channel == "fair" }))
-}
-
-// TestScenarioDeterministic reruns every reference configuration.
-func TestScenarioDeterministic(t *testing.T) {
-	testMatrix(t, pairwiseWhere(func(c cfg) bool { return c == c.ref() }))
-}
+func TestScenarioFairBitIdentical(t *testing.T)            { testView(t) }
+func TestScenarioDeterministic(t *testing.T)               { testView(t) }
+func TestDifferentialPerRunDict(t *testing.T)              { testView(t) }
+func TestDifferentialDirtySetOnOff(t *testing.T)           { testView(t) }
+func TestDifferentialColumnarParallelWorkers(t *testing.T) { testView(t) }
+func TestDifferentialColumnarRunEquivalence(t *testing.T)  { testView(t) }
+func TestDifferentialParallelWorkers(t *testing.T)         { testView(t) }

@@ -143,24 +143,17 @@ func randomInstanceFor(rng *rand.Rand, q *Query, vals []fact.Value) *fact.Instan
 // per-run interning dictionary.
 func TestDifferentialCorpusQueries(t *testing.T) {
 	for _, mode := range []string{"auto", "always"} {
-		for _, perRun := range []bool{false, true} {
-			t.Run(mode+"/"+dictName(perRun), func(t *testing.T) {
+		for _, dict := range []string{"default", "per-run"} {
+			t.Run(mode+"/"+dict, func(t *testing.T) {
 				prev, err := plan.SetBatchMode(mode)
 				if err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { _, _ = plan.SetBatchMode(prev) })
-				checkCorpusQueries(t, perRun)
+				checkCorpusQueries(t, dict == "per-run")
 			})
 		}
 	}
-}
-
-func dictName(perRun bool) string {
-	if perRun {
-		return "per-run"
-	}
-	return "default"
 }
 
 // checkCorpusQueries runs the corpus harness on random instances —
