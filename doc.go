@@ -79,7 +79,14 @@
 // code working unchanged, NewDict mints a private ID space whose
 // whole universe is reclaimed when the last handle is dropped, Rekey
 // re-encodes across dictionaries, and mixing dictionaries in a
-// mutating set operation is a checked error.
+// mutating set operation (or between a plan execution's full and
+// delta instances) is a checked error. A dictionary crossing — Rekey,
+// a cross-dictionary Equal or SubsetOf, the ingress of a run over its
+// own dictionary — translates each distinct source ID once through a
+// per-call table shared by every relation and fragment of the call;
+// the table is never larger than the value slots it translates (a
+// dense slice over the source ID space only when that space is no
+// larger, else a map), and IDs are assigned in a reproducible order.
 //
 // # The compiled query-plan layer
 //

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -67,6 +68,35 @@ func TestRunToQuiescenceComputesTC(t *testing.T) {
 		}
 		if !out.Equal(want) {
 			t.Errorf("%s: out = %v, want %v", name, out, want)
+		}
+	}
+}
+
+// TestNewSimIngressRekeyReproducible: two per-run-dictionary sims over
+// one partition assign every value the same ID — the ingress rekey
+// walks fragments in node order, not partition-map order.
+func TestNewSimIngressRekeyReproducible(t *testing.T) {
+	I := fact.NewInstance()
+	for k := 0; k < 40; k++ {
+		I.AddFact(f("S", fact.Value(fmt.Sprintf("ing%d", k*7%40)), fact.Value(fmt.Sprintf("ing%d", k*11%40))))
+	}
+	net := network.Ring(6)
+	p := RandomSplit(I, net, 3)
+	for trial := 0; trial < 10; trial++ {
+		var dicts [2]*fact.Dict
+		for j := range dicts {
+			dicts[j] = fact.NewDict()
+			if _, err := NewSim(net, TransitiveClosure(), p, RunOptions{Seed: 1, Dict: dicts[j]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if dicts[0].Len() != dicts[1].Len() {
+			t.Fatalf("trial %d: the sims interned %d and %d values", trial, dicts[0].Len(), dicts[1].Len())
+		}
+		for _, v := range append(I.ActiveDomain(), net.Nodes()...) {
+			if a, b := dicts[0].Intern(v), dicts[1].Intern(v); a != b {
+				t.Fatalf("trial %d: %s has ID %d in one run's dictionary and %d in the other's", trial, v, a, b)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -78,14 +79,31 @@ func NewSim(net *network.Network, tr *transducer.Transducer, p Partition, opt Ru
 		// Ingress rekey: fragments built against any dictionary
 		// (typically the process default) are re-encoded into the
 		// per-run one, so the whole run universe lives — and dies —
-		// with opt.Dict.
+		// with opt.Dict. One RekeyInstances call over the fragments
+		// with facts, in node order, resolves each value once however
+		// many fragments hold it and assigns the run's IDs
+		// reproducibly; fragments without facts intern nothing, so
+		// their order does not matter.
 		rekeyed := make(Partition, len(p))
+		var nodes []fact.Value
 		for v, h := range p {
-			if h != nil && h.Dict() != opt.Dict {
-				rekeyed[v] = h.Rekey(opt.Dict)
-			} else {
+			switch {
+			case h == nil || h.Dict() == opt.Dict:
 				rekeyed[v] = h
+			case h.Empty():
+				rekeyed[v] = h.Rekey(opt.Dict)
+			default:
+				nodes = append(nodes, v)
 			}
+		}
+		slices.Sort(nodes)
+		frags := make([]*fact.Instance, len(nodes))
+		for j, v := range nodes {
+			frags[j] = p[v]
+		}
+		fact.RekeyInstances(opt.Dict, frags)
+		for j, v := range nodes {
+			rekeyed[v] = frags[j]
 		}
 		p = rekeyed
 	}

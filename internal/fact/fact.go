@@ -465,27 +465,21 @@ func (r *Relation) Clone() *Relation {
 	}
 }
 
-// Rekey re-encodes the relation into the destination dictionary: every
-// stored tuple's values are re-interned through dst and the packed
-// keys rebuilt. It is the sanctioned path across dictionary
-// boundaries — serialization rendezvous, moving a per-run result into
-// a longer-lived dictionary — and it round-trips bit-identically:
-// rekeying back into the original dictionary reproduces the original
-// packed keys, because interning is idempotent per dictionary. A
-// same-dictionary Rekey degenerates to Clone.
+// Rekey re-encodes the relation into the destination dictionary: the
+// packed keys are rebuilt by translating each distinct value ID of
+// r's dictionary into dst once (see idMap). It is the sanctioned path
+// across dictionary boundaries — serialization rendezvous, moving a
+// per-run result into a longer-lived dictionary — and it round-trips
+// bit-identically: rekeying back into the original dictionary
+// reproduces the original packed keys, because interning is
+// idempotent per dictionary. A same-dictionary Rekey degenerates to
+// Clone.
 func (r *Relation) Rekey(dst *Dict) *Relation {
 	if dst == r.dict {
 		return r.Clone()
 	}
-	// Interning is injective in both dictionaries, so distinct stored
-	// tuples get distinct keys: rows go in without a membership probe,
-	// into a store sized up front.
-	out := &Relation{dict: dst, arity: r.arity, keys: make([]byte, 0, len(r.keys)), rows: slices.Clone(r.rows)}
-	for _, t := range r.rows {
-		out.keys = dst.packTuple(out.keys, t)
-	}
-	out.placeFrom(0)
-	return out
+	m := newIDMap(r.dict, dst, len(r.keys)/4, true)
+	return r.rekeyVia(&m, dst)
 }
 
 // Seal pre-builds every lazily memoized read structure of the
@@ -603,14 +597,22 @@ func (r *Relation) SubsetOf(s *Relation) bool {
 }
 
 // subsetRekeyed is the cross-dictionary membership sweep: each of r's
-// stored tuples is re-encoded under s's dictionary (lookup-only — a
-// value never interned in s's dictionary proves absence) and probed
-// against s's keys.
+// stored keys is translated ID by ID into s's dictionary (lookup-only —
+// a value never interned in s's dictionary proves absence) and probed
+// against s's keys. The table resolves each distinct value once.
 func (r *Relation) subsetRekeyed(s *Relation) bool {
+	m := newIDMap(r.dict, s.dict, len(r.keys)/4, false)
 	var scratch [64]byte
-	for _, t := range r.rows {
-		k, ok := s.dict.packTupleLookup(scratch[:0], t)
-		if !ok || s.find(k) < 0 {
+	for i := range r.rows {
+		k := scratch[:0]
+		for c := 0; c < r.arity; c++ {
+			id, ok := m.get(r.rowID(i, c))
+			if !ok {
+				return false
+			}
+			k = binary.BigEndian.AppendUint32(k, id)
+		}
+		if s.find(k) < 0 {
 			return false
 		}
 	}

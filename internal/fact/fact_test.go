@@ -189,6 +189,37 @@ func TestInstanceUnionSubsetEqual(t *testing.T) {
 	}
 }
 
+// TestInstanceEqualOneSidedRelations: a relation present on one side
+// only decides Equal by its emptiness alone, in both directions, over
+// one dictionary and across two.
+func TestInstanceEqualOneSidedRelations(t *testing.T) {
+	for _, cross := range []bool{false, true} {
+		other := DefaultDict()
+		if cross {
+			other = NewDict()
+		}
+		base := FromFacts(NewFact("R", "x", "y"))
+		same := other.FromFacts(NewFact("R", "x", "y"))
+		extra := other.FromFacts(NewFact("R", "x", "y"), NewFact("S", "z"))
+		if base.Equal(extra) || extra.Equal(base) {
+			t.Errorf("cross=%v: a nonempty relation on one side only compared equal", cross)
+		}
+		emptyS := other.FromFacts(NewFact("R", "x", "y"))
+		emptyS.SetRelationOwned("S", other.NewRelation(1))
+		if !base.Equal(emptyS) || !emptyS.Equal(base) {
+			t.Errorf("cross=%v: an empty relation vs an absent one compared unequal", cross)
+		}
+		if !same.Equal(base) || !base.Equal(same) {
+			t.Errorf("cross=%v: equal instances compared unequal", cross)
+		}
+		// Same names, different contents: the shared relation decides.
+		diff := other.FromFacts(NewFact("R", "x", "z"))
+		if base.Equal(diff) || diff.Equal(base) {
+			t.Errorf("cross=%v: differing shared relations compared equal", cross)
+		}
+	}
+}
+
 func TestInstanceActiveDomain(t *testing.T) {
 	i := FromFacts(NewFact("R", "b", "a"), NewFact("S", "c"))
 	got := i.ActiveDomain()

@@ -160,6 +160,17 @@ func (d *Dict) value(id uint32) Value {
 	return (*sh.vals.Load())[id>>d.shardBits]
 }
 
+// idSpace returns one past the largest ID d has assigned so far: an
+// ID is slot<<shardBits | shard, so the space spans the fullest
+// shard's slots times the shard count.
+func (d *Dict) idSpace() int {
+	n := 0
+	for i := range d.shards {
+		n = max(n, len(*d.shards[i].vals.Load()))
+	}
+	return n << d.shardBits
+}
+
 // Len reports the number of values interned in d (a coarse gauge of
 // the dictionary's universe; exported for diagnostics, the reclaim
 // tests and the E21 benchmarks).

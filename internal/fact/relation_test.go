@@ -454,7 +454,8 @@ func TestSealedRelationParallelReads(t *testing.T) {
 }
 
 // BenchmarkRelation measures the row store's hot operations at sizes
-// below the linear-scan threshold, just past it, and large. Run with
+// below the linear-scan threshold, just past it, and large, including
+// both dictionary crossings (Rekey, cross-dictionary Equal). Run with
 // -benchmem: allocations per op are part of the point.
 func BenchmarkRelation(b *testing.B) {
 	for _, n := range []int{2, 16, 10000} {
@@ -499,10 +500,24 @@ func BenchmarkRelation(b *testing.B) {
 				r.UnionWith(full)
 			}
 		})
+		// Rekey reuses one destination, so after the first op it times
+		// the intern-hit path; RekeyFresh interns every value anew
+		// (the fresh dictionary's construction included).
 		b.Run(fmt.Sprintf("Rekey/n=%d", n), func(b *testing.B) {
 			d := NewDict()
 			for b.Loop() {
 				full.Rekey(d)
+			}
+		})
+		b.Run(fmt.Sprintf("RekeyFresh/n=%d", n), func(b *testing.B) {
+			for b.Loop() {
+				full.Rekey(NewDict())
+			}
+		})
+		b.Run(fmt.Sprintf("EqualCrossDict/n=%d", n), func(b *testing.B) {
+			other := full.Rekey(NewDict())
+			for b.Loop() {
+				full.Equal(other)
 			}
 		})
 	}

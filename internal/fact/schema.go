@@ -132,14 +132,13 @@ func (d *Dict) FromFacts(facts ...Fact) *Instance {
 // derived relation and instance must be built over.
 func (i *Instance) Dict() *Dict { return i.dict }
 
-// Rekey re-encodes the instance into the destination dictionary (see
-// Relation.Rekey). A same-dictionary Rekey degenerates to Clone.
+// Rekey re-encodes the instance into the destination dictionary: the
+// one-instance case of RekeyInstances, so one translation table serves
+// all its relations. A same-dictionary Rekey degenerates to Clone.
 func (i *Instance) Rekey(dst *Dict) *Instance {
-	out := dst.NewInstance()
-	for n, r := range i.rels {
-		out.rels[n] = r.Rekey(dst)
-	}
-	return out
+	ins := [1]*Instance{i}
+	RekeyInstances(dst, ins[:])
+	return ins[0]
 }
 
 // Relation returns the relation stored under rel, or nil if absent.
@@ -333,8 +332,10 @@ func (i *Instance) Equal(o *Instance) bool {
 			return false
 		}
 	}
+	// Relations both sides hold were compared above; what remains is
+	// that o holds no facts under a name i lacks.
 	for n, r := range o.rels {
-		if !r.Equal(i.RelationOr(n, r.Arity())) {
+		if _, ok := i.rels[n]; !ok && r.Len() > 0 {
 			return false
 		}
 	}

@@ -156,6 +156,37 @@ func TestDifferentialCorpusQueries(t *testing.T) {
 	}
 }
 
+// TestEvalDeltaMixedDictionaryError: EvalDelta with full in a per-run
+// dictionary and delta in the default one is rejected before a
+// pipeline is picked, so the tuple and the batch pipeline return the
+// same error, and it names Rekey.
+func TestEvalDeltaMixedDictionaryError(t *testing.T) {
+	q := MustQuery("path", []string{"x", "y", "z"}, AndF(AtomF("S", "x", "y"), AtomF("S", "y", "z")))
+	full := fact.FromFacts(fact.NewFact("S", "a", "b"), fact.NewFact("S", "b", "c")).Rekey(fact.NewDict())
+	delta := fact.FromFacts(fact.NewFact("S", "c", "d"))
+	var errs []string
+	for _, mode := range []string{"off", "always"} {
+		prev, err := plan.SetBatchMode(mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = q.EvalDelta(full, delta)
+		_, _ = plan.SetBatchMode(prev)
+		if err == nil || !strings.Contains(err.Error(), "Rekey") {
+			t.Fatalf("batch mode %s: err = %v, want an error naming Rekey", mode, err)
+		}
+		errs = append(errs, err.Error())
+	}
+	if errs[0] != errs[1] {
+		t.Fatalf("pipelines disagree on mixed dictionaries: %q vs %q", errs[0], errs[1])
+	}
+	// The same call with delta built in full's dictionary answers.
+	got, err := q.EvalDelta(full, delta.Rekey(full.Dict()))
+	if err != nil || !got.Contains(fact.Tuple{"b", "c", "d"}) {
+		t.Fatalf("same-dictionary EvalDelta = %v, %v; want (b,c,d) among the answers", got, err)
+	}
+}
+
 // checkCorpusQueries runs the corpus harness on random instances —
 // rekeyed into a fresh per-run dictionary when perRun is set, whose
 // answers must then stay in that dictionary and equal the

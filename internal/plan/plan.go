@@ -286,8 +286,15 @@ func (p *Plan) peekSched(pin int) (*schedule, error) {
 // when the spec has none). Result tuples are added to out: a plain
 // relation, or a delta staging sink (fact.Delta.Sink) so semi-naive
 // round drivers receive whole column slabs from the batch pipeline
-// without an intermediate head relation.
+// without an intermediate head relation. full and a non-nil delta
+// must be over one dictionary; a mix is an error naming Rekey,
+// returned before either pipeline is picked so that both reject it
+// alike (the batch kernel joins packed IDs, which only compare within
+// one dictionary).
 func (p *Plan) Run(full, delta *fact.Instance, pin int, args []fact.Value, guard GuardFunc, out fact.Sink) error {
+	if delta != nil && delta.Dict() != full.Dict() {
+		return fmt.Errorf("plan %s: full and delta are interned in different dictionaries (re-encode delta into full's with Rekey)", p.spec.Name)
+	}
 	src := source{full: full, delta: delta, pin: pin}
 	s, err := p.sched(pin, &src)
 	if err != nil {
