@@ -21,6 +21,7 @@ import (
 	"declnet/datalog"
 	"declnet/dedalus"
 	"declnet/fo"
+	"declnet/internal/fact"
 	"declnet/internal/gen"
 	"declnet/internal/plan"
 	"declnet/run"
@@ -1080,8 +1081,8 @@ func heapInUse() uint64 {
 //   - e2e_project/shards=S: an intern-bound end-to-end run — a large
 //     two-way functional-graph join through the columnar batch
 //     pipeline, inputs rekeyed into a fresh per-run dictionary each
-//     iteration, so every input value and every surviving arena key
-//     of the ProjectInto output is freshly interned. Single-threaded:
+//     iteration, so every input value and every surviving
+//     ProjectInto output key is freshly interned. Single-threaded:
 //     this leg bounds the sequential overhead sharding may add.
 //   - reclaim: the memory-lifetime half of the tentpole, as metrics:
 //     live_bytes (heap growth while a 100k-value per-run dictionary
@@ -1094,7 +1095,7 @@ func BenchmarkE21Intern(b *testing.B) {
 		for _, procs := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("throughput/shards=%d/procs=%d", shards, procs), func(b *testing.B) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				d := declnet.NewDictShards(shards)
+				d := fact.NewDictShards(shards)
 				var worker atomic.Int64
 				b.ResetTimer()
 				b.RunParallel(func(pb *testing.PB) {
@@ -1125,7 +1126,7 @@ func BenchmarkE21Intern(b *testing.B) {
 		b.Run(fmt.Sprintf("e2e_project/shards=%d/n=%d", shards, e2eN), func(b *testing.B) {
 			var out int
 			for i := 0; i < b.N; i++ {
-				d := declnet.NewDictShards(shards)
+				d := fact.NewDictShards(shards)
 				J := I.Rekey(d)
 				res, err := pairs.Eval(J)
 				if err != nil || res.Len() == 0 {

@@ -43,10 +43,6 @@ type Dict = fact.Dict
 // default shard count.
 func NewDict() *Dict { return fact.NewDict() }
 
-// NewDictShards is NewDict with an explicit shard count (rounded up
-// to a power of two; 1 reproduces the historical single-lock design).
-func NewDictShards(n int) *Dict { return fact.NewDictShards(n) }
-
 // DefaultDict returns the process-default interning dictionary — the
 // one behind the package-level constructors and Intern.
 func DefaultDict() *Dict { return fact.DefaultDict() }

@@ -117,10 +117,9 @@
 // filters (residual (in)equalities lower to column-pass filter ops,
 // not per-row guard hooks), and a batch output append that
 // deduplicates whole column slabs against the destination relation
-// before allocating anything: slab radix-sorted, duplicates dropped
-// against the relation's whole-row run or by hash probes, survivors
-// appended through one byte arena (fact.Sink — also the staging path
-// of semi-naive delta rounds). The
+// before allocating anything: each row probes the relation's row
+// store under one reused scratch key, and only new rows are stored
+// (fact.Sink — also the staging path of semi-naive delta rounds). The
 // pipeline engages per execution by a cardinality threshold (4096
 // tuples; plan.SetBatchMode pins "auto"/"off"/"always" for
 // benchmarks and tests), so small inputs keep the

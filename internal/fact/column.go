@@ -1,9 +1,6 @@
 package fact
 
-import (
-	"encoding/binary"
-	"sort"
-)
+import "encoding/binary"
 
 // This file is the columnar half of the kernel: a per-relation view
 // that transposes the row-major key slab (see Relation) into
@@ -13,11 +10,12 @@ import (
 // these vectors instead of walking the stored tuples one at a time.
 //
 // The view is memoized on the Relation and maintained incrementally:
-// addKeyed and insertRows append the new rows' IDs to every column,
-// and the runs and indexes carry watermarks so they extend (indexes)
-// or rebuild (runs) only over the appended tail on next access. Remove
-// drops the view, exactly like the per-column tuple indexes — deletion
-// is rare in the paper's inflationary transducers.
+// addKeyed appends each new row's IDs to every column, and the runs
+// and indexes carry watermarks so they extend (indexes) or rebuild
+// (runs) only over the appended tail on next access. Remove drops the
+// view, exactly like the per-column tuple indexes — deletion is rare
+// in the paper's inflationary transducers. The view serves the batch
+// join alone; output dedup probes the row store (sink.go).
 
 // colview is the columnar decoding of a relation: col[c][row] is the
 // interned ID at column c of the relation's row-th stored tuple, so
@@ -38,18 +36,11 @@ type colview struct {
 	// one radix sort on next access.
 	run  [][]int32
 	runN []int
-
-	// krun, when non-nil, is a permutation of [0,krunN) ordering rows
-	// lexicographically by the whole row (all columns) — the run the
-	// batch output dedup merges sorted candidate batches against.
-	// Rebuilt when stale, invalidated with the rest of the view.
-	krun  []int32
-	krunN int
 }
 
 // columns returns (building on first access) the columnar view of the
 // relation. Like the tuple indexes, the view is memoized in place and
-// maintained by addKeyed and insertRows; Remove invalidates it.
+// maintained by addKeyed; Remove invalidates it.
 func (r *Relation) columns() *colview {
 	if r.cview == nil {
 		n := len(r.rows)
@@ -115,89 +106,6 @@ func (cv *colview) sortedRun(c int) []int32 {
 		cv.runN[c] = cv.n
 	}
 	return cv.run[c]
-}
-
-// keyRun returns the row permutation ordering the whole rows
-// lexicographically by column IDs, rebuilding it when rows were
-// appended since the last access. Duplicate-free relations have no
-// equal neighbors, so a merge against it is a pure presence test.
-func (cv *colview) keyRun() []int32 {
-	if cv.krun == nil || cv.krunN != cv.n {
-		cv.krun = rowSortPerm(cv.col, cv.n)
-		cv.krunN = cv.n
-	}
-	return cv.krun
-}
-
-// rowRadixMin is the row count below which rowSortPerm uses a
-// comparison sort: the radix passes each zero a 2^16-entry counter
-// array, which only pays for itself on large row sets.
-const rowRadixMin = 2048
-
-// rowSortPerm returns a permutation of [0,n) ordering the rows of cols
-// lexicographically (cols[0] most significant). Large row sets use a
-// stable LSD radix sort — per column from least to most significant,
-// two 16-bit digit passes each, skipping the high pass when every ID
-// of that column fits in the low digit.
-func rowSortPerm(cols [][]uint32, n int) []int32 {
-	perm := make([]int32, n)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	if n < 2 || len(cols) == 0 {
-		return perm
-	}
-	if n < rowRadixMin {
-		sort.Slice(perm, func(a, b int) bool {
-			pa, pb := perm[a], perm[b]
-			for _, col := range cols {
-				if col[pa] != col[pb] {
-					return col[pa] < col[pb]
-				}
-			}
-			return false
-		})
-		return perm
-	}
-	tmp := make([]int32, n)
-	count := make([]int32, 1<<16)
-	first := true
-	for c := len(cols) - 1; c >= 0; c-- {
-		keys := cols[c]
-		var maxKey uint32
-		for _, k := range keys[:n] {
-			if k > maxKey {
-				maxKey = k
-			}
-		}
-		for shift := 0; shift < 32; shift += 16 {
-			if shift > 0 && maxKey>>shift == 0 {
-				break
-			}
-			if !first {
-				for i := range count {
-					count[i] = 0
-				}
-			}
-			first = false
-			for _, p := range perm {
-				count[(keys[p]>>shift)&0xffff]++
-			}
-			sum := int32(0)
-			for i := range count {
-				cnt := count[i]
-				count[i] = sum
-				sum += cnt
-			}
-			for _, p := range perm {
-				d := (keys[p] >> shift) & 0xffff
-				tmp[count[d]] = p
-				count[d]++
-			}
-			perm, tmp = tmp, perm
-		}
-	}
-	return perm
 }
 
 // radixPerm returns a permutation of [0,len(keys)) ordering keys

@@ -484,15 +484,16 @@ func (r *Relation) Rekey(dst *Dict) *Relation {
 
 // Seal pre-builds every lazily memoized read structure of the
 // relation: the per-column tuple indexes, the memoized sorted order,
-// and the columnar view with its per-column indexes, sorted runs and
-// whole-row run. After Seal, read accessors (Lookup, Tuples, Each,
-// Contains, SubsetOf, Equal and the batch executor's columnar probes)
-// perform no in-place memoization, so a sealed relation that is never
-// mutated again may be shared read-only across goroutines — the
-// loophole the shard-resident runtime uses to share one All relation
-// across every node state instead of materializing n copies. Mutating
-// a sealed relation is permitted (memos are maintained or rebuilt as
-// usual) but forfeits the concurrent-read guarantee.
+// and the columnar view with its per-column indexes and sorted runs.
+// After Seal, read accessors (Lookup, Tuples, Each, Contains,
+// SubsetOf, Equal, the batch executor's columnar probes and the batch
+// sink's row-store dedup probes) perform no in-place memoization, so
+// a sealed relation that is never mutated again may be shared
+// read-only across goroutines — the loophole the shard-resident
+// runtime uses to share one All relation across every node state
+// instead of materializing n copies. Mutating a sealed relation is
+// permitted (memos are maintained or rebuilt as usual) but forfeits
+// the concurrent-read guarantee.
 func (r *Relation) Seal() {
 	for c := 0; c < r.arity; c++ {
 		r.index(c)
@@ -503,7 +504,6 @@ func (r *Relation) Seal() {
 		cv.index(c)
 		cv.sortedRun(c)
 	}
-	cv.keyRun()
 }
 
 // UnionWith adds all tuples of s into r; s must have the same arity

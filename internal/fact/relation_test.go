@@ -339,8 +339,8 @@ func testRelationStoreOracle(t *testing.T, arity int, seed uint64) {
 // TestSealedRelationParallelReads pins Seal's contract: once sealed, a
 // relation serves every read accessor — Lookup, Tuples, Each,
 // Contains, SubsetOf, Equal, Clone and the batch executor's columnar
-// probes (hash and merge joins, scans, anti-probes, merge dedup
-// against its key run) — from several goroutines at once without
+// probes (hash and merge joins, scans, anti-probes, batch-append
+// dedup against it) — from several goroutines at once without
 // writing to itself. Run under -race it fails on any in-place memo.
 func TestSealedRelationParallelReads(t *testing.T) {
 	const n = mergeMinRows + 300
@@ -355,8 +355,8 @@ func TestSealedRelationParallelReads(t *testing.T) {
 	wantConst := len(shared.Lookup(0, val(3)))
 	wantSorted := shared.Tuples()
 
-	// A big batch of probe values for the merge join and merge dedup,
-	// and a small one for the hash join.
+	// A big batch of probe values for the merge join and batch-append
+	// dedup, and a small one for the hash join.
 	big := make([]Value, n)
 	for i := range big {
 		big[i] = val(i)
@@ -430,8 +430,8 @@ func TestSealedRelationParallelReads(t *testing.T) {
 				fail("FilterNotIn kept %d rows, want 3", b.Len())
 				return
 			}
-			// Merge dedup against the sealed key run: every candidate is
-			// already in the excluded relation.
+			// Batch append probing the sealed relation: every candidate
+			// is already in the excluded relation.
 			dst := NewRelation(2)
 			cand := testBatch(nil, nil)
 			cand.cols[0] = make([]uint32, n)

@@ -3,6 +3,7 @@ package fact
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -144,11 +145,13 @@ func refAppend(dst *Relation, exclude *Relation, cols [][]Value, n int) {
 	}
 }
 
-// TestBatchAppendDifferential drives batchAppend across the small
-// (probe), sorted (in-batch dedup), and merge (key-run) regimes and
-// pins it to the scalar oracle, including index/columnar-view
-// consistency of the destination afterwards.
+// TestBatchAppendDifferential drives batchAppend from small batches
+// to large ones (a 3·2^13-row batch against a 2·2^13-row destination
+// and a 2^13-row exclude; a 2^13-row batch against a destination nine
+// times its size) and pins it to the scalar oracle, including
+// index/columnar-view consistency of the destination afterwards.
 func TestBatchAppendDifferential(t *testing.T) {
+	const big = 1 << 13
 	rng := rand.New(rand.NewSource(7))
 	for _, cfg := range []struct {
 		name       string
@@ -159,14 +162,11 @@ func TestBatchAppendDifferential(t *testing.T) {
 		{"small-probe", 40, 10, 10, 8},
 		{"sorted-dups", 500, 12, 60, 40},
 		{"sorted-vs-empty", 500, 1000, 0, 0},
-		{"merge-regime", 3 * dedupMergeMin, 200, 2 * dedupMergeMin, dedupMergeMin},
-		// Large batch against a small destination: the merge gate is
-		// unreachable, so the arena hash regime (probeAppend) runs.
-		{"hash-regime", dedupMergeMin, 40, 200, 0},
-		// Sorted regime whose destination is too large relative to the
-		// candidates for the merge (dedupMergeRatio), so dropPresent
-		// falls back to map probes over the sorted candidates.
-		{"sorted-ratio-probe", dedupMergeMin, 200000, 9 * dedupMergeMin, 0},
+		{"large-vs-exclude", 3 * big, 200, 2 * big, big},
+		// Large batch against a small destination.
+		{"hash-regime", big, 40, 200, 0},
+		// Large destination against fewer candidates.
+		{"large-dst", big, 200000, 9 * big, 0},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			w := 2
@@ -187,7 +187,6 @@ func TestBatchAppendDifferential(t *testing.T) {
 			// them rather than rebuild from scratch.
 			dst.Lookup(0, "v0")
 			dst.columns().sortedRun(1)
-			dst.columns().keyRun()
 
 			ref := dst.Clone()
 			cols := make([][]Value, w)
@@ -206,37 +205,40 @@ func TestBatchAppendDifferential(t *testing.T) {
 			if !dst.Equal(ref) {
 				t.Fatalf("batchAppend diverged from oracle: %d vs %d tuples", dst.Len(), ref.Len())
 			}
-			// The maintained index and columnar view must agree with a
-			// fresh build over the same tuple set.
+			// The maintained index must agree with a fresh build over
+			// the same tuple set, and each column of the maintained
+			// columnar view with a fresh transposition of dst's slab.
 			fresh := ref.Clone()
 			for _, probe := range cols[0] {
 				if got, want := len(dst.Lookup(0, probe)), len(fresh.Lookup(0, probe)); got != want {
 					t.Fatalf("Lookup(0,%s): maintained index has %d rows, fresh %d", probe, got, want)
 				}
 			}
-			cv, fcv := dst.columns(), fresh.columns()
+			cv := dst.columns()
+			dst.cview = nil
+			fcv := dst.columns()
 			if cv.n != fcv.n {
 				t.Fatalf("columnar view rows: %d vs fresh %d", cv.n, fcv.n)
 			}
-			run, frun := cv.keyRun(), fcv.keyRun()
-			for i := range run {
-				if rowCmp(cv.col, run[i], fcv.col, frun[i]) != 0 {
-					t.Fatalf("key run row %d: maintained view disagrees with fresh build", i)
+			for c := range fcv.col {
+				if !slices.Equal(cv.col[c], fcv.col[c]) {
+					t.Fatalf("column %d: maintained view disagrees with fresh build", c)
 				}
 			}
 		})
 	}
 }
 
-// TestBatchAppendRemoveReAdd drives the merge-dedup key run through
-// invalidation: append into a large relation (building the run),
-// Remove tuples (dropping the whole columnar view), then append again
-// — the rebuilt run must dedup exactly, including against re-added
+// TestBatchAppendRemoveReAdd drives the row-store probes through
+// Remove: append into a large relation, Remove tuples (emptying their
+// hash-table slots and dropping the whole columnar view), then append
+// again — the probes must dedup exactly, including against re-added
 // tuples.
 func TestBatchAppendRemoveReAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	w := 2
-	n := 2 * dedupMergeMin
+	const big = 1 << 13
+	n := 2 * big
 	val := func() Value { return Value(fmt.Sprintf("rr%d", rng.Intn(300))) }
 	mkCols := func() ([][]Value, [][]uint32) {
 		cols := make([][]Value, w)
@@ -260,14 +262,14 @@ func TestBatchAppendRemoveReAdd(t *testing.T) {
 		if !dst.Equal(ref) {
 			t.Fatalf("round %d: diverged after append (%d vs %d)", round, dst.Len(), ref.Len())
 		}
-		// Remove a sample (invalidates dst's columnar view + key run),
+		// Remove a sample (invalidates dst's columnar view),
 		// then immediately re-add half of it through the batch path.
 		var victims []Tuple
 		dst.Each(func(tu Tuple) bool {
-			if len(victims) < dedupMergeMin/2 {
+			if len(victims) < big/2 {
 				victims = append(victims, tu)
 			}
-			return len(victims) < dedupMergeMin/2
+			return len(victims) < big/2
 		})
 		for _, tu := range victims {
 			dst.Remove(tu)

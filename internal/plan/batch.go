@@ -3,8 +3,8 @@ package plan
 // This file is the columnar batch pipeline: an alternative executor
 // that drives the SAME compiled schedule a tuple-at-a-time frame runs,
 // but over fact.Batch column vectors — merge joins on sorted ID runs,
-// vectorized hash probes, batch filters, and one arena-allocated
-// output append per execution. Plan.Run selects it per execution by a
+// vectorized hash probes, batch filters, and one output append per
+// execution that dedups each row by a row-store probe. Plan.Run selects it per execution by a
 // cardinality cost threshold: relations below the threshold stay on
 // the register-slot executor (whose per-row constant factors win on
 // small inputs), large ones take the batch path. Both paths emit the

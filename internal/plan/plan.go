@@ -23,7 +23,7 @@
 //   - above a cardinality threshold the SAME schedule runs on the
 //     columnar batch pipeline instead (batch.go): fact.Batch column
 //     vectors through merge joins on sorted ID runs, vectorized hash
-//     probes, batch filters, and one arena-allocated output append —
+//     probes, batch filters, and one row-store-probing output append —
 //     the register-slot executor stays the small-input path and both
 //     emit identical tuple sets;
 //   - per-pinned-atom delta variants (the semi-naive schedules that
@@ -301,10 +301,11 @@ func (p *Plan) Run(full, delta *fact.Instance, pin int, args []fact.Value, guard
 		return err
 	}
 	// Pipeline selection: large inputs take the columnar batch path
-	// (merge joins on sorted ID runs, vectorized probes, one arena
-	// append — see batch.go), small ones the register-slot executor
-	// below. A refused batch (the materialization cap) falls through
-	// to the tuple path, which streams.
+	// (merge joins on sorted ID runs, vectorized probes, one
+	// deduplicating append — see batch.go), small ones the
+	// register-slot executor below. A refused batch (the
+	// materialization cap) falls through to the tuple path, which
+	// streams.
 	if p.useBatch(s, &src) {
 		if done, err := p.runBatch(s, args, guard, &src, out); done {
 			return err
