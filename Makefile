@@ -27,9 +27,12 @@ bench-raw:
 # race detector: the configuration matrix (runtime × channel ×
 # dictionary × batch pipeline × probe × budget, every cell
 # bit-identical to its reference), firing ≡ Step, permutation
-# invariance, the forced-columnar corpus and plan suites, and the
-# sharded interning dictionary (concurrent intern, cross-dict misuse,
-# Rekey round-trips, per-run dictionaries).
+# invariance, the corpus and plan suites that check the tuple and
+# forced-columnar executors against definitional oracles (a plan
+# evaluator with no schedule or index, a naive Datalog evaluator over
+# the rule syntax, FO's active-domain enumerator), and the sharded
+# interning dictionary (concurrent intern, cross-dict misuse, Rekey
+# round-trips, per-run dictionaries).
 race-parallel:
 	$(GO) test -race -run 'Parallel|Differential|Dict|Rekey' ./...
 

@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -451,8 +452,9 @@ func BenchmarkE13Quiescence(b *testing.B) {
 	}
 }
 
-// BenchmarkE14SemiNaiveVsNaive is the engine ablation: semi-naive vs
-// naive Datalog evaluation on the same program and EDB.
+// BenchmarkE14SemiNaiveVsNaive is the fixpoint-strategy ablation:
+// semi-naive vs naive Datalog evaluation of the same program and EDB,
+// both firing the same compiled rule plans.
 func BenchmarkE14SemiNaiveVsNaive(b *testing.B) {
 	prog := datalog.MustParse(`
 		tc(X, Y) :- e(X, Y).
@@ -616,9 +618,6 @@ func BenchmarkE15ParallelRuntime(b *testing.B) {
 //     construction, its cached schedule executed over register slots;
 //   - replan: query (and plan) rebuilt every evaluation — what
 //     per-eval planning costs;
-//   - mapjoin: the plan layer's reference executor — join order
-//     re-derived greedily per evaluation, bindings in a hash map (the
-//     pre-plan-layer strategy, fo only);
 //
 // plus an end-to-end run row on the large E2/E15 configuration, whose
 // every firing exercises the cached delta-pinned schedules. The fo
@@ -665,13 +664,6 @@ func BenchmarkE17PlanRuntime(b *testing.B) {
 	b.Run("fo=insT/mode=replan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			out, err := insT().Eval(foInst)
-			checkFo(b, out, err)
-		}
-	})
-	b.Run("fo=insT/mode=mapjoin", func(b *testing.B) {
-		q := insT()
-		for i := 0; i < b.N; i++ {
-			out, err := q.EvalReference(foInst)
 			checkFo(b, out, err)
 		}
 	})
@@ -904,14 +896,17 @@ func e19Sizes() (joins []int, tc []int) {
 // BenchmarkE19Columnar: the columnar batch kernel against the
 // tuple-at-a-time register executor on large seeded workloads
 // (internal/gen). Every configuration runs mode=tuple (batch pipeline
-// off) and mode=batch (always), with the two outputs cross-checked
-// equal before measuring; out_tuples reports the result cardinality.
+// off) and mode=batch (always); before measuring, each sub-benchmark
+// checks its output equal to the tuple-mode answer. Workloads and
+// answers are built on first use, so a -bench filter evaluates only
+// the configurations it selects. out_tuples reports the result
+// cardinality.
 func BenchmarkE19Columnar(b *testing.B) {
 	joinSizes, tcSizes := e19Sizes()
 
 	runModes := func(b *testing.B, name string, eval func() (*declnet.Relation, error)) {
 		b.Helper()
-		withMode := func(mode string) *declnet.Relation {
+		withMode := func(b *testing.B, mode string) *declnet.Relation {
 			prev, err := plan.SetBatchMode(mode)
 			if err != nil {
 				b.Fatal(err)
@@ -923,14 +918,21 @@ func BenchmarkE19Columnar(b *testing.B) {
 			}
 			return out
 		}
-		tout := withMode("off")
-		bout := withMode("always")
-		if !tout.Equal(bout) {
-			b.Fatalf("%s: pipelines disagree: tuple %d tuples, batch %d tuples", name, tout.Len(), bout.Len())
-		}
-		want := tout.Len()
+		var want *declnet.Relation
 		for _, m := range []struct{ mode, label string }{{"off", "tuple"}, {"always", "batch"}} {
+			checked := false
 			b.Run(name+"/mode="+m.label, func(b *testing.B) {
+				if !checked {
+					if want == nil {
+						want = withMode(b, "off")
+					}
+					if m.mode != "off" {
+						if out := withMode(b, m.mode); !out.Equal(want) {
+							b.Fatalf("%s: pipelines disagree: tuple %d tuples, %s %d tuples", name, want.Len(), m.label, out.Len())
+						}
+					}
+					checked = true
+				}
 				prev, err := plan.SetBatchMode(m.mode)
 				if err != nil {
 					b.Fatal(err)
@@ -947,11 +949,11 @@ func BenchmarkE19Columnar(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					out, err := eval()
-					if err != nil || out.Len() != want {
-						b.Fatalf("wrong result: %v (%d tuples, want %d)", err, out.Len(), want)
+					if err != nil || out.Len() != want.Len() {
+						b.Fatalf("wrong result: %v (%d tuples, want %d)", err, out.Len(), want.Len())
 					}
 				}
-				b.ReportMetric(float64(want), "out_tuples")
+				b.ReportMetric(float64(want.Len()), "out_tuples")
 			})
 		}
 	}
@@ -960,16 +962,18 @@ func BenchmarkE19Columnar(b *testing.B) {
 		// Three functional graphs over the same node set: every node
 		// has out-degree 1, so the two-way join stays linear in n while
 		// the more selective shapes filter almost everything out.
-		I := gen.Merge(gen.Functional("E", n, 1), gen.Functional("F", n, 2),
-			gen.Functional("G", n, 3), gen.Functional("H", n, 4))
+		I := sync.OnceValue(func() *declnet.Instance {
+			return gen.Merge(gen.Functional("E", n, 1), gen.Functional("F", n, 2),
+				gen.Functional("G", n, 3), gen.Functional("H", n, 4))
+		})
 		pairs := fo.MustQuery("pairs", []string{"x", "z"}, fo.MustParse("exists y (E(x, y) & F(y, z))"))
-		runModes(b, fmt.Sprintf("cfg=pairs/n=%d", n), func() (*declnet.Relation, error) { return pairs.Eval(I) })
+		runModes(b, fmt.Sprintf("cfg=pairs/n=%d", n), func() (*declnet.Relation, error) { return pairs.Eval(I()) })
 		cycles := fo.MustQuery("cycles", []string{"x"}, fo.MustParse("exists y,z (E(x, y) & F(y, z) & x = z)"))
-		runModes(b, fmt.Sprintf("cfg=cycles/n=%d", n), func() (*declnet.Relation, error) { return cycles.Eval(I) })
+		runModes(b, fmt.Sprintf("cfg=cycles/n=%d", n), func() (*declnet.Relation, error) { return cycles.Eval(I()) })
 		triangles := fo.MustQuery("triangles", []string{"x"}, fo.MustParse("exists y,z (E(x, y) & F(y, z) & G(z, x))"))
-		runModes(b, fmt.Sprintf("cfg=triangles/n=%d", n), func() (*declnet.Relation, error) { return triangles.Eval(I) })
+		runModes(b, fmt.Sprintf("cfg=triangles/n=%d", n), func() (*declnet.Relation, error) { return triangles.Eval(I()) })
 		quads := fo.MustQuery("quads", []string{"x"}, fo.MustParse("exists y,z,w (E(x, y) & F(y, z) & G(z, w) & H(w, x))"))
-		runModes(b, fmt.Sprintf("cfg=quads/n=%d", n), func() (*declnet.Relation, error) { return quads.Eval(I) })
+		runModes(b, fmt.Sprintf("cfg=quads/n=%d", n), func() (*declnet.Relation, error) { return quads.Eval(I()) })
 	}
 
 	// Recursive closure over a forest of disjoint chains: the
@@ -980,9 +984,9 @@ func BenchmarkE19Columnar(b *testing.B) {
 	`
 	for _, n := range tcSizes {
 		const length = 10
-		I := gen.Forest("e", n/length, length)
+		I := sync.OnceValue(func() *declnet.Instance { return gen.Forest("e", n/length, length) })
 		q := datalog.MustQuery(datalog.MustParse(tcSrc), "tc")
-		runModes(b, fmt.Sprintf("cfg=tc/n=%d", n), func() (*declnet.Relation, error) { return q.Eval(I) })
+		runModes(b, fmt.Sprintf("cfg=tc/n=%d", n), func() (*declnet.Relation, error) { return q.Eval(I()) })
 	}
 }
 

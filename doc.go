@@ -127,7 +127,8 @@
 // relations get the batch operators — transparently, under Eval,
 // EvalDelta, incremental firing, Sim and RunParallel alike. Explain
 // output names the pipeline each query will take; differential tests
-// pin both pipelines and the reference executor bit-identical.
+// pin both pipelines bit-identical to definitional oracles that share
+// no code with the plan layer.
 //
 // Simulation is incremental on top of that: each node of a running
 // network carries a firing cache (per-query results on the node

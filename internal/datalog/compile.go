@@ -128,25 +128,6 @@ func (cr *compiledRule) fireInto(I *fact.Instance, pinLit int, delta *fact.Insta
 	return nil
 }
 
-// fireReference is fire through the plan layer's reference executor
-// (runtime-greedy order, map bindings): the independent oracle that
-// EvalNaive runs on, keeping the naive/semi-naive ablation a genuine
-// two-engine comparison.
-func (cr *compiledRule) fireReference(I *fact.Instance, pinLit int, delta *fact.Instance, args []fact.Value) (*fact.Relation, error) {
-	if cr.err != nil {
-		return nil, cr.err
-	}
-	pin := -1
-	if pinLit >= 0 {
-		pin = cr.litAtom[pinLit]
-	}
-	out := I.Dict().NewRelation(cr.arity)
-	if err := cr.plan.RunReference(I, delta, pin, args, nil, out); err != nil {
-		return nil, fmt.Errorf("datalog: rule %s: %w", cr.rule, err)
-	}
-	return out, nil
-}
-
 // compiledRules returns (building on first use, Once-guarded so
 // concurrent evaluations of a shared program are safe) the compiled
 // plan of every rule.

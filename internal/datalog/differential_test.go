@@ -143,7 +143,8 @@ func TestDifferentialNegationGuardedVsFO(t *testing.T) {
 }
 
 func TestDifferentialSemiNaiveRandomPrograms(t *testing.T) {
-	// Random positive recursive programs: semi-naive == naive.
+	// Random positive recursive programs: semi-naive == naive ==
+	// the definitional oracle.
 	r := rand.New(rand.NewSource(77))
 	vals := []fact.Value{"a", "b", "c", "d"}
 	templates := []string{
@@ -160,17 +161,7 @@ func TestDifferentialSemiNaiveRandomPrograms(t *testing.T) {
 		for k := 0; k < r.Intn(3); k++ {
 			I.AddFact(fact.NewFact("s", vals[r.Intn(4)]))
 		}
-		sn, err := prog.Eval(I)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nv, err := prog.EvalNaive(I)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sn.Equal(nv) {
-			t.Fatalf("trial %d: engines disagree on %v", trial, I)
-		}
+		checkAgainstOracle(t, prog, I)
 	}
 }
 

@@ -24,12 +24,11 @@ func (p *Program) EvalOwned(edb *fact.Instance) (*fact.Instance, error) {
 	return p.eval(edb, true)
 }
 
-// EvalNaive is Eval using naive fixpoint iteration (every rule
-// re-evaluated against the full instance each round) on the plan
-// layer's reference executor (join order re-derived per firing,
-// bindings in a hash map). It exists for the semi-naive/naive
-// ablation benchmark and as the independent oracle of the
-// differential tests; results are identical to Eval.
+// EvalNaive is Eval using naive fixpoint iteration: every rule is
+// re-fired through its compiled plan against the full instance each
+// round, with no delta pinning. It exists for the naive/semi-naive
+// ablation (datalogi -naive, E14), which compares the two fixpoint
+// strategies on one executor; results are identical to Eval.
 func (p *Program) EvalNaive(edb *fact.Instance) (*fact.Instance, error) {
 	return p.eval(edb.Clone(), false)
 }
@@ -84,7 +83,7 @@ func evalStratumNaive(crs []*compiledRule, I *fact.Instance) error {
 	for {
 		changed := false
 		for _, cr := range crs {
-			heads, err := cr.fireReference(I, -1, nil, nil)
+			heads, err := cr.fire(I, -1, nil, nil)
 			if err != nil {
 				return err
 			}

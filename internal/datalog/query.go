@@ -75,10 +75,9 @@ func (q *Query) Eval(I *fact.Instance) (*fact.Relation, error) {
 	return out.RelationOr(q.Ans, q.ansAr).Clone(), nil
 }
 
-// EvalNaive is Eval on the naive reference engine (full re-firing
-// each round, runtime-greedy join order, map bindings) — identical
-// results, no shared evaluation strategy. The differential tests use
-// it as the oracle for the compiled plan path.
+// EvalNaive is Eval by naive fixpoint iteration (Program.EvalNaive:
+// every rule re-fired in full each round, on the same compiled plans)
+// — identical results, for the naive/semi-naive comparison.
 func (q *Query) EvalNaive(I *fact.Instance) (*fact.Relation, error) {
 	out, err := q.Program.EvalNaive(I.Restrict(q.edb))
 	if err != nil {

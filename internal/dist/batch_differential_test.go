@@ -26,9 +26,9 @@ func forceColumnar(t *testing.T) {
 }
 
 // TestDifferentialColumnarPlanVsOracles: the plan-vs-oracles zoo
-// harness (compiled executor vs reference executor vs generic
-// evaluators, plus every delta-pinned union equation) with the
-// compiled side forced onto the columnar operators.
+// harness (compiled executor vs the generic FO evaluator and naive
+// Datalog, plus every delta-pinned union equation) with the compiled
+// side forced onto the columnar operators.
 func TestDifferentialColumnarPlanVsOracles(t *testing.T) {
 	forceColumnar(t)
 	TestDifferentialPlanVsOracles(t)

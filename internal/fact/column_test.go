@@ -274,50 +274,3 @@ func TestBatchProjectConstantsAndDedup(t *testing.T) {
 		t.Fatalf("dedup against existing: %v", out)
 	}
 }
-
-func TestStageRelationMatchesStage(t *testing.T) {
-	mk := func() (*Delta, *Relation) {
-		full := NewInstance()
-		full.AddFact(NewFact("p", "a", "b"))
-		d := NewDelta(full)
-		d.Stage(NewFact("p", "c", "d"))
-		heads := NewRelation(2)
-		heads.Add(Tuple{"a", "b"}) // already committed: skipped
-		heads.Add(Tuple{"c", "d"}) // already staged: skipped
-		heads.Add(Tuple{"e", "f"}) // new
-		heads.Add(Tuple{"g", "h"}) // new
-		return d, heads
-	}
-
-	d1, heads := mk()
-	d1.StageRelation("p", heads)
-	d2, _ := mk()
-	heads.Each(func(t Tuple) bool {
-		d2.Stage(Fact{Rel: "p", Args: t})
-		return true
-	})
-
-	c1, c2 := d1.Commit(), d2.Commit()
-	if !c1.Equal(c2) {
-		t.Fatalf("StageRelation delta %v != Stage delta %v", c1, c2)
-	}
-	if !d1.Full.Equal(d2.Full) {
-		t.Fatalf("StageRelation full %v != Stage full %v", d1.Full, d2.Full)
-	}
-	if c1.Relation("p").Len() != 3 {
-		t.Fatalf("delta has %d tuples, want 3 (c,d + e,f + g,h)", c1.Relation("p").Len())
-	}
-
-	// A fresh predicate goes through the relation-creation path, and
-	// an empty heads relation is a no-op that keeps Dirty false.
-	d3 := NewDelta(NewInstance())
-	d3.StageRelation("q", heads)
-	if !d3.Dirty() {
-		t.Fatal("fresh-predicate staging left Dirty false")
-	}
-	d3.Commit()
-	d3.StageRelation("q", NewRelation(2))
-	if d3.Dirty() {
-		t.Fatal("empty staging set Dirty")
-	}
-}

@@ -147,9 +147,6 @@ func TestCrossDictMixingPanics(t *testing.T) {
 	ib.AddFact(Fact{Rel: "R", Args: Tuple{"y"}})
 	mustPanicRekey(t, "UnionWith", func() { ia.Clone().UnionWith(ib) })
 	mustPanicRekey(t, "SetRelation", func() { ia.Clone().SetRelation("R", rb) })
-
-	d := NewDelta(da.NewInstance())
-	mustPanicRekey(t, "StageRelation", func() { d.StageRelation("R", rb) })
 }
 
 // TestCrossDictReadsAreSafe: Equal and SubsetOf compare by value

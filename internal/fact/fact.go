@@ -334,6 +334,14 @@ func (r *Relation) addKeyed(k []byte, t Tuple) {
 	}
 }
 
+// grow reserves room for n more rows in r's key slab and row slice,
+// so a caller about to add n new rows pays one growth instead of
+// append's repeated regrowth.
+func (r *Relation) grow(n int) {
+	r.keys = slices.Grow(r.keys, 4*r.arity*n)
+	r.rows = slices.Grow(r.rows, n)
+}
+
 // Add inserts a tuple; it panics if the tuple has the wrong arity.
 // It reports whether the tuple was new.
 func (r *Relation) Add(t Tuple) bool {

@@ -11,10 +11,7 @@ package fact
 // regime serves every batch size: no row sort, no whole-row sorted
 // run to keep fresh.
 
-import (
-	"encoding/binary"
-	"slices"
-)
+import "encoding/binary"
 
 // Sink is a destination for derived tuples. Relation is the plain
 // sink; Delta.Sink stages against a growing instance without
@@ -95,8 +92,7 @@ func batchAppend(dst *Relation, exclude *Relation, cols [][]uint32, n int) {
 			sel = append(sel, i)
 		}
 	}
-	dst.keys = slices.Grow(dst.keys, 4*w*len(sel))
-	dst.rows = slices.Grow(dst.rows, len(sel))
+	dst.grow(len(sel))
 	var slab []Value
 	for j, i := range sel {
 		k := pack(i)

@@ -435,47 +435,6 @@ func withDelta(full, delta *fact.Instance) *fact.Instance {
 	return union
 }
 
-// EvalReference evaluates the query with the pre-plan-layer strategy:
-// conforming branches run through the plan layer's reference executor
-// (join order re-derived greedily per evaluation, bindings in a hash
-// map), the rest enumerate the active domain. Results are identical
-// to Eval; it exists as the independent oracle of the differential
-// tests and the re-plan/map-bindings baseline of the E17 ablation
-// benchmark.
-func (q *Query) EvalReference(I *fact.Instance) (*fact.Relation, error) {
-	if q.branches == nil {
-		return q.EvalGeneric(I)
-	}
-	adomOf := adomMemo(I)
-	out := I.Dict().NewRelation(len(q.Head))
-	for _, b := range q.branches {
-		if b.p == nil {
-			if err := q.enumerate(I, adomOf(), b.formula(), out); err != nil {
-				return nil, fmt.Errorf("fo: query %s: %w", q.Name, err)
-			}
-			continue
-		}
-		closedFail := false
-		for _, g := range b.guardClosed {
-			ok, err := eval(g, I, adomOf(), map[Var]fact.Value{})
-			if err != nil {
-				return nil, fmt.Errorf("fo: query %s: %w", q.Name, err)
-			}
-			if !ok {
-				closedFail = true
-				break
-			}
-		}
-		if closedFail {
-			continue
-		}
-		if err := b.p.RunReference(I, nil, -1, nil, q.guardFunc(b, I, adomOf), out); err != nil {
-			return nil, fmt.Errorf("fo: query %s: %w", q.Name, err)
-		}
-	}
-	return out, nil
-}
-
 // ExplainPlan implements query.PlanExplainer: it renders the compiled
 // plan of every branch — chosen atom order, probe columns, guard
 // placement — and, for delta-joinable branches of CanDelta queries,

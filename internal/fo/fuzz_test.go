@@ -67,7 +67,7 @@ func FuzzParse(f *testing.F) {
 // FO → relational algebra translation behind the paper's FO ≡ RA
 // remark (padding, repeated and duplicated head variables, nullary
 // heads, ∀ as ¬∃¬); the differential corpus tests evaluate them
-// against the generic and reference engines.
+// against the generic active-domain engine.
 func FuzzParseQuery(f *testing.F) {
 	seeds := []string{
 		"q(x, y) := S(x, y)",

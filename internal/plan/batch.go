@@ -8,8 +8,9 @@ package plan
 // cardinality cost threshold: relations below the threshold stay on
 // the register-slot executor (whose per-row constant factors win on
 // small inputs), large ones take the batch path. Both paths emit the
-// same tuple set; the differential tests pin them bit-identical to
-// the map-bindings reference executor.
+// same tuple set; the differential tests pin them bit-identical to a
+// definitional evaluator of the Spec that builds no schedule and uses
+// no index.
 //
 // Selection is pinnable for benchmarks and tests via SetBatchMode
 // ("auto"/"off"/"always"). The live mode is an atomic that defaults to

@@ -32,9 +32,9 @@ func TestBatchModeKnobs(t *testing.T) {
 }
 
 // TestBatchDifferentialThreeWay drives random specs — atoms, filters,
-// guards, inputs, delta pins — through the batch pipeline, the tuple
-// executor and the map-bindings reference executor, and requires all
-// three to emit identical tuple sets (and to agree on guard errors).
+// guards, delta pins — through the batch pipeline, the tuple executor
+// and the definitional oracle, and requires all three to emit
+// identical tuple sets.
 func TestBatchDifferentialThreeWay(t *testing.T) {
 	rng := rand.New(rand.NewPCG(99, 17))
 	vals := []fact.Value{"a", "b", "c", "d"}
@@ -137,12 +137,12 @@ func TestBatchDifferentialThreeWay(t *testing.T) {
 			}
 			batch := run("always")
 			tuple := run("off")
-			ref := fact.NewRelation(len(spec.Head))
-			if err := p.RunReference(full, d, pin, nil, guard, ref); err != nil {
-				t.Fatalf("trial %d pin %d: RunReference: %v", trial, pin, err)
+			ref, err := evalDefinitional(&spec, full, d, pin, nil, guard)
+			if err != nil {
+				t.Fatalf("trial %d pin %d: oracle: %v", trial, pin, err)
 			}
-			if !batch.Equal(tuple) || !batch.Equal(ref) {
-				t.Fatalf("trial %d pin %d: batch %v != tuple %v / reference %v\nplan:\n%s",
+			if !batch.Equal(ref) || !tuple.Equal(ref) {
+				t.Fatalf("trial %d pin %d: batch %v, tuple %v, definitional %v\nplan:\n%s",
 					trial, pin, batch, tuple, ref, p.Explain(pin))
 			}
 		}
@@ -240,8 +240,8 @@ func TestBatchInputRegisters(t *testing.T) {
 // instance relations between executions: Remove invalidates the
 // columnar view (watermarked indexes, sorted runs), the next batch
 // execution rebuilds it, and subsequent Adds extend it behind the
-// watermarks. Batch, tuple and reference paths must stay bit-identical
-// at every step, for every delta pin.
+// watermarks. Batch and tuple paths must match the definitional
+// oracle at every step, for every delta pin.
 func TestBatchRemoveReAddDifferential(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 23))
 	p := MustNew(Spec{
@@ -279,12 +279,12 @@ func TestBatchRemoveReAddDifferential(t *testing.T) {
 			}
 			batch := run("always")
 			tuple := run("off")
-			ref := fact.NewRelation(2)
-			if err := p.RunReference(full, d, pin, nil, nil, ref); err != nil {
-				t.Fatalf("%s pin %d: RunReference: %v", step, pin, err)
+			ref, err := evalDefinitional(&p.spec, full, d, pin, nil, nil)
+			if err != nil {
+				t.Fatalf("%s pin %d: oracle: %v", step, pin, err)
 			}
-			if !batch.Equal(tuple) || !batch.Equal(ref) {
-				t.Fatalf("%s pin %d: batch %d tuples, tuple %d, reference %d",
+			if !batch.Equal(ref) || !tuple.Equal(ref) {
+				t.Fatalf("%s pin %d: batch %d tuples, tuple %d, definitional %d",
 					step, pin, batch.Len(), tuple.Len(), ref.Len())
 			}
 		}

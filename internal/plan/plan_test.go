@@ -19,20 +19,20 @@ func inst(facts ...fact.Fact) *fact.Instance {
 
 func f(rel string, args ...fact.Value) fact.Fact { return fact.NewFact(rel, args...) }
 
-// both runs the plan through the compiled executor and the map-based
-// reference executor and checks they agree, returning the result.
+// both runs the plan through the compiled executor and the
+// definitional oracle and checks they agree, returning the result.
 func both(t *testing.T, p *Plan, full, delta *fact.Instance, pin int, args []fact.Value, guard GuardFunc) *fact.Relation {
 	t.Helper()
 	out := fact.NewRelation(len(p.spec.Head))
 	if err := p.Run(full, delta, pin, args, guard, out); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	ref := fact.NewRelation(len(p.spec.Head))
-	if err := p.RunReference(full, delta, pin, args, guard, ref); err != nil {
-		t.Fatalf("RunReference: %v", err)
+	ref, err := evalDefinitional(&p.spec, full, delta, pin, args, guard)
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
 	}
 	if !out.Equal(ref) {
-		t.Fatalf("compiled %v != reference %v\nplan:\n%s", out, ref, p.Explain(pin))
+		t.Fatalf("compiled %v != definitional %v\nplan:\n%s", out, ref, p.Explain(pin))
 	}
 	return out
 }
@@ -175,18 +175,8 @@ func TestDeltaPinUnionEquation(t *testing.T) {
 		if err := p.Run(full, delta, i, nil, nil, got); err != nil {
 			t.Fatal(err)
 		}
-		// Pinned variants agree across executors too.
-		ref := fact.NewRelation(2)
-		if err := p.RunReference(full, delta, i, nil, nil, ref); err != nil {
-			t.Fatal(err)
-		}
-		pinOnly := fact.NewRelation(2)
-		if err := p.Run(full, delta, i, nil, nil, pinOnly); err != nil {
-			t.Fatal(err)
-		}
-		if !pinOnly.Equal(ref) {
-			t.Fatalf("pin %d: compiled %v != reference %v", i, pinOnly, ref)
-		}
+		// Each pinned variant matches the definitional oracle too.
+		both(t, p, full, delta, i, nil, nil)
 	}
 	if !got.Equal(wantFull) {
 		t.Fatalf("semi-naive union %v != full evaluation %v", got, wantFull)
@@ -278,7 +268,7 @@ func TestExplainDoesNotBindSchedule(t *testing.T) {
 }
 
 // TestRandomizedDifferential cross-checks the compiled executor
-// against the reference executor on random specs and instances,
+// against the definitional oracle on random specs and instances,
 // including pinned delta variants.
 func TestRandomizedDifferential(t *testing.T) {
 	rng := rand.New(rand.NewPCG(42, 7))
@@ -357,18 +347,7 @@ func TestRandomizedDifferential(t *testing.T) {
 			if pin < 0 {
 				d = nil
 			}
-			out := fact.NewRelation(len(spec.Head))
-			if err := p.Run(full, d, pin, nil, nil, out); err != nil {
-				t.Fatalf("trial %d pin %d: Run: %v", trial, pin, err)
-			}
-			ref := fact.NewRelation(len(spec.Head))
-			if err := p.RunReference(full, d, pin, nil, nil, ref); err != nil {
-				t.Fatalf("trial %d pin %d: RunReference: %v", trial, pin, err)
-			}
-			if !out.Equal(ref) {
-				t.Fatalf("trial %d pin %d: compiled %v != reference %v\nplan:\n%s",
-					trial, pin, out, ref, p.Explain(pin))
-			}
+			both(t, p, full, d, pin, nil, nil)
 		}
 	}
 }
