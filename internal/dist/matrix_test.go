@@ -269,22 +269,22 @@ func dirtyFingerprint(s *network.Sim, res network.RunResult) string {
 	return out
 }
 
-type refRun struct {
+type referenceCell struct {
 	run cellRun
 	err error
 }
 
-// refRuns memoizes reference runs, by example and configuration,
+// referenceCells memoizes reference runs, by example and configuration,
 // across the matrix tests; each cell still runs afresh, so a reference
 // cell is compared with an independent rerun.
-var refRuns = map[string]refRun{}
+var referenceCells = map[string]referenceCell{}
 
 func reference(e diffExample, c cfg) (cellRun, error) {
 	k := e.name + " " + c.String()
-	r, ok := refRuns[k]
+	r, ok := referenceCells[k]
 	if !ok {
 		r.run, r.err = runCell(e, c)
-		refRuns[k] = r
+		referenceCells[k] = r
 	}
 	return r.run, r.err
 }
