@@ -31,10 +31,11 @@ bench-raw:
 # forced-columnar executors against definitional oracles (a plan
 # evaluator with no schedule or index, a naive Datalog evaluator over
 # the rule syntax, FO's active-domain enumerator), and the sharded
-# interning dictionary (concurrent intern, cross-dict misuse, Rekey
-# round-trips, per-run dictionaries).
+# interning dictionary (concurrent intern, lock-free reads during table
+# growth, tag collisions, ID assignment, lookup misses, cross-dict
+# misuse, Rekey round-trips, per-run dictionaries).
 race-parallel:
-	$(GO) test -race -run 'Parallel|Differential|Dict|Rekey' ./...
+	$(GO) test -race -run 'Parallel|Differential|Dict|Rekey|Intern' ./...
 
 # scenarios runs the fault-scenario tests under the race detector:
 # channel-model unit tests, monotone-preservation over the

@@ -138,9 +138,11 @@
 // identical to the textbook transition either way. Intern pre-loads
 // values into the process-default dictionary; InternedValues reports
 // its size. Each dictionary shard's read path is lock-free (value→ID
-// through a sync.Map, ID→value through an atomically published
-// slice) and fresh-ID assignment locks only the shard the value
-// hashes to, so concurrent runtime shards neither contend on reads
+// through an open-addressing table of packed hash-tag and slot
+// entries, ID→value through a value array; both are published
+// together through one atomic pointer and replaced only when the
+// shard doubles) and fresh-ID assignment locks only the shard the
+// value hashes to, so concurrent runtime shards neither contend on reads
 // nor funnel writes through one mutex; a per-run dictionary
 // (run.Options.Dict) removes cross-run sharing entirely and lets the
 // run's universe be collected when the run is dropped.

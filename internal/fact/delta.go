@@ -90,16 +90,24 @@ func (d *Delta) Dirty() bool { return !d.staged.Empty() }
 
 // Commit folds the staged facts into Full and returns them as the
 // delta instance for the next round. The staging area is reset.
-// Staged facts are disjoint from Full by construction, so each Full
-// relation grows once by its staged relation's length.
+// Staged facts are disjoint from Full by construction (every Sink
+// dedups against Full), so each staged relation is appended to its
+// Full relation without a membership probe, and one new to Full is
+// cloned in.
 func (d *Delta) Commit() *Instance {
 	delta := d.staged
+	d.Full.dirty()
 	for n, r := range delta.rels {
-		if full := d.Full.rels[n]; full != nil {
-			full.grow(r.Len())
+		full := d.Full.rels[n]
+		switch {
+		case full == nil:
+			d.Full.rels[n] = r.Clone()
+		case full.arity != r.arity:
+			panic("fact: union of relations with different arities")
+		default:
+			full.appendDisjoint(r)
 		}
 	}
-	d.Full.UnionWith(delta)
 	d.staged = d.Full.dict.NewInstance()
 	return delta
 }

@@ -2,7 +2,10 @@ package fact
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -259,5 +262,164 @@ func TestDictReclaim(t *testing.T) {
 		}
 		runtime.GC()
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestDictIDAssignmentModel pins ID assignment to its specification:
+// the low bits of a value's 32-bit FNV-1a hash pick its shard, and a
+// shard hands out slots in first-seen order, so ID = slot<<shardBits |
+// shard. A fixed shuffled sequence with repeats is interned at three
+// shard counts and every ID is checked against a model built on the
+// standard library's FNV-1a. Every golden and trajectory that depends
+// on IDs stays put as long as this holds.
+func TestDictIDAssignmentModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	seq := make([]Value, 5000)
+	for i := range seq {
+		seq[i] = Value(fmt.Sprintf("model-%d", rng.Intn(3000)))
+	}
+	for _, shards := range []int{1, 2, 16} {
+		d := NewDictShards(shards)
+		next := make([]uint32, shards)
+		want := map[Value]uint32{}
+		for i, v := range seq {
+			id, seen := want[v]
+			if !seen {
+				h := fnv.New32a()
+				h.Write([]byte(v))
+				si := h.Sum32() & uint32(shards-1)
+				id = next[si]<<d.shardBits | si
+				next[si]++
+				want[v] = id
+			}
+			if got := d.Intern(v); got != id {
+				t.Fatalf("shards=%d: intern #%d of %s = %d, model says %d", shards, i, v, got, id)
+			}
+		}
+		if d.Len() != len(want) {
+			t.Fatalf("shards=%d: Len() = %d, want %d", shards, d.Len(), len(want))
+		}
+		for v, id := range want {
+			if got, ok := d.lookup(v); !ok || got != id {
+				t.Fatalf("shards=%d: lookup(%s) = %d,%v, want %d", shards, v, got, ok, id)
+			}
+			if got := d.value(id); got != v {
+				t.Fatalf("shards=%d: value(%d) = %s, want %s", shards, id, got, v)
+			}
+		}
+	}
+}
+
+// TestDictTagCollision interns two distinct values with equal 32-bit
+// FNV-1a hashes: they share a shard, a table tag and a home entry, so
+// only the string comparison tells them apart.
+func TestDictTagCollision(t *testing.T) {
+	var a, b Value
+	seen := map[uint32]Value{}
+	for i := 0; a == ""; i++ {
+		if i == 1_000_000 {
+			t.Fatal("no FNV-1a collision among 10^6 candidates")
+		}
+		v := Value("tag-" + strconv.Itoa(i))
+		h := hash(v)
+		if w, ok := seen[h]; ok {
+			a, b = w, v
+		}
+		seen[h] = v
+	}
+	for _, shards := range []int{1, 16} {
+		d := NewDictShards(shards)
+		ia := d.Intern(a)
+		if _, ok := d.lookup(b); ok {
+			t.Fatalf("shards=%d: %s found after interning only its collision partner %s", shards, b, a)
+		}
+		ib := d.Intern(b)
+		if ia == ib {
+			t.Fatalf("shards=%d: colliding values %s and %s share ID %d", shards, a, b, ia)
+		}
+		for _, c := range []struct {
+			v  Value
+			id uint32
+		}{{a, ia}, {b, ib}} {
+			if got, ok := d.lookup(c.v); !ok || got != c.id {
+				t.Fatalf("shards=%d: lookup(%s) = %d,%v, want %d", shards, c.v, got, ok, c.id)
+			}
+			if got := d.value(c.id); got != c.v {
+				t.Fatalf("shards=%d: value(%d) = %s, want %s", shards, c.id, got, c.v)
+			}
+			if got := d.Intern(c.v); got != c.id {
+				t.Fatalf("shards=%d: re-interning %s moved ID %d -> %d", shards, c.v, c.id, got)
+			}
+		}
+	}
+}
+
+// TestDictReadsDuringGrowth runs lock-free readers against one writer
+// that interns 10^5 values through many doublings of each shard's
+// table and value array. A value whose Intern returned before a
+// reader's lookup started must be found, with its ID, and its ID must
+// resolve back to it: no reader may see a generation that lacks a
+// published value.
+func TestDictReadsDuringGrowth(t *testing.T) {
+	const values = 100_000
+	const readers = 3
+	vals := make([]Value, values)
+	for i := range vals {
+		vals[i] = Value("grow-" + strconv.Itoa(i))
+	}
+	for _, shards := range []int{1, 16} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			d := NewDictShards(shards)
+			ids := make([]uint32, values)
+			var done atomic.Int64 // ids[:done] are interned and recorded
+			var wg sync.WaitGroup
+			errs := make(chan string, readers)
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(r)))
+					for {
+						k := done.Load()
+						if k == values {
+							return
+						}
+						if k == 0 {
+							runtime.Gosched()
+							continue
+						}
+						// The value being interned may or may not be
+						// found yet, but a hit must resolve back to it.
+						if id, ok := d.lookup(vals[k]); ok && d.value(id) != vals[k] {
+							errs <- fmt.Sprintf("lookup(%s) hit ID %d before its Intern returned, which resolves to %q", vals[k], id, d.value(id))
+							return
+						}
+						// The newest value and a random older one.
+						for _, j := range []int64{k - 1, rng.Int63n(k)} {
+							if id, ok := d.lookup(vals[j]); !ok || id != ids[j] {
+								errs <- fmt.Sprintf("lookup(%s) = %d,%v after its Intern returned %d", vals[j], id, ok, ids[j])
+								return
+							}
+							if v := d.value(ids[j]); v != vals[j] {
+								errs <- fmt.Sprintf("value(%d) = %q, want %s", ids[j], v, vals[j])
+								return
+							}
+						}
+					}
+				}(r)
+			}
+			for i, v := range vals {
+				ids[i] = d.Intern(v)
+				done.Store(int64(i + 1))
+			}
+			wg.Wait()
+			close(errs)
+			for e := range errs {
+				t.Fatal(e)
+			}
+			if d.Len() != values {
+				t.Fatalf("Len() = %d, want %d", d.Len(), values)
+			}
+		})
 	}
 }

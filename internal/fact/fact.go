@@ -532,6 +532,32 @@ func (r *Relation) UnionWith(s *Relation) {
 	}
 }
 
+// appendDisjoint appends every row of s to r. s must share r's arity
+// and dictionary and hold no tuple of r, so no key is probed: the key
+// slab and rows are copied in one append each, the hash table is
+// resized at most once, and built column indexes and the columnar
+// view are extended as addKeyed would.
+func (r *Relation) appendDisjoint(s *Relation) {
+	from := len(r.rows)
+	r.keys = append(r.keys, s.keys...)
+	r.rows = append(r.rows, s.rows...)
+	r.placeFrom(from)
+	r.sorted = nil
+	for c, m := range r.idx {
+		if m != nil {
+			for i := from; i < len(r.rows); i++ {
+				id := r.rowID(i, c)
+				m[id] = append(m[id], r.rows[i])
+			}
+		}
+	}
+	if r.cview != nil {
+		for i := from; i < len(r.rows); i++ {
+			r.cview.appendRow(r.key(i))
+		}
+	}
+}
+
 // Minus returns r \ s as a new relation over r's dictionary; r and s
 // must share a dictionary.
 func (r *Relation) Minus(s *Relation) *Relation {

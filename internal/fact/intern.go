@@ -2,6 +2,7 @@ package fact
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -19,19 +20,23 @@ import (
 // its own assignment mutex, so concurrent interning of fresh values
 // from many goroutines contends only per shard instead of on one
 // process-global lock — the last cross-shard serialization point of
-// the parallel runtime. The read path keeps the established contract
-// per shard: value→ID hits go through a sync.Map and ID→value lookups
-// index an immutable-prefix slice published through an atomic pointer,
-// so loads never lock.
+// the parallel runtime. Each shard stores its values in one backing
+// array indexed by slot and finds them through an open-addressing
+// table of packed (hash, slot) entries; both sit in one immutable
+// generation published through an atomic pointer, so value→ID and
+// ID→value reads never lock and a fresh value allocates nothing until
+// its shard doubles. The 32-bit FNV-1a hash of a value is computed
+// once per call: its low bits pick the shard, and the whole hash is
+// the table entry's tag and (multiplicatively mixed) its home slot.
 //
 // A Dict only grows. The paper's dom is an infinite universe, but any
 // single run touches finitely many values; a dictionary over the
 // touched values is exactly the compact state kernel the simulator
-// needs. What PR 10 adds is lifetime: a run executed over its own Dict
-// (see the run facade's Dict option) interns every run-local value
-// there, and dropping the handle after the run makes the whole
-// universe of that run collectable — the process-default dictionary no
-// longer accretes every value any run ever touched.
+// needs. A run executed over its own Dict (see the run facade's Dict
+// option) interns every run-local value there, and dropping the handle
+// after the run makes the whole universe of that run collectable — the
+// process-default dictionary does not accrete every value any run ever
+// touched.
 type Dict struct {
 	shards []dictShard
 	// shardBits is log2(len(shards)); the shard index occupies the low
@@ -39,21 +44,120 @@ type Dict struct {
 	shardBits uint
 }
 
-// dictShard is one lock domain of a Dict: a value→ID map with
-// lock-free loads, an atomically published ID→value slice, and a
-// mutex serializing fresh-slot assignment (and nothing else).
+// dictShard is one lock domain of a Dict. Reads load gen and never
+// lock; mu serializes fresh-slot assignment and growth (and nothing
+// else). A shard that has never interned a value has a nil gen and
+// owns no memory beyond its own fields.
 type dictShard struct {
 	mu sync.Mutex
-	// ids maps Value → uint32 (the full, shard-encoded ID). Loads are
-	// lock-free; stores happen under mu, after the value is in place in
-	// the published slice, so a successful load always finds the value
-	// via vals as well.
-	ids sync.Map
-	// vals points at the shard's values-by-slot slice. The prefix
-	// vals[:len] is immutable: a slot is written once, before the ID is
-	// published in ids, and appends replace the header (and possibly
-	// the backing array) rather than mutating published slots.
-	vals atomic.Pointer[[]Value]
+	// gen is the shard's current storage generation. A writer replaces
+	// it only when the value array is full, with one of twice the
+	// capacity that holds copies of every value and entry.
+	gen atomic.Pointer[dictGen]
+	// n is the number of values interned in the shard, stored after
+	// the value's entry is published.
+	n atomic.Uint32
+	// The pad keeps shards that are interned from different goroutines
+	// off each other's cache lines.
+	_ [40]byte
+}
+
+// dictGen is one storage generation of a shard: the values by slot
+// and a linear-probing table over them. Each table entry packs a
+// value's 32-bit hash (the tag, high half) and slot+1 (low half) into
+// one word; 0 marks an empty entry. The table has twice as many
+// entries as vals has room for values, so the load never exceeds one
+// half. Slots are filled in first-seen order and written once: a
+// writer stores the value before the entry that names it, so a reader
+// that loads an entry finds its value in the same generation's vals.
+type dictGen struct {
+	vals []Value
+	ents []atomic.Uint64
+	// shift is 64 - log2(len(ents)): the home entry of hash h is the
+	// top bits of h times a Fibonacci constant.
+	shift uint
+}
+
+// firstCap is the value capacity of a shard's first generation.
+const firstCap = 8
+
+// home returns the table entry at which probes for hash h start.
+func (g *dictGen) home(h uint32) int {
+	return int(uint64(h) * 0x9E3779B97F4A7C15 >> g.shift)
+}
+
+// find returns the slot of v, whose hash is h, if the generation
+// holds it.
+func (g *dictGen) find(v Value, h uint32) (uint32, bool) {
+	mask := len(g.ents) - 1
+	for i := g.home(h); ; i = (i + 1) & mask {
+		e := g.ents[i].Load()
+		if e == 0 {
+			return 0, false
+		}
+		if uint32(e>>32) == h && g.vals[uint32(e)-1] == v {
+			return uint32(e) - 1, true
+		}
+	}
+}
+
+// place stores the packed entry e at the first empty entry of its
+// probe sequence. Only a shard's writer calls it, under the mutex.
+func (g *dictGen) place(e uint64) {
+	mask := len(g.ents) - 1
+	i := g.home(uint32(e >> 32))
+	for g.ents[i].Load() != 0 {
+		i = (i + 1) & mask
+	}
+	g.ents[i].Store(e)
+}
+
+// find returns the slot of v (hash h) in the shard, without locking.
+func (sh *dictShard) find(v Value, h uint32) (uint32, bool) {
+	g := sh.gen.Load()
+	if g == nil {
+		return 0, false
+	}
+	return g.find(v, h)
+}
+
+// add assigns v (hash h), absent from the shard, the next free slot
+// and returns it. The caller holds mu.
+func (sh *dictShard) add(v Value, h uint32) uint32 {
+	g := sh.gen.Load()
+	slot := sh.n.Load()
+	if g == nil || int(slot) == len(g.vals) {
+		g = sh.grow(g)
+	}
+	g.vals[slot] = v
+	g.place(uint64(h)<<32 | uint64(slot+1))
+	sh.n.Store(slot + 1)
+	return slot
+}
+
+// grow publishes a generation of twice old's capacity (firstCap for
+// the first) holding copies of all of old's values and entries, and
+// returns it. Entries carry their hash, so rehashing reads no value.
+func (sh *dictShard) grow(old *dictGen) *dictGen {
+	c := firstCap
+	if old != nil {
+		c = 2 * len(old.vals)
+	}
+	g := &dictGen{
+		vals:  make([]Value, c),
+		ents:  make([]atomic.Uint64, 2*c),
+		shift: uint(64 - bits.Len(uint(2*c-1))),
+	}
+	if old != nil {
+		copy(g.vals, old.vals)
+		for i := range old.ents {
+			if e := old.ents[i].Load(); e != 0 {
+				g.place(e)
+			}
+		}
+	}
+	sh.gen.Store(g)
+	return g
 }
 
 // defaultDictShards is the shard count of NewDict: enough lock
@@ -72,7 +176,8 @@ func NewDict() *Dict { return NewDictShards(defaultDictShards) }
 // to a power of two (minimum 1). A 1-shard Dict reproduces the
 // pre-sharding process-global design exactly — one assignment mutex,
 // densely sequential IDs — and is the single-lock baseline of the E21
-// intern benchmark.
+// intern benchmark. Shards allocate their storage on first intern, so
+// an empty Dict costs its shard array alone.
 func NewDictShards(n int) *Dict {
 	shards := 1
 	bits := uint(0)
@@ -80,12 +185,7 @@ func NewDictShards(n int) *Dict {
 		shards <<= 1
 		bits++
 	}
-	d := &Dict{shards: make([]dictShard, shards), shardBits: bits}
-	for i := range d.shards {
-		empty := make([]Value, 0, 64)
-		d.shards[i].vals.Store(&empty)
-	}
-	return d
+	return &Dict{shards: make([]dictShard, shards), shardBits: bits}
 }
 
 // defaultDict is the process-default dictionary: the compatibility
@@ -101,11 +201,11 @@ var defaultDict = NewDict()
 // may reach for the process-wide one explicitly.
 func DefaultDict() *Dict { return defaultDict }
 
-// shardOf hashes v to its owning shard index (FNV-1a; the low bits
-// select). The hash is a pure function of the value bytes, so shard
-// assignment — and therefore ID assignment under a deterministic
-// intern order — is reproducible run to run.
-func (d *Dict) shardOf(v Value) uint32 {
+// hash is the 32-bit FNV-1a hash of v. Its low bits select v's shard;
+// being a pure function of the value bytes, shard assignment — and
+// therefore ID assignment under a deterministic intern order — is
+// reproducible run to run.
+func hash(v Value) uint32 {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
@@ -115,49 +215,46 @@ func (d *Dict) shardOf(v Value) uint32 {
 		h ^= uint32(v[i])
 		h *= prime32
 	}
-	return h & uint32(len(d.shards)-1)
+	return h
 }
 
 // intern returns the dense ID of v, assigning the next free slot of
 // v's shard on first sight.
 func (d *Dict) intern(v Value) uint32 {
-	si := d.shardOf(v)
+	h := hash(v)
+	si := h & uint32(len(d.shards)-1)
 	sh := &d.shards[si]
-	if id, ok := sh.ids.Load(v); ok {
-		return id.(uint32)
+	if slot, ok := sh.find(v, h); ok {
+		return slot<<d.shardBits | si
 	}
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if id, ok := sh.ids.Load(v); ok {
-		return id.(uint32)
+	slot, ok := sh.find(v, h)
+	if !ok {
+		slot = sh.add(v, h)
 	}
-	cur := *sh.vals.Load()
-	id := uint32(len(cur))<<d.shardBits | si
-	next := append(cur, v)
-	sh.vals.Store(&next)
-	// Publish the ID only after the slot is readable through vals, so
-	// any goroutine that observes the ID can resolve it back.
-	sh.ids.Store(v, id)
-	return id
+	sh.mu.Unlock()
+	return slot<<d.shardBits | si
 }
 
 // lookup returns the ID of v if it has ever been interned in d. A
 // miss proves the value occurs in no relation over d, which turns
-// many membership tests into a single map probe.
+// many membership tests into a single table probe.
 func (d *Dict) lookup(v Value) (uint32, bool) {
-	id, ok := d.shards[d.shardOf(v)].ids.Load(v)
+	h := hash(v)
+	si := h & uint32(len(d.shards)-1)
+	slot, ok := d.shards[si].find(v, h)
 	if !ok {
 		return 0, false
 	}
-	return id.(uint32), true
+	return slot<<d.shardBits | si, true
 }
 
 // value returns the value with the given ID. IDs only come from
-// intern on the same Dict, so the decoded slot is always within the
-// published prefix of its shard's slice.
+// intern on the same Dict, and a slot's value is stored before intern
+// returns its ID, so the shard's current generation holds it.
 func (d *Dict) value(id uint32) Value {
 	sh := &d.shards[id&uint32(len(d.shards)-1)]
-	return (*sh.vals.Load())[id>>d.shardBits]
+	return sh.gen.Load().vals[id>>d.shardBits]
 }
 
 // idSpace returns one past the largest ID d has assigned so far: an
@@ -166,7 +263,7 @@ func (d *Dict) value(id uint32) Value {
 func (d *Dict) idSpace() int {
 	n := 0
 	for i := range d.shards {
-		n = max(n, len(*d.shards[i].vals.Load()))
+		n = max(n, int(d.shards[i].n.Load()))
 	}
 	return n << d.shardBits
 }
@@ -177,7 +274,7 @@ func (d *Dict) idSpace() int {
 func (d *Dict) Len() int {
 	n := 0
 	for i := range d.shards {
-		n += len(*d.shards[i].vals.Load())
+		n += int(d.shards[i].n.Load())
 	}
 	return n
 }

@@ -365,3 +365,62 @@ func TestDeltaSinkAdd(t *testing.T) {
 		t.Fatal("Add shared storage with the caller's tuple")
 	}
 }
+
+// TestDeltaCommitAppendsDisjoint pins Commit's probe-free append to
+// UnionWith: across rounds that move Full's relation from the linear
+// scan to a hash table and through several doublings, with column
+// indexes, the columnar view and the sorted memo built beforehand,
+// every derived structure must match a relation built from scratch.
+func TestDeltaCommitAppendsDisjoint(t *testing.T) {
+	d := NewDelta(NewInstance())
+	ref := NewRelation(2)
+	next := 0
+	for round, n := range []int{3, 4, 5, 40, 1, 300} {
+		s := d.Sink("r", 2)
+		for i := 0; i < n; i++ {
+			tu := Tuple{Value(fmt.Sprintf("c%d", next)), Value(fmt.Sprintf("c%d", next%7))}
+			next++
+			s.Add(tu)
+			ref.Add(tu)
+		}
+		d.Commit()
+		full := d.Full.Relation("r")
+		// Build every memo so the next Commit has to extend it.
+		full.Lookup(1, "c0")
+		full.columns().index(0)
+		full.Tuples()
+		if !full.Equal(ref) || !ref.Equal(full) {
+			t.Fatalf("round %d: Full diverged from the UnionWith reference", round)
+		}
+		if full.Len() > linearMax && 2*full.Len() > len(full.table) {
+			t.Fatalf("round %d: table of %d for %d rows is over half load", round, len(full.table), full.Len())
+		}
+		for i := 0; i < full.Len(); i++ {
+			if full.find(full.key(i)) != i {
+				t.Fatalf("round %d: row %d not found through the table", round, i)
+			}
+		}
+		fresh := ref.Clone()
+		for c := 0; c < 2; c++ {
+			for _, v := range []Value{"c0", "c3", "c6"} {
+				if got, want := len(full.Lookup(c, v)), len(fresh.Lookup(c, v)); got != want {
+					t.Fatalf("round %d: Lookup(%d,%s) holds %d tuples, want %d", round, c, v, got, want)
+				}
+			}
+		}
+		cv := full.columns()
+		if cv.n != full.Len() {
+			t.Fatalf("round %d: columnar view holds %d rows, want %d", round, cv.n, full.Len())
+		}
+		for i := 0; i < full.Len(); i++ {
+			for c := 0; c < 2; c++ {
+				if cv.col[c][i] != full.rowID(i, c) {
+					t.Fatalf("round %d: columnar view row %d col %d diverged from the slab", round, i, c)
+				}
+			}
+		}
+		if got := full.Tuples(); !slices.EqualFunc(got, fresh.Tuples(), Tuple.Equal) {
+			t.Fatalf("round %d: sorted memo is stale", round)
+		}
+	}
+}
