@@ -22,12 +22,13 @@ import (
 // process-global lock — the last cross-shard serialization point of
 // the parallel runtime. Each shard stores its values in one backing
 // array indexed by slot and finds them through an open-addressing
-// table of packed (hash, slot) entries; both sit in one immutable
-// generation published through an atomic pointer, so value→ID and
-// ID→value reads never lock and a fresh value allocates nothing until
-// its shard doubles. The 32-bit FNV-1a hash of a value is computed
-// once per call: its low bits pick the shard, and the whole hash is
-// the table entry's tag and (multiplicatively mixed) its home slot.
+// table of packed (hash, slot) entries. Both sit in one generation,
+// published through an atomic pointer and replaced only when the
+// shard doubles, so value→ID and ID→value reads never lock and a
+// fresh value allocates nothing until its shard grows. The 32-bit
+// FNV-1a hash of a value is computed once per call: its low bits pick
+// the shard, and the whole hash is the table entry's tag and,
+// multiplicatively mixed, its home entry.
 //
 // A Dict only grows. The paper's dom is an infinite universe, but any
 // single run touches finitely many values; a dictionary over the
