@@ -316,21 +316,31 @@ func (r *Relation) unplace(i int) {
 }
 
 // addKeyed appends a tuple absent from the relation under its packed
-// key, maintaining the hash table and any built indexes and columnar
-// view. k is copied into the slab; t is stored as is.
+// key. k is copied into the slab; t is stored as is.
 func (r *Relation) addKeyed(k []byte, t Tuple) {
 	r.keys = append(r.keys, k...)
 	r.rows = append(r.rows, t)
-	r.placeFrom(len(r.rows) - 1)
+	r.appended(len(r.rows) - 1)
+}
+
+// appended maintains the hash table, the sorted memo and any built
+// indexes and columnar view after rows [from, Len) were appended to
+// the slab and row slice.
+func (r *Relation) appended(from int) {
+	r.placeFrom(from)
 	r.sorted = nil
 	for c, m := range r.idx {
 		if m != nil {
-			id := binary.BigEndian.Uint32(k[4*c:])
-			m[id] = append(m[id], t)
+			for i := from; i < len(r.rows); i++ {
+				id := r.rowID(i, c)
+				m[id] = append(m[id], r.rows[i])
+			}
 		}
 	}
 	if r.cview != nil {
-		r.cview.appendRow(k)
+		for i := from; i < len(r.rows); i++ {
+			r.cview.appendRow(r.key(i))
+		}
 	}
 }
 
@@ -534,28 +544,13 @@ func (r *Relation) UnionWith(s *Relation) {
 
 // appendDisjoint appends every row of s to r. s must share r's arity
 // and dictionary and hold no tuple of r, so no key is probed: the key
-// slab and rows are copied in one append each, the hash table is
-// resized at most once, and built column indexes and the columnar
-// view are extended as addKeyed would.
+// slab and rows are copied in one append each and the hash table is
+// resized at most once.
 func (r *Relation) appendDisjoint(s *Relation) {
 	from := len(r.rows)
 	r.keys = append(r.keys, s.keys...)
 	r.rows = append(r.rows, s.rows...)
-	r.placeFrom(from)
-	r.sorted = nil
-	for c, m := range r.idx {
-		if m != nil {
-			for i := from; i < len(r.rows); i++ {
-				id := r.rowID(i, c)
-				m[id] = append(m[id], r.rows[i])
-			}
-		}
-	}
-	if r.cview != nil {
-		for i := from; i < len(r.rows); i++ {
-			r.cview.appendRow(r.key(i))
-		}
-	}
+	r.appended(from)
 }
 
 // Minus returns r \ s as a new relation over r's dictionary; r and s

@@ -58,9 +58,6 @@ type dictShard struct {
 	// n is the number of values interned in the shard, stored after
 	// the value's entry is published.
 	n atomic.Uint32
-	// The pad keeps shards that are interned from different goroutines
-	// off each other's cache lines.
-	_ [40]byte
 }
 
 // dictGen is one storage generation of a shard: the values by slot
