@@ -367,7 +367,7 @@ func TestDeltaSinkAdd(t *testing.T) {
 }
 
 // TestDeltaCommitAppendsDisjoint pins Commit's probe-free append to
-// UnionWith: across rounds that move Full's relation from the linear
+// a relation built by Add: across rounds that move Full's relation from the linear
 // scan to a hash table and through several doublings, with column
 // indexes, the columnar view and the sorted memo built beforehand,
 // every derived structure must match a relation built from scratch.
@@ -390,7 +390,7 @@ func TestDeltaCommitAppendsDisjoint(t *testing.T) {
 		full.columns().index(0)
 		full.Tuples()
 		if !full.Equal(ref) || !ref.Equal(full) {
-			t.Fatalf("round %d: Full diverged from the UnionWith reference", round)
+			t.Fatalf("round %d: Full diverged from the Add reference", round)
 		}
 		if full.Len() > linearMax && 2*full.Len() > len(full.table) {
 			t.Fatalf("round %d: table of %d for %d rows is over half load", round, len(full.table), full.Len())
