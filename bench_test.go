@@ -480,43 +480,6 @@ func BenchmarkE14SemiNaiveVsNaive(b *testing.B) {
 	})
 }
 
-// BenchmarkA1FOFastPath is the design-choice ablation for the FO
-// evaluator: join-based branch evaluation vs plain active-domain
-// enumeration on the transitive-closure insertion query.
-func BenchmarkA1FOFastPath(b *testing.B) {
-	q := fo.MustQuery("insT", []string{"x", "y"},
-		fo.OrF(
-			fo.AtomF("S", "x", "y"),
-			fo.AtomF("T", "x", "y"),
-			fo.ExistsF([]string{"z"}, fo.AndF(fo.AtomF("T", "x", "z"), fo.AtomF("T", "z", "y"))),
-		))
-	I := declnet.NewInstance()
-	for i := 0; i < 20; i++ {
-		I.AddFact(ff("S", declnet.Value(fmt.Sprintf("v%d", i)), declnet.Value(fmt.Sprintf("v%d", i+1))))
-		I.AddFact(ff("T", declnet.Value(fmt.Sprintf("v%d", i)), declnet.Value(fmt.Sprintf("v%d", (i+3)%21))))
-	}
-	want, err := q.Eval(I)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("join", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			out, err := q.Eval(I)
-			if err != nil || !out.Equal(want) {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("enumerate", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			out, err := q.EvalGeneric(I)
-			if err != nil || !out.Equal(want) {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkA2Coalescing is the design-choice ablation for the
 // harness's duplicate coalescing: identical quiescent outputs, very
 // different run lengths.

@@ -11,9 +11,9 @@
 //	          [-scale-profile ring:10000] [-explain] [-lint] [-list]
 //
 // With -explain the compiled physical query plan of every transducer
-// query is printed (join order, index-probe columns, guard placement,
-// delta-pinned semi-naive variants) and the command exits; diff the
-// output across commits to catch plan regressions.
+// query is printed (join order, index-probe columns, filters and inner
+// queries, delta-pinned semi-naive variants) and the command exits;
+// diff the output across commits to catch plan regressions.
 //
 // With -workers N > 0 the run executes on the parallel sharded
 // runtime: all nodes fire concurrently in rounds on N goroutines, each
@@ -69,7 +69,7 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel round runtime worker count (0 = sequential scheduler)")
 	scaleProfile := flag.String("scale-profile", "", "E20 scaling configuration family:n (gossip on a generated graph; overrides -t/-topology/-facts)")
 	channelSpec := flag.String("channel", "", "channel model / fault scenario (see -list); empty = default fair channel")
-	explain := flag.Bool("explain", false, "print the compiled query plans of the transducer (join order, probe columns, guards, delta pins), then exit")
+	explain := flag.Bool("explain", false, "print the compiled query plans of the transducer (join order, probe columns, filters, inner queries, delta pins), then exit")
 	lint := flag.Bool("lint", false, "run the static CALM analyzer on the transducer (polarity graph, refined class, witnesses), then exit")
 	list := flag.Bool("list", false, "list available transducers and channel scenarios, then exit")
 	strict := flag.Bool("strict", false, "strict multiset buffers (no duplicate coalescing)")

@@ -93,13 +93,16 @@
 // Every local query language evaluates through one physical plan
 // layer (internal/plan): conjunctive joins are described as atoms
 // over compile-time numbered registers plus filters (anti-probe
-// negation, (in)equalities, residual-guard hooks), compiled ONCE per
-// query by a cost-driven static orderer (bound-term count, relation
-// cardinality tie-breaks from the first bound instance) into a
-// schedule of scan / index-probe / check / guard / project ops, and
-// executed over dense register slots instead of per-call binding
-// maps. FO branch conjunctions and Datalog rule bodies (with Dedalus'
-// NOW/NEXT as pre-bound input registers) both lower onto it; the
+// negation, (in)equalities), compiled ONCE per query by a cost-driven
+// static orderer (bound-term count, relation cardinality tie-breaks
+// from the first bound instance) into a schedule of scan /
+// index-probe / check / project ops, and executed over dense register
+// slots instead of per-call binding maps. Every FO query lowers onto
+// it as joins and anti-joins (FO equals relational algebra under
+// active-domain semantics: conjuncts that are not literals become
+// inner queries, variables no atom binds join the active domain), and
+// so do Datalog rule bodies (with Dedalus' NOW/NEXT as pre-bound
+// input registers); the
 // per-pinned-atom delta schedules behind EvalDelta and incremental
 // firing are cached alongside, each sync.Once-guarded so one plan
 // serves every worker of the parallel runtime. run.Explain renders
@@ -114,8 +117,8 @@
 // radix-sorted runs, internal/fact), and internal/plan executes the
 // schedule over column batches — merge joins on sorted ID runs when
 // both sides are large, vectorized hash probes otherwise, batch
-// filters (residual (in)equalities lower to column-pass filter ops,
-// not per-row guard hooks), and a batch output append that
+// filters (residual (in)equalities lower to column-pass filter ops),
+// and a batch output append that
 // deduplicates whole column slabs against the destination relation
 // before allocating anything: each row probes the relation's row
 // store under one reused scratch key, and only new rows are stored

@@ -122,7 +122,7 @@ func (cr *compiledRule) fireInto(I *fact.Instance, pinLit int, delta *fact.Insta
 	if pinLit >= 0 {
 		pin = cr.litAtom[pinLit]
 	}
-	if err := cr.plan.Run(I, delta, pin, args, nil, out); err != nil {
+	if err := cr.plan.Run(I, delta, pin, args, out); err != nil {
 		return fmt.Errorf("datalog: rule %s: %w", cr.rule, err)
 	}
 	return nil

@@ -17,15 +17,16 @@ type wInstr struct {
 	assign *while.Assign // nil for a branch
 	next   int           // successor pc of an assignment
 
-	cond            fo.Formula // loop condition of a branch
+	cond            *fo.Query // loop condition of a branch, as a 0-ary query
 	onTrue, onFalse int
 }
 
 // flattenWhile lowers the statement tree to a linear instruction list
 // with explicit jump targets; the pc after the last instruction is the
-// halt state.
-func flattenWhile(p *while.Program) []wInstr {
+// halt state. Loop conditions compile here, once, to 0-ary queries.
+func flattenWhile(p *while.Program) ([]wInstr, error) {
 	var instrs []wInstr
+	var err error
 	// pending lists (instruction, slot) pairs whose jump target is the
 	// next emitted instruction; slots: 0 = next, 1 = onFalse.
 	type slotRef struct{ idx, slot int }
@@ -50,7 +51,11 @@ func flattenWhile(p *while.Program) []wInstr {
 				instrs = append(instrs, wInstr{assign: &a, next: -1})
 				pending = []slotRef{{idx, 0}}
 			case while.While:
-				instrs = append(instrs, wInstr{cond: st.Cond, onTrue: -1, onFalse: -1})
+				cond, cerr := fo.NewQuery(fmt.Sprintf("cond@%d", idx), nil, st.Cond)
+				if cerr != nil && err == nil {
+					err = cerr
+				}
+				instrs = append(instrs, wInstr{cond: cond, onTrue: -1, onFalse: -1})
 				bodyPending := emit(st.Body)
 				if len(st.Body) > 0 {
 					instrs[idx].onTrue = idx + 1
@@ -66,7 +71,7 @@ func flattenWhile(p *while.Program) []wInstr {
 	}
 	final := emit(p.Stmts)
 	patch(final, len(instrs))
-	return instrs
+	return instrs, err
 }
 
 func pcRel(i int) string { return fmt.Sprintf("pc@%d", i) }
@@ -86,7 +91,10 @@ func pcRel(i int) string { return fmt.Sprintf("pc@%d", i) }
 // (transducer inputs are immutable), and every relation it reads must
 // be an input or an assigned program variable.
 func WhileTransducer(p *while.Program, in fact.Schema) (*transducer.Transducer, error) {
-	instrs := flattenWhile(p)
+	instrs, err := flattenWhile(p)
+	if err != nil {
+		return nil, fmt.Errorf("dist: while-program condition: %w", err)
+	}
 	halt := len(instrs)
 
 	// Program variables: every assigned relation, with its arity.
@@ -143,8 +151,8 @@ func WhileTransducer(p *while.Program, in fact.Schema) (*transducer.Transducer, 
 	// inEdge is one way the pc token can arrive at a target state.
 	type inEdge struct {
 		from int
-		cond fo.Formula // nil: unconditional; evaluated on the store
-		want bool       // required truth value of cond
+		cond *fo.Query // nil: unconditional; evaluated on the store
+		want bool      // required truth value of cond
 	}
 	incoming := map[int][]inEdge{}
 	for i := range instrs {
@@ -172,7 +180,7 @@ func WhileTransducer(p *while.Program, in fact.Schema) (*transducer.Transducer, 
 		for _, e := range edges {
 			reads[pcRel(e.from)] = true
 			if e.cond != nil {
-				for _, r := range fo.RelNames(e.cond) {
+				for _, r := range e.cond.Rels() {
 					reads[r] = true
 				}
 			}
@@ -207,11 +215,11 @@ func WhileTransducer(p *while.Program, in fact.Schema) (*transducer.Transducer, 
 					if e.cond == nil {
 						return nullaryTrue(I.Dict(), true), nil
 					}
-					ok, err := fo.Holds(e.cond, restrict(I))
+					holds, err := e.cond.Eval(restrict(I))
 					if err != nil {
 						return nil, err
 					}
-					if ok == e.want {
+					if !holds.Empty() == e.want {
 						return nullaryTrue(I.Dict(), true), nil
 					}
 				}

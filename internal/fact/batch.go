@@ -412,37 +412,6 @@ func (b *Batch) FilterNotIn(rel *Relation, terms []BatchTerm) {
 	b.keepRows(keep)
 }
 
-// FilterGuard keeps the rows accepted by fn, materializing every
-// currently bound register into a scratch register file per row (the
-// residual-guard fallback: guards need Values and evaluation context,
-// not IDs). Unbound registers stay at the zero Value, exactly the
-// state a tuple-at-a-time frame would show at the same schedule
-// position. fn must treat the register slice as read-only transient
-// state, exactly like a plan GuardFunc.
-func (b *Batch) FilterGuard(fn func(regs []Value) (bool, error)) error {
-	if b.n == 0 {
-		return nil
-	}
-	scratch := make([]Value, len(b.cols))
-	keep := make([]int32, 0, b.n)
-	for i := 0; i < b.n; i++ {
-		for r, col := range b.cols {
-			if col != nil {
-				scratch[r] = b.dict.value(col[i])
-			}
-		}
-		ok, err := fn(scratch)
-		if err != nil {
-			return err
-		}
-		if ok {
-			keep = append(keep, int32(i))
-		}
-	}
-	b.keepRows(keep)
-	return nil
-}
-
 // ProjectInto appends the head projection of every row into out,
 // deduplicating within the batch and against the sink's existing
 // tuples through the columnar batch-append path (sink.go): each row is

@@ -236,18 +236,6 @@ func TestBatchFilters(t *testing.T) {
 	if b.Len() != 3 {
 		t.Fatal("not-in with uninterned constant filtered rows")
 	}
-
-	// Guard sees the right Values per row.
-	b = scan()
-	err := b.FilterGuard(func(regs []Value) (bool, error) {
-		return regs[0] != "c" && regs[1] == "b", nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := project(b); out.Len() != 2 || out.Contains(Tuple{"c", "d"}) {
-		t.Fatalf("guard: %v", out)
-	}
 }
 
 func TestBatchProjectConstantsAndDedup(t *testing.T) {

@@ -21,7 +21,9 @@ func TestInternParallelDenseStable(t *testing.T) {
 	for i := range vals {
 		vals[i] = Value(fmt.Sprintf("internpar-%d", i))
 	}
-	base := InternedValues()
+	// A fresh dictionary, so the growth count holds on every repeat
+	// of the test in one process.
+	d := NewDict()
 
 	ids := make([][]uint32, goroutines)
 	var wg sync.WaitGroup
@@ -36,15 +38,15 @@ func TestInternParallelDenseStable(t *testing.T) {
 			strides := []int{1, 3, 7, 9, 11, 13, 17, 19}
 			for i := 0; i < values; i++ {
 				j := (i*strides[g%len(strides)] + g) % values
-				got[j] = Intern(vals[j])
+				got[j] = d.Intern(vals[j])
 			}
 			ids[g] = got
 		}(g)
 	}
 	wg.Wait()
 
-	if got := InternedValues(); got != base+values {
-		t.Fatalf("dictionary grew by %d values, want %d", got-base, values)
+	if got := d.Len(); got != values {
+		t.Fatalf("dictionary grew by %d values, want %d", got, values)
 	}
 	seen := map[uint32]bool{}
 	for j := range vals {
@@ -54,10 +56,10 @@ func TestInternParallelDenseStable(t *testing.T) {
 				t.Fatalf("value %s got IDs %d and %d from different goroutines", vals[j], id, ids[g][j])
 			}
 		}
-		if again := Intern(vals[j]); again != id {
+		if again := d.Intern(vals[j]); again != id {
 			t.Fatalf("re-interning %s moved ID %d -> %d", vals[j], id, again)
 		}
-		if got := defaultDict.value(id); got != vals[j] {
+		if got := d.value(id); got != vals[j] {
 			t.Fatalf("ID %d decodes to %s, want %s", id, got, vals[j])
 		}
 		if seen[id] {
@@ -72,8 +74,8 @@ func TestInternParallelDenseStable(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j, v := range vals {
-				if got := defaultDict.value(ids[0][j]); got != v {
-					t.Errorf("defaultDict.value(%d) = %s, want %s", ids[0][j], got, v)
+				if got := d.value(ids[0][j]); got != v {
+					t.Errorf("d.value(%d) = %s, want %s", ids[0][j], got, v)
 					return
 				}
 			}

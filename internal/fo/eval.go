@@ -14,22 +14,21 @@ type Query struct {
 	Head []Var
 	Body Formula
 
-	// branches is the disjunctive decomposition used by the join-based
-	// fast path; nil when the formula has variable shadowing that
-	// makes the decomposition unsound.
+	// branches is the disjunctive decomposition of the body, each
+	// branch lowered onto a compiled join plan (fastpath.go).
 	branches []branch
 
 	// deltaOK marks the query exact under semi-naive delta evaluation
-	// (EvalDelta): every branch is a positive conjunction of atoms —
-	// possibly with residual (in)equality filters, which never consult
-	// the instance and so stay monotone even when negated — or a
-	// positive (hence monotone) formula.
+	// (EvalDelta): no plan of the query or of its inner queries has an
+	// anti-join, so the query is monotone and re-evaluating a branch
+	// over full ∪ delta never loses a derivation of the union.
 	deltaOK bool
 }
 
-// NewQuery builds an FO query and checks that the body's free
-// variables are all listed in the head (safety of output tuples is
-// then guaranteed by the active-domain semantics).
+// NewQuery builds an FO query, checks that the body's free variables
+// are all listed in the head (safety of output tuples is then
+// guaranteed by the active-domain semantics), and lowers the body
+// onto the compiled plan layer.
 func NewQuery(name string, head []string, body Formula) (*Query, error) {
 	hv := make([]Var, len(head))
 	seen := make(map[Var]bool, len(head))
@@ -42,93 +41,19 @@ func NewQuery(name string, head []string, body Formula) (*Query, error) {
 			return nil, fmt.Errorf("fo: query %s: free variable %s not in head %v", name, v, head)
 		}
 	}
-	q := &Query{Name: name, Head: hv, Body: body}
-	if noShadowing(body, seen) {
-		q.branches = normalizeBranches(body)
-		// Lower conforming branches onto the compiled plan layer once,
-		// here; evaluations reuse the cached join schedules.
-		for i := range q.branches {
-			compileBranch(fmt.Sprintf("%s#%d", name, i+1), hv, &q.branches[i])
+	q := &Query{Name: name, Head: hv, Body: body, deltaOK: true}
+	if rebinds(body, seen) {
+		body = renameApart(body, hv)
+	}
+	for i, c := range normalize(body) {
+		b, err := compileBranch(fmt.Sprintf("%s#%d", name, i+1), hv, c)
+		if err != nil {
+			return nil, fmt.Errorf("fo: query %s: %w", name, err)
 		}
-		q.deltaOK = true
-		for _, b := range q.branches {
-			if b.slow != nil && !IsPositive(b.slow) {
-				q.deltaOK = false
-				break
-			}
-			for _, g := range b.guard {
-				if !IsPositive(g) {
-					q.deltaOK = false
-					break
-				}
-			}
-			for _, g := range b.guardClosed {
-				if !IsPositive(g) {
-					q.deltaOK = false
-					break
-				}
-			}
-		}
+		q.branches = append(q.branches, b)
+		q.deltaOK = q.deltaOK && b.monotone()
 	}
 	return q, nil
-}
-
-// adomMemo returns a lazy accessor for adom(I).
-func adomMemo(I *fact.Instance) func() []fact.Value {
-	var adom []fact.Value
-	return func() []fact.Value {
-		if adom == nil {
-			adom = I.ActiveDomain()
-		}
-		return adom
-	}
-}
-
-// noShadowing reports whether no quantifier in f rebinds a head
-// variable or an already-quantified variable; under this condition
-// every variable name denotes one logical variable and the branch
-// decomposition of the fast path is sound.
-func noShadowing(f Formula, bound map[Var]bool) bool {
-	switch g := f.(type) {
-	case Exists, Forall:
-		var vars []Var
-		var inner Formula
-		if e, ok := g.(Exists); ok {
-			vars, inner = e.Vars, e.F
-		} else {
-			fa := g.(Forall)
-			vars, inner = fa.Vars, fa.F
-		}
-		newBound := make(map[Var]bool, len(bound)+len(vars))
-		for v := range bound {
-			newBound[v] = true
-		}
-		for _, v := range vars {
-			if newBound[v] {
-				return false
-			}
-			newBound[v] = true
-		}
-		return noShadowing(inner, newBound)
-	case Not:
-		return noShadowing(g.F, bound)
-	case And:
-		for _, sub := range g.Fs {
-			if !noShadowing(sub, bound) {
-				return false
-			}
-		}
-		return true
-	case Or:
-		for _, sub := range g.Fs {
-			if !noShadowing(sub, bound) {
-				return false
-			}
-		}
-		return true
-	default:
-		return true
-	}
 }
 
 // MustQuery is NewQuery panicking on error; for statically known
@@ -157,159 +82,32 @@ func (q *Query) String() string {
 	return fmt.Sprintf("%s(%s) := %s", q.Name, joinVars(q.Head), q.Body)
 }
 
-// Eval implements query.Query with the active-domain semantics.
-// Branches that are positive existential conjunctions of atoms are
-// evaluated by backtracking joins; the rest enumerate adom^k.
+// Eval implements query.Query with the active-domain semantics: every
+// branch runs its compiled join plan.
 func (q *Query) Eval(I *fact.Instance) (*fact.Relation, error) {
-	if q.branches != nil {
-		adomOf := adomMemo(I)
-		out := I.Dict().NewRelation(len(q.Head))
-		for _, b := range q.branches {
-			if err := q.evalBranch(b, I, adomOf, out); err != nil {
-				return nil, fmt.Errorf("fo: query %s: %w", q.Name, err)
-			}
-		}
-		return out, nil
-	}
 	out := I.Dict().NewRelation(len(q.Head))
-	if err := q.enumerate(I, I.ActiveDomain(), q.Body, out); err != nil {
+	ctx := evalCtx{I: I}
+	if err := q.evalInto(&ctx, out); err != nil {
 		return nil, fmt.Errorf("fo: query %s: %w", q.Name, err)
 	}
 	return out, nil
 }
 
-// EvalGeneric evaluates the query with the plain active-domain
-// enumerator, bypassing the join-based fast path. Results are
-// identical to Eval; it exists for the fast-path ablation benchmark
-// and the differential tests.
-func (q *Query) EvalGeneric(I *fact.Instance) (*fact.Relation, error) {
-	out := I.Dict().NewRelation(len(q.Head))
-	if err := q.enumerate(I, I.ActiveDomain(), q.Body, out); err != nil {
-		return nil, fmt.Errorf("fo: query %s: %w", q.Name, err)
-	}
-	return out, nil
-}
-
-// Holds evaluates a sentence (formula with no free variables) on I.
+// Holds evaluates a sentence (formula with no free variables) on I: it
+// compiles the sentence as a 0-ary query and reports whether the query
+// returns the empty tuple. Callers that test one sentence repeatedly
+// should build that query once instead.
 func Holds(f Formula, I *fact.Instance) (bool, error) {
 	if fv := FreeVars(f); len(fv) != 0 {
 		return false, fmt.Errorf("fo: Holds on open formula (free: %v)", fv)
 	}
-	return eval(f, I, I.ActiveDomain(), map[Var]fact.Value{})
-}
-
-func evalTerm(t Term, env map[Var]fact.Value) (fact.Value, error) {
-	switch x := t.(type) {
-	case Var:
-		v, ok := env[x]
-		if !ok {
-			return "", fmt.Errorf("unbound variable %s", x)
-		}
-		return v, nil
-	case Const:
-		return fact.Value(x), nil
-	default:
-		return "", fmt.Errorf("unknown term %T", t)
+	q, err := NewQuery("holds", nil, f)
+	if err != nil {
+		return false, err
 	}
-}
-
-func eval(f Formula, I *fact.Instance, adom []fact.Value, env map[Var]fact.Value) (bool, error) {
-	switch g := f.(type) {
-	case Truth:
-		return g.Val, nil
-	case Atom:
-		t := make(fact.Tuple, len(g.Terms))
-		for i, tm := range g.Terms {
-			v, err := evalTerm(tm, env)
-			if err != nil {
-				return false, err
-			}
-			t[i] = v
-		}
-		r := I.Relation(g.Rel)
-		return r != nil && r.Contains(t), nil
-	case Eq:
-		l, err := evalTerm(g.L, env)
-		if err != nil {
-			return false, err
-		}
-		r, err := evalTerm(g.R, env)
-		if err != nil {
-			return false, err
-		}
-		return l == r, nil
-	case Not:
-		ok, err := eval(g.F, I, adom, env)
-		return !ok, err
-	case And:
-		for _, sub := range g.Fs {
-			ok, err := eval(sub, I, adom, env)
-			if err != nil || !ok {
-				return false, err
-			}
-		}
-		return true, nil
-	case Or:
-		for _, sub := range g.Fs {
-			ok, err := eval(sub, I, adom, env)
-			if err != nil {
-				return false, err
-			}
-			if ok {
-				return true, nil
-			}
-		}
-		return false, nil
-	case Exists:
-		return evalQuant(g.Vars, g.F, I, adom, env, false)
-	case Forall:
-		return evalQuant(g.Vars, g.F, I, adom, env, true)
-	default:
-		return false, fmt.Errorf("unknown formula %T", f)
+	r, err := q.Eval(I)
+	if err != nil {
+		return false, err
 	}
-}
-
-// evalQuant enumerates assignments of vars over adom. For forall it
-// looks for a falsifying assignment, for exists a satisfying one.
-func evalQuant(vars []Var, body Formula, I *fact.Instance, adom []fact.Value, env map[Var]fact.Value, universal bool) (bool, error) {
-	// Save shadowed bindings to restore after enumeration.
-	saved := make(map[Var]fact.Value, len(vars))
-	present := make(map[Var]bool, len(vars))
-	for _, v := range vars {
-		if old, ok := env[v]; ok {
-			saved[v] = old
-			present[v] = true
-		}
-	}
-	defer func() {
-		for _, v := range vars {
-			if present[v] {
-				env[v] = saved[v]
-			} else {
-				delete(env, v)
-			}
-		}
-	}()
-
-	var rec func(i int) (bool, error)
-	rec = func(i int) (bool, error) {
-		if i == len(vars) {
-			return eval(body, I, adom, env)
-		}
-		for _, a := range adom {
-			env[vars[i]] = a
-			ok, err := rec(i + 1)
-			if err != nil {
-				return false, err
-			}
-			if universal && !ok {
-				return false, nil
-			}
-			if !universal && ok {
-				return true, nil
-			}
-		}
-		return universal, nil
-	}
-	return rec(0)
+	return !r.Empty(), nil
 }

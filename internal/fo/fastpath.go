@@ -8,353 +8,507 @@ import (
 	"declnet/internal/plan"
 )
 
-// This file lowers the common shape of transducer queries —
-// disjunctions of positive existential conjunctions of atoms, possibly
-// with residual guard conjuncts — onto the compiled physical plan
-// layer (internal/plan). Each conforming branch is compiled ONCE, at
-// NewQuery time, into a join plan executed over dense register slots;
-// the plan caches its join schedule (and the per-pinned-atom delta
-// schedules that EvalDelta needs) across evaluations. Branches that do
-// not fit the shape (negation, equality, universal quantification
-// outside a guarded position) fall back to the generic active-domain
-// evaluator per branch. The semantics is unchanged: positive
-// existential formulas only ever bind variables to values occurring in
-// relations, which are a subset of the active domain.
+// This file lowers every FO formula onto the compiled physical plan
+// layer (internal/plan), Codd-style: under active-domain semantics FO
+// equals relational algebra, so each query runs as joins and
+// anti-joins. NewQuery renames bound variables apart and splits the
+// body into disjunctive branches. A branch is a conjunction of
+// literals — atoms, (in)equalities, negated atoms — plus conjuncts of
+// any other shape (¬ψ, ∀x̄ψ as ¬∃x̄¬ψ, a nested ∨, a closed sentence),
+// each compiled recursively into an inner query over its free
+// variables that the branch reads as one more join atom, or as an
+// anti-join when negated. A variable no positive atom binds joins a
+// unary relation holding the active domain. Each branch compiles ONCE,
+// at NewQuery time, into a join plan whose schedules (and the
+// per-pinned-atom delta schedules EvalDelta needs) are cached.
+//
+// Inner results and the active domain live in a per-evaluation overlay
+// of the instance (a shallow clone), under relation names the parser
+// cannot produce, and are never cached on the Query: one Query may be
+// evaluated concurrently. A branch with neither — a positive
+// conjunctive query whose atoms bind the head — runs its plan directly
+// on the instance.
 
-// branch is one disjunct of the decomposed formula, in one of three
-// shapes: a conjunction of positive atoms (fast: atoms only), a
-// guarded conjunction (atoms plus residual conjuncts whose free
-// variables the atoms bind — joined, then the residuals are checked
-// per binding, a semi-join), or an arbitrary formula (slow).
-type branch struct {
-	atoms []Atom
-	// guard holds residual conjuncts with free variables (checked per
-	// join binding); guardClosed holds closed residuals (sentences),
-	// hoisted out of the join and checked once per evaluation.
-	guard       []Formula
-	guardClosed []Formula
-	// eqs holds residual (in)equality conjuncts over atom-bound
-	// variables, lowered to plan-level equality/inequality filter ops
-	// instead of guard callbacks — the batch pipeline runs them as
-	// vectorized column filters, so cycles-class queries (x = z under
-	// exists) stay columnar.
-	eqs  []eqResidual
-	slow Formula
+// adomRel names the overlay relation holding the active domain.
+const adomRel = "#adom"
 
-	// p is the compiled join plan for fast and guarded branches whose
-	// atoms bind the head; nil forces the enumeration fallback. Guard
-	// conjuncts appear in the plan as guard filter ops indexed into
-	// guard; guardVars/guardRegs map each guard's free variables to
-	// the plan's registers.
-	p         *plan.Plan
-	guardVars [][]Var
-	guardRegs [][]int
+// conj is one branch of the normalized body: a conjunction of
+// literals.
+type conj struct {
+	atoms  []Atom   // positive atoms over instance relations
+	eqs    []eqLit  // (in)equalities
+	negs   []Atom   // negated atoms: anti-joins
+	subs   []subLit // conjuncts of any other shape: inner queries
+	exVars []Var    // variables of the ∃s absorbed into the branch
 }
 
-// eqResidual is one residual (in)equality conjunct of a guarded
-// branch: the equality, negated when neq is set (x ≠ z parses as
-// ¬(x = z)).
-type eqResidual struct {
+// eqLit is an (in)equality literal: the equality, negated when neq is
+// set (x ≠ z parses as ¬(x = z)).
+type eqLit struct {
 	eq  Eq
 	neq bool
 }
 
-// formula reconstructs the conjunct, for fallback evaluation and
-// absorption into an enclosing conjunction.
-func (e eqResidual) formula() Formula {
-	if e.neq {
-		return Not{F: e.eq}
-	}
-	return e.eq
+// subLit is a conjunct that is not a literal: the branch reads the
+// inner query over f's free variables as a join atom, or as an
+// anti-join when neg is set. src is the conjunct as written, whose
+// polarity QueryDeps reports.
+type subLit struct {
+	src, f Formula
+	neg    bool
 }
 
-// residualEq recognizes an (in)equality conjunct: t1 = t2 or its
-// negation. ok is false for any other shape.
-func residualEq(f Formula) (eq Eq, neq bool, ok bool) {
-	switch g := f.(type) {
-	case Eq:
-		return g, false, true
-	case Not:
-		if e, isEq := g.F.(Eq); isEq {
-			return e, true, true
-		}
-	}
-	return Eq{}, false, false
+func (c *conj) merge(o conj) {
+	c.atoms = append(c.atoms, o.atoms...)
+	c.eqs = append(c.eqs, o.eqs...)
+	c.negs = append(c.negs, o.negs...)
+	c.subs = append(c.subs, o.subs...)
+	c.exVars = append(c.exVars, o.exVars...)
 }
 
-// normalizeBranches flattens a formula into disjunctive branches.
-// It returns ok=false when the whole formula is one slow branch and
-// splitting gained nothing.
-func normalizeBranches(f Formula) []branch {
+// normalize splits a formula whose bound variables are renamed apart
+// into its disjunctive branches: top-level disjunctions and ∃ over a
+// disjunction become separate branches, conjunctions absorb every
+// conjunct that is itself one branch, and a conjunct with several
+// branches becomes an inner query. No branches means false.
+func normalize(f Formula) []conj {
 	switch g := f.(type) {
 	case Or:
-		var out []branch
+		var out []conj
 		for _, sub := range g.Fs {
-			out = append(out, normalizeBranches(sub)...)
+			out = append(out, normalize(sub)...)
 		}
 		return out
 	case Atom:
-		return []branch{{atoms: []Atom{g}}}
-	case And:
-		// Fast when every conjunct is itself a pure conjunction of
-		// atoms (no disjunction distribution, to avoid blowup);
-		// conjuncts of any other shape become guards of the atom join
-		// when the atoms bind all their free variables.
-		var atoms []Atom
-		var guard []Formula
-		for _, sub := range g.Fs {
-			bs := normalizeBranches(sub)
-			if len(bs) != 1 || bs[0].slow != nil {
-				guard = append(guard, sub)
-				continue
-			}
-			// Absorb the sub-branch's atoms AND its guards (including
-			// lowered (in)equalities, reconstructed as formulas so they
-			// re-classify against the combined atom set) — dropping a
-			// nested guard would derive tuples the formula forbids.
-			atoms = append(atoms, bs[0].atoms...)
-			guard = append(guard, bs[0].guard...)
-			guard = append(guard, bs[0].guardClosed...)
-			for _, e := range bs[0].eqs {
-				guard = append(guard, e.formula())
-			}
+		return []conj{{atoms: []Atom{g}}}
+	case Eq:
+		return []conj{{eqs: []eqLit{{eq: g}}}}
+	case Truth:
+		if g.Val {
+			return []conj{{}}
 		}
-		if len(guard) == 0 {
-			return []branch{{atoms: atoms}}
+		return nil
+	case Not:
+		switch h := g.F.(type) {
+		case Atom:
+			return []conj{{negs: []Atom{h}}}
+		case Eq:
+			return []conj{{eqs: []eqLit{{eq: h, neq: true}}}}
+		case Truth:
+			return normalize(Truth{Val: !h.Val})
 		}
-		if len(atoms) > 0 {
-			bound := map[Var]bool{}
-			for _, a := range atoms {
-				for _, t := range a.Terms {
-					if v, ok := t.(Var); ok {
-						bound[v] = true
-					}
-				}
-			}
-			guarded := true
-			for _, gf := range guard {
-				for _, v := range FreeVars(gf) {
-					if !bound[v] {
-						guarded = false
-						break
-					}
-				}
-			}
-			if guarded {
-				b := branch{atoms: atoms}
-				for _, gf := range guard {
-					if len(FreeVars(gf)) == 0 {
-						b.guardClosed = append(b.guardClosed, gf)
-						continue
-					}
-					if eq, neq, ok := residualEq(gf); ok {
-						// Atom-bound (in)equalities become plan filter
-						// ops, not guard callbacks.
-						b.eqs = append(b.eqs, eqResidual{eq: eq, neq: neq})
-						continue
-					}
-					b.guard = append(b.guard, gf)
-				}
-				return []branch{b}
-			}
-		}
-		return []branch{{slow: f}}
+		return []conj{{subs: []subLit{{src: g, f: g.F, neg: true}}}}
+	case Forall:
+		return []conj{{subs: []subLit{{src: g, f: Exists{Vars: g.Vars, F: Not{F: g.F}}, neg: true}}}}
 	case Exists:
-		bs := normalizeBranches(g.F)
-		if len(bs) == 1 && bs[0].slow == nil {
-			// Existential variables are simply projected away by the
-			// join (they are not head variables).
-			return bs
+		bs := normalize(g.F)
+		for i := range bs {
+			bs[i].exVars = append(bs[i].exVars, g.Vars...)
 		}
-		return []branch{{slow: f}}
-	default:
-		return []branch{{slow: f}}
+		return bs
+	case And:
+		var acc conj
+		for _, sub := range g.Fs {
+			switch bs := normalize(sub); len(bs) {
+			case 0:
+				return nil
+			case 1:
+				acc.merge(bs[0])
+			default:
+				acc.subs = append(acc.subs, subLit{src: sub, f: sub})
+			}
+		}
+		return []conj{acc}
 	}
+	return nil
 }
 
-func atomsToFormulas(atoms []Atom) []Formula {
-	fs := make([]Formula, len(atoms))
-	for i, a := range atoms {
-		fs[i] = a
+// renameApart renames bound variables so that no quantifier binds a
+// head variable or a variable another quantifier binds: each name then
+// denotes one variable, and absorbing an ∃ into the enclosing
+// conjunction is sound. A fresh name appends one or more primes to
+// the old one (x'), which the parser cannot produce. NewQuery calls it
+// only when rebinds finds such a repeat.
+func renameApart(f Formula, head []Var) Formula {
+	used := map[Var]bool{}
+	collectVars(f, used)
+	taken := map[Var]bool{}
+	for _, v := range head {
+		used[v], taken[v] = true, true
 	}
-	return fs
-}
-
-// headBoundByAtoms reports whether every head variable occurs in some
-// atom, the condition for the join to produce safe head tuples.
-func headBoundByAtoms(head []Var, atoms []Atom) bool {
-	bound := map[Var]bool{}
-	for _, a := range atoms {
-		for _, t := range a.Terms {
+	var rename func(Formula, map[Var]Var) Formula
+	terms := func(ts []Term, scope map[Var]Var) []Term {
+		out := make([]Term, len(ts))
+		for i, t := range ts {
+			out[i] = t
 			if v, ok := t.(Var); ok {
-				bound[v] = true
+				if n, ok := scope[v]; ok {
+					out[i] = n
+				}
+			}
+		}
+		return out
+	}
+	quant := func(vs []Var, body Formula, scope map[Var]Var) ([]Var, Formula) {
+		inner := make(map[Var]Var, len(scope)+len(vs))
+		for k, v := range scope {
+			inner[k] = v
+		}
+		out := make([]Var, len(vs))
+		for i, v := range vs {
+			n := v
+			if taken[n] {
+				for used[n] {
+					n += "'"
+				}
+				used[n] = true
+			}
+			taken[v], taken[n] = true, true
+			inner[v], out[i] = n, n
+		}
+		return out, rename(body, inner)
+	}
+	rename = func(f Formula, scope map[Var]Var) Formula {
+		switch g := f.(type) {
+		case Atom:
+			return Atom{Rel: g.Rel, Terms: terms(g.Terms, scope)}
+		case Eq:
+			ts := terms([]Term{g.L, g.R}, scope)
+			return Eq{L: ts[0], R: ts[1]}
+		case Not:
+			return Not{F: rename(g.F, scope)}
+		case And:
+			fs := make([]Formula, len(g.Fs))
+			for i, sub := range g.Fs {
+				fs[i] = rename(sub, scope)
+			}
+			return And{Fs: fs}
+		case Or:
+			fs := make([]Formula, len(g.Fs))
+			for i, sub := range g.Fs {
+				fs[i] = rename(sub, scope)
+			}
+			return Or{Fs: fs}
+		case Exists:
+			vs, body := quant(g.Vars, g.F, scope)
+			return Exists{Vars: vs, F: body}
+		case Forall:
+			vs, body := quant(g.Vars, g.F, scope)
+			return Forall{Vars: vs, F: body}
+		}
+		return f
+	}
+	return rename(f, nil)
+}
+
+// rebinds reports whether some quantifier of f binds a variable in
+// taken or one an earlier quantifier binds, adding every quantified
+// variable to taken.
+func rebinds(f Formula, taken map[Var]bool) bool {
+	quant := func(vs []Var, body Formula) bool {
+		for _, v := range vs {
+			if taken[v] {
+				return true
+			}
+			taken[v] = true
+		}
+		return rebinds(body, taken)
+	}
+	switch g := f.(type) {
+	case Not:
+		return rebinds(g.F, taken)
+	case And:
+		for _, sub := range g.Fs {
+			if rebinds(sub, taken) {
+				return true
+			}
+		}
+	case Or:
+		for _, sub := range g.Fs {
+			if rebinds(sub, taken) {
+				return true
+			}
+		}
+	case Exists:
+		return quant(g.Vars, g.F)
+	case Forall:
+		return quant(g.Vars, g.F)
+	}
+	return false
+}
+
+// collectVars adds every variable occurring in f, free or bound.
+func collectVars(f Formula, out map[Var]bool) {
+	terms := func(ts ...Term) {
+		for _, t := range ts {
+			if v, ok := t.(Var); ok {
+				out[v] = true
 			}
 		}
 	}
-	for _, h := range head {
-		if !bound[h] {
+	switch g := f.(type) {
+	case Atom:
+		terms(g.Terms...)
+	case Eq:
+		terms(g.L, g.R)
+	case Not:
+		collectVars(g.F, out)
+	case And:
+		for _, sub := range g.Fs {
+			collectVars(sub, out)
+		}
+	case Or:
+		for _, sub := range g.Fs {
+			collectVars(sub, out)
+		}
+	case Exists:
+		for _, v := range g.Vars {
+			out[v] = true
+		}
+		collectVars(g.F, out)
+	case Forall:
+		for _, v := range g.Vars {
+			out[v] = true
+		}
+		collectVars(g.F, out)
+	}
+}
+
+// branch is one disjunct of the body, compiled to a join plan.
+type branch struct {
+	p *plan.Plan
+	// atoms are the branch's atoms over instance relations, plan atoms
+	// 0..len(atoms)-1, which EvalDelta pins by index.
+	atoms []Atom
+	// subs are the inner queries the plan reads from the overlay, and
+	// adom marks a join with the active domain.
+	subs []sub
+	adom bool
+	// nEqs and nAnti count (in)equality filters and anti-joins, for
+	// ExplainPlan.
+	nEqs, nAnti int
+}
+
+// sub is an inner query of a branch; its results are installed in the
+// overlay under the query's name.
+type sub struct {
+	q   *Query
+	src Formula
+}
+
+// overlay reports whether rel is one of the relations the branch reads
+// from its per-evaluation overlay rather than the instance.
+func (b *branch) overlay(rel string) bool {
+	for _, s := range b.subs {
+		if s.q.Name == rel {
+			return true
+		}
+	}
+	return rel == adomRel
+}
+
+// monotone reports whether the branch has no anti-join, at any depth
+// of its inner queries: every read is positive.
+func (b *branch) monotone() bool {
+	for _, s := range b.subs {
+		if !s.q.deltaOK {
 			return false
 		}
 	}
-	return true
+	return b.nAnti == 0
 }
 
-// compileBranch lowers a fast or guarded branch whose atoms bind the
-// head into a physical join plan: a fresh register numbering over the
-// branch's variables, one plan atom per branch atom (in the same
-// order, so EvalDelta can pin by atom index), and one guard filter op
-// per residual conjunct. A nil return keeps the branch on the
-// enumeration fallback.
-func compileBranch(name string, head []Var, b *branch) {
-	if b.slow != nil || !headBoundByAtoms(head, b.atoms) {
-		return
-	}
+// pinnable reports whether the plan reads instance relations only, so
+// that EvalDelta may pin each atom to the delta in turn.
+func (b *branch) pinnable() bool { return len(b.subs) == 0 && !b.adom }
+
+// compileBranch lowers one branch into a join plan: a register per
+// variable, one plan atom per instance atom (in branch order, so
+// EvalDelta can pin by atom index), one per positive inner query, a
+// filter per (in)equality and an anti-join per negated atom or negated
+// inner query, then an active-domain atom for every head or filter
+// variable no atom (or equality with a bound variable) binds.
+func compileBranch(name string, head []Var, c conj) (branch, error) {
 	regOf := map[Var]int{}
 	var regNames []string
-	reg := func(v Var) int {
+	term := func(t Term) plan.Term {
+		v, ok := t.(Var)
+		if !ok {
+			return plan.Const(fact.Value(t.(Const)))
+		}
 		r, ok := regOf[v]
 		if !ok {
 			r = len(regNames)
 			regOf[v] = r
 			regNames = append(regNames, string(v))
 		}
-		return r
+		return plan.Reg(r)
 	}
-	spec := plan.Spec{Name: name}
-	for _, a := range b.atoms {
-		pa := plan.Atom{Rel: a.Rel, Terms: make([]plan.Term, len(a.Terms))}
-		for i, t := range a.Terms {
-			switch x := t.(type) {
-			case Var:
-				pa.Terms[i] = plan.Reg(reg(x))
-			case Const:
-				pa.Terms[i] = plan.Const(fact.Value(x))
-			default:
-				return
+	planTerms := func(ts []Term) []plan.Term {
+		out := make([]plan.Term, len(ts))
+		for i, t := range ts {
+			out[i] = term(t)
+		}
+		return out
+	}
+	spec := plan.Spec{Name: name, EmitOnEmpty: true}
+	bound := map[Var]bool{}
+	needed := append([]Var(nil), head...)
+	need := func(ts ...Term) {
+		for _, t := range ts {
+			if v, ok := t.(Var); ok {
+				needed = append(needed, v)
 			}
 		}
-		spec.Atoms = append(spec.Atoms, pa)
 	}
-	eqTerm := func(t Term) (plan.Term, bool) {
-		switch x := t.(type) {
-		case Var:
-			r, ok := regOf[x]
-			if !ok {
-				// Cannot happen for guarded branches (the atoms bind
-				// every residual variable); bail to the fallback if it
-				// does.
-				return plan.Term{}, false
+	addAtom := func(rel string, ts []Term) {
+		spec.Atoms = append(spec.Atoms, plan.Atom{Rel: rel, Terms: planTerms(ts)})
+		for _, t := range ts {
+			if v, ok := t.(Var); ok {
+				bound[v] = true
 			}
-			return plan.Reg(r), true
-		case Const:
-			return plan.Const(fact.Value(x)), true
-		default:
-			return plan.Term{}, false
 		}
 	}
-	for _, e := range b.eqs {
-		l, lok := eqTerm(e.eq.L)
-		r, rok := eqTerm(e.eq.R)
-		if !lok || !rok {
-			return
-		}
+	addAnti := func(rel string, ts []Term) {
+		spec.Filters = append(spec.Filters, plan.Filter{Kind: plan.FilterNotIn, Rel: rel, Terms: planTerms(ts)})
+		need(ts...)
+	}
+	b := branch{atoms: c.atoms, nEqs: len(c.eqs), nAnti: len(c.negs)}
+	for _, a := range c.atoms {
+		addAtom(a.Rel, a.Terms)
+	}
+	for _, e := range c.eqs {
 		kind := plan.FilterEq
 		if e.neq {
 			kind = plan.FilterNeq
 		}
-		spec.Filters = append(spec.Filters, plan.Filter{Kind: kind, L: l, R: r})
+		spec.Filters = append(spec.Filters, plan.Filter{Kind: kind, L: term(e.eq.L), R: term(e.eq.R)})
+		need(e.eq.L, e.eq.R)
 	}
-	for gi, g := range b.guard {
-		vars := FreeVars(g)
-		regs := make([]int, len(vars))
-		for i, v := range vars {
-			r, ok := regOf[v]
-			if !ok {
-				// Cannot happen for guarded branches (the atoms bind
-				// every guard variable); bail to the fallback if it does.
-				b.guardVars, b.guardRegs = nil, nil
-				return
-			}
-			regs[i] = r
+	for _, a := range c.negs {
+		addAnti(a.Rel, a.Terms)
+	}
+	for j, s := range c.subs {
+		fv := FreeVars(s.f)
+		names := make([]string, len(fv))
+		ts := make([]Term, len(fv))
+		for i, v := range fv {
+			names[i], ts[i] = string(v), v
 		}
-		spec.Filters = append(spec.Filters, plan.Filter{Kind: plan.FilterGuard, Regs: regs, Guard: gi})
-		b.guardVars = append(b.guardVars, vars)
-		b.guardRegs = append(b.guardRegs, regs)
+		q, err := NewQuery(fmt.Sprintf("%s.%d", name, j+1), names, s.f)
+		if err != nil {
+			return branch{}, err
+		}
+		b.subs = append(b.subs, sub{q: q, src: s.src})
+		if s.neg {
+			b.nAnti++
+			addAnti(q.Name, ts)
+		} else {
+			addAtom(q.Name, ts)
+		}
 	}
-	spec.Head = make([]plan.Term, len(head))
-	for i, h := range head {
-		spec.Head[i] = plan.Reg(regOf[h])
+	// An equality with a bound variable binds the other side (the plan
+	// compiles it to an assignment); any other unbound variable ranges
+	// over the active domain.
+	closeEqs := func() {
+		for changed := true; changed; {
+			changed = false
+			for _, e := range c.eqs {
+				l, lok := e.eq.L.(Var)
+				r, rok := e.eq.R.(Var)
+				if !e.neq && lok && rok && bound[l] != bound[r] {
+					bound[l], bound[r], changed = true, true, true
+				}
+			}
+		}
+	}
+	closeEqs()
+	for _, v := range needed {
+		if !bound[v] {
+			addAtom(adomRel, []Term{v})
+			b.adom = true
+			closeEqs()
+		}
+	}
+	// ∃z over a variable nothing mentions still needs a nonempty
+	// active domain, which only an atom with a column guarantees.
+	wide := false
+	for _, a := range spec.Atoms {
+		wide = wide || len(a.Terms) > 0
+	}
+	for _, v := range c.exVars {
+		if !wide && !bound[v] {
+			addAtom(adomRel, []Term{v})
+			b.adom = true
+			break
+		}
+	}
+	for _, h := range head {
+		spec.Head = append(spec.Head, term(h))
 	}
 	spec.NumRegs = len(regNames)
 	spec.RegNames = regNames
 	p, err := plan.New(spec)
 	if err != nil {
-		b.guardVars, b.guardRegs = nil, nil
-		return
+		return branch{}, err
 	}
 	b.p = p
+	return b, nil
 }
 
-// formula reconstructs the branch as a formula, for the enumeration
-// fallback.
-func (b branch) formula() Formula {
-	if b.slow != nil {
-		return b.slow
-	}
-	fs := atomsToFormulas(b.atoms)
-	for _, e := range b.eqs {
-		fs = append(fs, e.formula())
-	}
-	fs = append(fs, b.guard...)
-	fs = append(fs, b.guardClosed...)
-	return And{Fs: fs}
+// evalCtx is the state one evaluation shares across a query and its
+// inner queries: the instance and its active domain as a unary
+// relation, built on first use.
+type evalCtx struct {
+	I    *fact.Instance
+	adom *fact.Relation
 }
 
-// guardFunc builds the plan guard hook for a branch: residual
-// conjuncts are evaluated by the generic evaluator under an
-// environment refreshed from the register file. One environment map
-// is reused across rows and guards — each guard only reads its own
-// free variables, which are overwritten before every call.
-func (q *Query) guardFunc(b branch, I *fact.Instance, adomOf func() []fact.Value) plan.GuardFunc {
-	if len(b.guard) == 0 {
-		return nil
-	}
-	env := make(map[Var]fact.Value, 8)
-	return func(gi int, regs []fact.Value) (bool, error) {
-		for k, v := range b.guardVars[gi] {
-			env[v] = regs[b.guardRegs[gi][k]]
+func (c *evalCtx) adomRelation() *fact.Relation {
+	if c.adom == nil {
+		r := c.I.Dict().NewRelation(1)
+		for _, v := range c.I.ActiveDomain() {
+			r.Add(fact.Tuple{v})
 		}
-		return eval(b.guard[gi], I, adomOf(), env)
+		c.adom = r
 	}
+	return c.adom
 }
 
-// evalBranch adds the branch's derivations on I to out: the compiled
-// plan (an index-driven join with guard filtering) when the branch has
-// that shape and the atoms bind the head, active-domain enumeration
-// otherwise.
-func (q *Query) evalBranch(b branch, I *fact.Instance, adomOf func() []fact.Value, out *fact.Relation) error {
-	if b.p != nil {
-		// Closed guards are independent of the join bindings: check
-		// them once, and drop the whole branch on failure.
-		for _, g := range b.guardClosed {
-			ok, err := eval(g, I, adomOf(), map[Var]fact.Value{})
-			if err != nil {
+// evalInto adds every branch's derivations on c.I to out.
+func (q *Query) evalInto(c *evalCtx, out *fact.Relation) error {
+	for i := range q.branches {
+		if err := q.branches[i].run(c, out); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// run executes the branch's plan on c.I, or on an overlay of c.I that
+// also holds the inner queries' results and the active domain.
+func (b *branch) run(c *evalCtx, out *fact.Relation) error {
+	I := c.I
+	if !b.pinnable() {
+		I = c.I.ShallowClone()
+		for _, s := range b.subs {
+			r := c.I.Dict().NewRelation(s.q.Arity())
+			if err := s.q.evalInto(c, r); err != nil {
 				return err
 			}
-			if !ok {
-				return nil
-			}
+			I.SetRelationOwned(s.q.Name, r)
 		}
-		return b.p.Run(I, nil, -1, nil, q.guardFunc(b, I, adomOf), out)
+		if b.adom {
+			I.SetRelationOwned(adomRel, c.adomRelation())
+		}
 	}
-	return q.enumerate(I, adomOf(), b.formula(), out)
+	return b.p.Run(I, nil, -1, nil, out)
 }
 
-// CanDelta reports whether EvalDelta is exact for this query: the
-// branch decomposition exists and every branch is either a positive
-// conjunction of atoms (delta-joinable) or a positive formula (safe to
-// re-evaluate in full, since positive formulas are monotone). It
-// implements query.DeltaEvaluable.
+// CanDelta reports whether EvalDelta is exact for this query: its
+// plans, inner queries included, have no anti-join (negated
+// (in)equalities compare bound values and do not count), so the query
+// is monotone. It implements query.DeltaEvaluable.
 func (q *Query) CanDelta() bool { return q.deltaOK }
 
 // EvalDelta returns derivations of the query that may involve at least
@@ -366,51 +520,41 @@ func (q *Query) CanDelta() bool { return q.deltaOK }
 //
 //	Eval(full ∪ delta) = Eval((full ∪ delta) \ delta) ∪ EvalDelta(full, delta)
 //
-// Fast branches execute their compiled plan once per atom over a delta
-// relation, with that atom pinned to the delta and the remaining atoms
-// joining against full (the plan caches one schedule per pin);
-// branches not reading any delta relation are skipped (their
-// derivations are unchanged); slow positive branches are re-evaluated
-// in full, which is a superset of their new derivations and a subset
-// of Eval(full ∪ delta) — exact either way. It implements
+// A branch that reads instance relations only executes its compiled
+// plan once per atom over a delta relation, with that atom pinned to
+// the delta and the remaining atoms joining against full (the plan
+// caches one schedule per pin); (in)equality filters compare bound
+// values and never consult the instance, so the pins stay exact. A
+// branch with inner queries or an active-domain join is re-evaluated
+// in full over the union, a superset of its new derivations and, the
+// query being monotone, a subset of Eval(full ∪ delta). It implements
 // query.DeltaEvaluable.
 func (q *Query) EvalDelta(full, delta *fact.Instance) (*fact.Relation, error) {
 	out := full.Dict().NewRelation(len(q.Head))
 	if !q.deltaOK || delta == nil {
 		return out, nil
 	}
-	var union *fact.Instance
-	var adomOf func() []fact.Value
-	for _, b := range q.branches {
-		// Pure join branches pin per atom; lowered (in)equality filters
-		// never consult the instance (they compare bound values), so
-		// they keep the pinned union exact — including negated
-		// equalities, which stay monotone for the same reason.
-		if b.p != nil && len(b.guard) == 0 && len(b.guardClosed) == 0 {
-			for i, a := range b.atoms {
+	var union *evalCtx
+	for i := range q.branches {
+		b := &q.branches[i]
+		if b.pinnable() {
+			for j, a := range b.atoms {
 				if r := delta.Relation(a.Rel); r == nil || r.Empty() {
 					continue
 				}
-				if err := b.p.Run(full, delta, i, nil, nil, out); err != nil {
+				if err := b.p.Run(full, delta, j, nil, out); err != nil {
 					return nil, err
 				}
 			}
 			continue
 		}
-		// Guarded or slow (but positive, by deltaOK) branch, or a fast
-		// branch whose head is not bound by its atoms: re-evaluate in
-		// full — guards and quantifiers may react to the delta through
-		// the active domain, and monotonicity makes the full result a
-		// superset of the new derivations, keeping the union equation
-		// exact.
 		if union == nil {
 			if delta.Empty() {
 				return out, nil // no branch can derive anything new
 			}
-			union = withDelta(full, delta)
-			adomOf = adomMemo(union)
+			union = &evalCtx{I: withDelta(full, delta)}
 		}
-		if err := q.evalBranch(b, union, adomOf, out); err != nil {
+		if err := b.run(union, out); err != nil {
 			return nil, err
 		}
 	}
@@ -436,78 +580,48 @@ func withDelta(full, delta *fact.Instance) *fact.Instance {
 }
 
 // ExplainPlan implements query.PlanExplainer: it renders the compiled
-// plan of every branch — chosen atom order, probe columns, guard
-// placement — and, for delta-joinable branches of CanDelta queries,
-// every pinned delta variant.
+// plan of every branch — chosen atom order, probe columns, filters and
+// anti-joins — with every pinned delta variant for the delta-joinable
+// branches of CanDelta queries, followed by each inner query's plans,
+// indented.
 func (q *Query) ExplainPlan() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "fo query %s(%s) := %s\n", q.Name, joinVars(q.Head), q.Body)
-	if q.branches == nil {
-		b.WriteString("  active-domain enumeration (variable shadowing defeats the branch decomposition)\n")
-		return b.String()
-	}
-	for i, br := range q.branches {
-		switch {
-		case br.p == nil:
-			fmt.Fprintf(&b, "branch %d: active-domain enumeration of %s\n", i+1, br.formula())
-		default:
-			kind := "join plan"
-			var quals []string
-			if len(br.eqs) > 0 {
-				quals = append(quals, fmt.Sprintf("%d eq filters", len(br.eqs)))
-			}
-			if len(br.guard) > 0 || len(br.guardClosed) > 0 {
-				quals = append(quals, fmt.Sprintf("%d guards, %d closed", len(br.guard), len(br.guardClosed)))
-			}
-			if len(quals) > 0 {
-				kind = fmt.Sprintf("join plan (%s)", strings.Join(quals, ", "))
-			}
-			fmt.Fprintf(&b, "branch %d: %s\n", i+1, kind)
-			if q.deltaOK && len(br.guard) == 0 && len(br.guardClosed) == 0 {
-				b.WriteString(br.p.ExplainAll())
-			} else {
-				b.WriteString(br.p.Explain(-1))
-			}
-		}
-	}
+	q.explainInto(&b, "")
 	return b.String()
 }
 
-// enumerate adds to out every head assignment over adom satisfying f.
-func (q *Query) enumerate(I *fact.Instance, adom []fact.Value, f Formula, out *fact.Relation) error {
-	env := make(map[Var]fact.Value, len(q.Head)+4)
-	distinct := make([]Var, 0, len(q.Head))
-	seen := make(map[Var]bool, len(q.Head))
-	for _, v := range q.Head {
-		if !seen[v] {
-			seen[v] = true
-			distinct = append(distinct, v)
+func (q *Query) explainInto(b *strings.Builder, indent string) {
+	fmt.Fprintf(b, "%sfo query %s(%s) := %s\n", indent, q.Name, joinVars(q.Head), q.Body)
+	for i, br := range q.branches {
+		var quals []string
+		if br.nEqs > 0 {
+			quals = append(quals, fmt.Sprintf("%d eq filters", br.nEqs))
+		}
+		if br.nAnti > 0 {
+			quals = append(quals, fmt.Sprintf("%d anti-joins", br.nAnti))
+		}
+		if len(br.subs) > 0 {
+			quals = append(quals, fmt.Sprintf("%d subqueries", len(br.subs)))
+		}
+		if br.adom {
+			quals = append(quals, "active-domain join")
+		}
+		kind := "join plan"
+		if len(quals) > 0 {
+			kind = fmt.Sprintf("join plan (%s)", strings.Join(quals, ", "))
+		}
+		fmt.Fprintf(b, "%sbranch %d: %s\n", indent, i+1, kind)
+		text := br.p.Explain(-1)
+		if q.deltaOK && br.pinnable() {
+			text = br.p.ExplainAll()
+		}
+		for _, line := range strings.SplitAfter(text, "\n") {
+			if line != "" {
+				b.WriteString(indent + line)
+			}
+		}
+		for _, s := range br.subs {
+			s.q.explainInto(b, indent+"  ")
 		}
 	}
-	var assign func(i int) error
-	assign = func(i int) error {
-		if i == len(distinct) {
-			ok, err := eval(f, I, adom, env)
-			if err != nil {
-				return err
-			}
-			if ok {
-				t := make(fact.Tuple, len(q.Head))
-				for j, v := range q.Head {
-					t[j] = env[v]
-				}
-				out.Add(t)
-			}
-			return nil
-		}
-		for _, a := range adom {
-			env[distinct[i]] = a
-			if err := assign(i + 1); err != nil {
-				return err
-			}
-		}
-		delete(env, distinct[i])
-		return nil
-	}
-	return assign(0)
 }

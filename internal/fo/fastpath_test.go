@@ -21,18 +21,14 @@ func subset(a, b *fact.Relation) bool {
 	return ok
 }
 
-// evalGeneric evaluates the query with the generic active-domain
-// enumerator, bypassing the join fast path.
-func evalGeneric(q *Query, I *fact.Instance) (*fact.Relation, error) {
-	return q.EvalGeneric(I)
-}
-
 func TestFastPathShadowedHeadVariable(t *testing.T) {
 	// Head x, body "exists x S(x)": the quantified x shadows the head.
-	// The query returns adom when S is nonempty — NOT S itself.
+	// The query returns adom when S is nonempty — NOT S itself. The
+	// quantified x is renamed apart, so the branch scans S(x') and
+	// joins the head x with the active domain.
 	q := MustQuery("shadow", []string{"x"}, ExistsF([]string{"x"}, AtomF("S", "x")))
-	if q.branches != nil {
-		t.Fatal("shadowed query must not use the fast path")
+	if ex := q.ExplainPlan(); !strings.Contains(ex, "scan S(x')") || !strings.Contains(ex, adomRel+"(x)") {
+		t.Fatalf("shadowed x should be renamed apart and x joined with adom:\n%s", ex)
 	}
 	I := fact.FromFacts(fact.NewFact("S", "a"), fact.NewFact("T", "b"))
 	out, err := q.Eval(I)
@@ -41,6 +37,24 @@ func TestFastPathShadowedHeadVariable(t *testing.T) {
 	}
 	if out.Len() != 2 {
 		t.Errorf("out = %v, want all of adom", out)
+	}
+	// Sibling quantifiers reusing a name denote distinct variables.
+	sib := MustQuery("sib", []string{"x"}, AndF(
+		ExistsF([]string{"y"}, AtomF("R", "x", "y")),
+		ExistsF([]string{"y"}, AtomF("S", "x", "y"))))
+	J := fact.FromFacts(fact.NewFact("R", "a", "b"), fact.NewFact("S", "a", "c"))
+	got, err := sib.Eval(J)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := sib.EvalGeneric(J); !got.Equal(want) || got.Len() != 1 {
+		t.Fatalf("sibling quantifiers: got %v, want %v", got, want)
+	}
+	// ∃z over a variable nothing mentions ranges over an empty active
+	// domain when only a 0-ary fact holds.
+	unused := MustQuery("unused", nil, ExistsF([]string{"z"}, AtomF("P")))
+	if got, err := unused.Eval(fact.FromFacts(fact.NewFact("P"))); err != nil || !got.Empty() {
+		t.Fatalf("exists z P() over an empty active domain = %v, %v; want empty", got, err)
 	}
 }
 
@@ -86,7 +100,7 @@ func TestFastPathMatchesGenericOnRandomFormulas(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", q.Name, err)
 			}
-			slow, err := evalGeneric(q, I)
+			slow, err := q.EvalGeneric(I)
 			if err != nil {
 				t.Fatalf("%s generic: %v", q.Name, err)
 			}
@@ -101,17 +115,15 @@ func TestFastPathUsedForPositiveQueries(t *testing.T) {
 	q := MustQuery("tc", []string{"x", "y"},
 		OrF(AtomF("S", "x", "y"),
 			ExistsF([]string{"z"}, AndF(AtomF("T", "x", "z"), AtomF("T", "z", "y")))))
-	if q.branches == nil {
-		t.Fatal("positive query should enable the fast path")
-	}
-	if len(q.branches) != 2 || q.branches[0].slow != nil || q.branches[1].slow != nil {
-		t.Errorf("branches = %+v", q.branches)
+	if len(q.branches) != 2 || !q.branches[0].pinnable() || !q.branches[1].pinnable() {
+		t.Errorf("branches = %+v, want two plain join branches", q.branches)
 	}
 }
 
 // TestEvalDeltaRespectsClosedGuards is the regression test for the
-// semi-naive exactness of guarded branches: a branch whose closed
-// guard (a sentence) is false must contribute nothing to EvalDelta,
+// semi-naive exactness of branches with a closed conjunct: a branch
+// whose closed conjunct (a sentence, read as a 0-ary inner query) is
+// false must contribute nothing to EvalDelta,
 // which must always satisfy EvalDelta(full, delta) ⊆ Eval(full).
 func TestEvalDeltaRespectsClosedGuards(t *testing.T) {
 	q := MustQuery("g", []string{"x"},
@@ -122,7 +134,7 @@ func TestEvalDeltaRespectsClosedGuards(t *testing.T) {
 	if !q.CanDelta() {
 		t.Fatal("query should be delta-evaluable (positive)")
 	}
-	// S and T are empty: the closed guard is false everywhere, so the
+	// S and T are empty: the closed conjunct is false everywhere, so the
 	// query is empty no matter what R holds.
 	full := fact.FromFacts(fact.NewFact("R", "v"))
 	delta := fact.FromFacts(fact.NewFact("R", "v"))
@@ -138,25 +150,25 @@ func TestEvalDeltaRespectsClosedGuards(t *testing.T) {
 		t.Fatalf("EvalDelta %v not a subset of Eval %v", d, whole)
 	}
 	if whole.Len() != 0 || d.Len() != 0 {
-		t.Fatalf("query over false guard must be empty: Eval=%v EvalDelta=%v", whole, d)
+		t.Fatalf("query over a false closed conjunct must be empty: Eval=%v EvalDelta=%v", whole, d)
 	}
 
-	// With the guard true, the delta derivation must appear.
+	// With the conjunct true, the delta derivation must appear.
 	full2 := fact.FromFacts(fact.NewFact("R", "v"), fact.NewFact("S", "a"))
 	d2, err := q.EvalDelta(full2, delta)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !d2.Contains(fact.Tuple{"v"}) {
-		t.Fatalf("EvalDelta missed derivation with true guard: %v", d2)
+		t.Fatalf("EvalDelta missed derivation with a true closed conjunct: %v", d2)
 	}
 }
 
 // TestEvalDeltaOverDisjointDelta: a delta whose relations the full
 // instance lacks entirely (a transducer state and its received
 // messages) is evaluated as if the union had been built — for pinned
-// joins, for a second atom over the delta relation, and for guarded
-// branches that re-evaluate in full.
+// joins, for a second atom over the delta relation, and for a ground
+// atom over the state.
 func TestEvalDeltaOverDisjointDelta(t *testing.T) {
 	state := fact.FromFacts(fact.NewFact("S", "a", "b"), fact.NewFact("S", "b", "c"))
 	delta := fact.FromFacts(fact.NewFact("P", "b"))
@@ -181,8 +193,8 @@ func TestEvalDeltaOverDisjointDelta(t *testing.T) {
 }
 
 // TestNestedGuardedBranchNotDropped: a nested And whose sub-branch
-// carries a closed guard must keep that guard when absorbed into an
-// outer conjunction (regression: the guard was silently discarded).
+// carries a closed conjunct must keep it when absorbed into an outer
+// conjunction (regression: the conjunct was silently discarded).
 func TestNestedGuardedBranchNotDropped(t *testing.T) {
 	q := MustQuery("g", []string{"x"},
 		AndF(
@@ -202,23 +214,23 @@ func TestNestedGuardedBranchNotDropped(t *testing.T) {
 		t.Fatalf("fast path %v != generic %v (S, T empty: must be empty)", got, want)
 	}
 	if got.Len() != 0 {
-		t.Fatalf("closed guard over empty S, T must kill the branch; got %v", got)
+		t.Fatalf("closed conjunct over empty S, T must kill the branch; got %v", got)
 	}
 
-	// And with the guard satisfied, derivation goes through.
+	// And with the conjunct satisfied, derivation goes through.
 	J := fact.FromFacts(fact.NewFact("R", "v"), fact.NewFact("U", "v"), fact.NewFact("T", "a"))
 	got2, err := q.Eval(J)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got2.Contains(fact.Tuple{"v"}) {
-		t.Fatalf("derivation missing with guard satisfied: %v", got2)
+		t.Fatalf("derivation missing with the conjunct satisfied: %v", got2)
 	}
 }
 
-// TestNestedOpenGuardAbsorption pins the open-guard half of the
-// absorption invariant: a nested And carrying a guard with free
-// variables (!S(x)) must keep that guard when its atoms are absorbed
+// TestNestedOpenGuardAbsorption pins the open half of the absorption
+// invariant: a nested And carrying a negated atom with free variables
+// (!S(x)) must keep that anti-join when its atoms are absorbed
 // into an enclosing conjunction — dropping it would derive tuples the
 // formula forbids.
 func TestNestedOpenGuardAbsorption(t *testing.T) {
@@ -227,14 +239,14 @@ func TestNestedOpenGuardAbsorption(t *testing.T) {
 			AndF(AtomF("E", "x", "y"), NotF(AtomF("S", "x"))),
 			AtomF("F", "y", "x"),
 		))
-	if q.branches == nil || len(q.branches) != 1 {
-		t.Fatalf("branches = %+v, want one guarded branch", q.branches)
+	if len(q.branches) != 1 {
+		t.Fatalf("branches = %+v, want one branch", q.branches)
 	}
 	b := q.branches[0]
-	if len(b.atoms) != 2 || len(b.guard) != 1 {
-		t.Fatalf("atoms/guard = %d/%d, want 2 absorbed atoms and 1 carried guard", len(b.atoms), len(b.guard))
+	if len(b.atoms) != 2 || b.nAnti != 1 {
+		t.Fatalf("atoms/anti-joins = %d/%d, want 2 absorbed atoms and 1 carried anti-join", len(b.atoms), b.nAnti)
 	}
-	// S(a) holds: the pair (a, b) joins E and F but the absorbed guard
+	// S(a) holds: the pair (a, b) joins E and F but the absorbed anti-join
 	// must suppress it; (c, d) passes.
 	I := fact.FromFacts(
 		fact.NewFact("E", "a", "b"), fact.NewFact("F", "b", "a"),
@@ -245,7 +257,7 @@ func TestNestedOpenGuardAbsorption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := evalGeneric(q, I)
+	want, err := q.EvalGeneric(I)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +272,7 @@ func TestNestedOpenGuardAbsorption(t *testing.T) {
 // TestNestedResidualEqAbsorption: a residual (in)equality inside a
 // nested conjunction is absorbed as a formula and re-classified
 // against the combined atom set — it must come back as a lowered eq
-// filter of the outer branch, not a guard callback, and must still
+// filter of the outer branch and must still
 // filter.
 func TestNestedResidualEqAbsorption(t *testing.T) {
 	q := MustQuery("ne", []string{"x", "y"},
@@ -268,18 +280,12 @@ func TestNestedResidualEqAbsorption(t *testing.T) {
 			AndF(AtomF("E", "x", "y"), NotF(Eq{L: V("x"), R: V("y")})),
 			AtomF("F", "y", "x"),
 		))
-	if q.branches == nil || len(q.branches) != 1 {
+	if len(q.branches) != 1 {
 		t.Fatalf("branches = %+v, want one branch", q.branches)
 	}
 	b := q.branches[0]
-	if len(b.eqs) != 1 || !b.eqs[0].neq {
-		t.Fatalf("eqs = %+v, want one absorbed inequality", b.eqs)
-	}
-	if len(b.guard) != 0 || len(b.guardClosed) != 0 {
-		t.Fatalf("guards = %d/%d, want the inequality lowered, not guarded", len(b.guard), len(b.guardClosed))
-	}
-	if b.p == nil {
-		t.Fatal("branch should compile to a plan")
+	if b.nEqs != 1 || !b.pinnable() || !strings.Contains(q.ExplainPlan(), "check x != y") {
+		t.Fatalf("want the inequality absorbed as one filter of a plain join:\n%s", q.ExplainPlan())
 	}
 	I := fact.FromFacts(
 		fact.NewFact("E", "a", "a"), fact.NewFact("F", "a", "a"),
@@ -289,7 +295,7 @@ func TestNestedResidualEqAbsorption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := evalGeneric(q, I)
+	want, err := q.EvalGeneric(I)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,22 +310,18 @@ func TestNestedResidualEqAbsorption(t *testing.T) {
 // TestResidualEqLoweredNotGuarded pins the acceptance criterion of the
 // residual-equality lowering on the cycles-class shape
 // exists y,z (E(x,y) & F(y,z) & x = z): the equality compiles to a
-// plan filter op (ExplainPlan shows "check", never "guard"), the
+// plan filter op (ExplainPlan shows "check"), the
 // branch stays delta-pinnable, and results agree with the generic
 // evaluator.
 func TestResidualEqLoweredNotGuarded(t *testing.T) {
 	q := MustQuery("cyc", []string{"x"},
 		ExistsF([]string{"y", "z"},
 			AndF(AtomF("E", "x", "y"), AtomF("F", "y", "z"), Eq{L: V("x"), R: V("z")})))
-	if q.branches == nil || len(q.branches) != 1 {
+	if len(q.branches) != 1 {
 		t.Fatalf("branches = %+v, want one branch", q.branches)
 	}
-	b := q.branches[0]
-	if len(b.eqs) != 1 || b.eqs[0].neq {
-		t.Fatalf("eqs = %+v, want one positive equality filter", b.eqs)
-	}
-	if len(b.guard) != 0 || len(b.guardClosed) != 0 || b.p == nil {
-		t.Fatalf("guards = %d/%d, p = %v: equality must lower to a filter on a compiled plan", len(b.guard), len(b.guardClosed), b.p)
+	if b := q.branches[0]; b.nEqs != 1 || !b.pinnable() {
+		t.Fatalf("branch = %+v: equality must lower to a filter on a plain join", b)
 	}
 	if !q.CanDelta() {
 		t.Fatal("eq-filter branch must stay delta-evaluable")
@@ -331,8 +333,8 @@ func TestResidualEqLoweredNotGuarded(t *testing.T) {
 	if !strings.Contains(ex, "check ") {
 		t.Errorf("ExplainPlan should show a check op for the equality:\n%s", ex)
 	}
-	if strings.Contains(ex, "guard") {
-		t.Errorf("ExplainPlan must not lower the residual equality to a guard:\n%s", ex)
+	if strings.Contains(ex, "subquer") || strings.Contains(ex, adomRel) {
+		t.Errorf("ExplainPlan must lower the residual equality to a filter of the join:\n%s", ex)
 	}
 
 	I := fact.FromFacts(
@@ -343,7 +345,7 @@ func TestResidualEqLoweredNotGuarded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := evalGeneric(q, I)
+	want, err := q.EvalGeneric(I)
 	if err != nil {
 		t.Fatal(err)
 	}

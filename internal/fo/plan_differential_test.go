@@ -4,9 +4,9 @@ package fo
 // fuzz corpora: every parseable corpus query (and every parseable
 // corpus formula, closed into a query over its free variables) is
 // evaluated on random instances through the compiled plan executor
-// (Eval) and the generic active-domain enumerator (EvalGeneric), the
-// definitional oracle: it evaluates the formula by its standard
-// semantics and never touches the plan layer. For CanDelta queries
+// (Eval) and the active-domain oracle (EvalGeneric, oracle_test.go),
+// which evaluates the formula by its standard semantics and never
+// touches the plan layer. For CanDelta queries
 // every delta-pinned variant is also checked against the semi-naive
 // union equation.
 
@@ -108,9 +108,11 @@ func corpusQueries(t *testing.T) []*Query {
 		for i, v := range fv {
 			head[i] = string(v)
 		}
-		if q, err := NewQuery("corpus", head, f); err == nil {
-			qs = append(qs, q)
+		q, err := NewQuery("corpus", head, f)
+		if err != nil {
+			t.Fatalf("corpus formula %q closed over its free variables: %v", src, err)
 		}
+		qs = append(qs, q)
 	}
 	if len(qs) < 10 {
 		t.Fatalf("corpus yielded only %d evaluable queries", len(qs))
@@ -143,7 +145,7 @@ func randomInstanceFor(rng *rand.Rand, q *Query, vals []fact.Value) *fact.Instan
 // auto and forced-columnar pipelines, each over the default and a
 // per-run interning dictionary.
 func TestDifferentialCorpusQueries(t *testing.T) {
-	for _, mode := range []string{"auto", "always"} {
+	for _, mode := range []string{"auto", "off", "always"} {
 		for _, dict := range []string{"default", "per-run"} {
 			t.Run(mode+"/"+dict, func(t *testing.T) {
 				prev, err := plan.SetBatchMode(mode)
@@ -198,32 +200,38 @@ func checkCorpusQueries(t *testing.T, perRun bool) {
 	for qi, q := range corpusQueries(t) {
 		for trial := 0; trial < 25; trial++ {
 			I := randomInstanceFor(rng, q, vals)
-			var base *fact.Relation
 			if perRun {
-				base, _ = q.Eval(I) // an error shows again on the rekeyed instance
+				base, _ := q.Eval(I) // an error shows again on the rekeyed instance
 				I = I.Rekey(fact.NewDict())
-			}
-			want, err := q.Eval(I)
-			if err != nil {
-				// Engines must agree on errors too.
-				if _, gerr := q.EvalGeneric(I); gerr == nil {
-					t.Fatalf("query %d (%s): plan errored (%v), generic did not", qi, q, err)
+				if want, err := q.Eval(I); err == nil && (want.Dict() != I.Dict() || !want.Equal(base)) {
+					t.Fatalf("query %d (%s) on %v: per-run dict answer %v, default dict %v", qi, q, I, want, base)
 				}
-				continue
 			}
-			if perRun && (want.Dict() != I.Dict() || !want.Equal(base)) {
-				t.Fatalf("query %d (%s) on %v: per-run dict answer %v, default dict %v", qi, q, I, want, base)
-			}
-			gen, err := q.EvalGeneric(I)
-			if err != nil {
-				t.Fatalf("query %d (%s): generic: %v", qi, q, err)
-			}
-			if !want.Equal(gen) {
-				t.Fatalf("query %d (%s) on %v:\nplan    %v\ngeneric %v\nplans:\n%s", qi, q, I, want, gen, q.ExplainPlan())
-			}
-			checkQueryDeltaPins(t, qi, q, I, want)
+			checkAgainstOracle(t, qi, q, I)
 		}
 	}
+}
+
+// checkAgainstOracle checks Eval on I against the oracle, errors
+// included, and for CanDelta queries every delta-pinned variant
+// against the semi-naive union equation.
+func checkAgainstOracle(t *testing.T, qi int, q *Query, I *fact.Instance) {
+	t.Helper()
+	want, err := q.Eval(I)
+	if err != nil {
+		if _, gerr := q.EvalGeneric(I); gerr == nil {
+			t.Fatalf("query %d (%s): plan errored (%v), oracle did not", qi, q, err)
+		}
+		return
+	}
+	gen, err := q.EvalGeneric(I)
+	if err != nil {
+		t.Fatalf("query %d (%s): oracle: %v", qi, q, err)
+	}
+	if !want.Equal(gen) {
+		t.Fatalf("query %d (%s) on %v:\nplan   %v\noracle %v\nplans:\n%s", qi, q, I, want, gen, q.ExplainPlan())
+	}
+	checkQueryDeltaPins(t, qi, q, I, want)
 }
 
 // checkQueryDeltaPins verifies Eval(full) = Eval(full\Δ) ∪

@@ -153,39 +153,22 @@ func RelPolarities(f Formula) map[string]query.Polarity {
 }
 
 // QueryDeps implements query.DepAnalyzable: the polarized read
-// dependencies of the query, one group per disjunctive branch. For
-// branches lowered onto the compiled plan layer the positive, required
-// atom reads come from the physical plan itself (plan.Plan.Deps) — the
-// analyzed join is exactly the executed join — and residual guard
-// formulas contribute their AST polarity walk.
+// dependencies of the query, one group per disjunctive branch. The
+// atom reads (positive, required) and anti-joins (negative) come from
+// the compiled plan itself (plan.Plan.Deps) — the analyzed join is
+// exactly the executed join — and each inner query contributes the
+// AST polarity walk of the conjunct it stands for.
 func (q *Query) QueryDeps() []query.Dep {
 	acc := newDepAccum()
-	if q.branches == nil {
-		walkPolarity(q.Body, query.PolPos, -1, "body", acc)
-		return acc.deps
-	}
 	for i := range q.branches {
 		b := &q.branches[i]
-		where := fmt.Sprintf("branch %d", i+1)
-		if b.slow != nil {
-			walkPolarity(b.slow, query.PolPos, i, where, acc)
-			continue
-		}
-		if b.p != nil {
-			for _, d := range b.p.Deps(i) {
+		for _, d := range b.p.Deps(i) {
+			if !b.overlay(d.Rel) {
 				acc.add(d)
 			}
-		} else {
-			for _, a := range b.atoms {
-				acc.add(query.Dep{Rel: a.Rel, Polarity: query.PolPos, Branch: i,
-					Required: true, Where: where + ": atom " + truncFormula(a)})
-			}
 		}
-		for _, g := range b.guard {
-			walkPolarity(g, query.PolPos, i, where+" guard", acc)
-		}
-		for _, g := range b.guardClosed {
-			walkPolarity(g, query.PolPos, i, where+" closed guard", acc)
+		for _, s := range b.subs {
+			walkPolarity(s.src, query.PolPos, i, fmt.Sprintf("branch %d subquery", i+1), acc)
 		}
 	}
 	return acc.deps
@@ -197,21 +180,14 @@ func (q *Query) MonotoneEvidence() query.MonotoneEvidence {
 }
 
 // PossiblyNonempty implements query.EmptinessAnalyzable: the query
-// can produce a tuple only if some branch can, and a join branch
-// cannot fire while one of its atoms reads a relation that provably
-// never holds a fact. Branches outside the join shape (slow formulas,
-// guard-only branches) are conservatively satisfiable.
+// can produce a tuple only if some branch can, and a branch cannot
+// fire while one of its atoms reads a relation that provably never
+// holds a fact. Inner queries and the active domain are conservatively
+// satisfiable.
 func (q *Query) PossiblyNonempty(populated func(rel string) bool) bool {
-	if q.branches == nil {
-		return true
-	}
 	for i := range q.branches {
-		b := &q.branches[i]
-		if b.slow != nil || len(b.atoms) == 0 {
-			return true
-		}
 		ok := true
-		for _, a := range b.atoms {
+		for _, a := range q.branches[i].atoms {
 			if !populated(a.Rel) {
 				ok = false
 				break

@@ -118,10 +118,8 @@ func batchTerms(ts []Term) []fact.BatchTerm {
 
 // runBatch executes the schedule over a fact.Batch. done is false when
 // a join refused to materialize (the batchMaxRows cap): nothing was
-// emitted and the caller must rerun on the tuple path. Guard errors
-// abort exactly like the tuple executor's.
-func (p *Plan) runBatch(s *schedule, args []fact.Value, guard GuardFunc,
-	src *source, out fact.Sink) (done bool, err error) {
+// emitted and the caller must rerun on the tuple path.
+func (p *Plan) runBatch(s *schedule, args []fact.Value, src *source, out fact.Sink) (done bool, err error) {
 
 	if len(args) != len(p.spec.Inputs) {
 		return true, fmt.Errorf("plan %s: got %d args for %d input registers", p.spec.Name, len(args), len(p.spec.Inputs))
@@ -185,13 +183,6 @@ func (p *Plan) runBatch(s *schedule, args []fact.Value, guard GuardFunc,
 				b.AssignReg(in.l.Reg, in.r.Reg)
 			} else {
 				b.BindConst(in.l.Reg, in.r.Const)
-			}
-		case opGuard:
-			gi := in.guard
-			if err := b.FilterGuard(func(regs []fact.Value) (bool, error) {
-				return guard(gi, regs)
-			}); err != nil {
-				return true, err
 			}
 		}
 		if b.Len() == 0 {

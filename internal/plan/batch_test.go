@@ -32,20 +32,13 @@ func TestBatchModeKnobs(t *testing.T) {
 }
 
 // TestBatchDifferentialThreeWay drives random specs — atoms, filters,
-// guards, delta pins — through the batch pipeline, the tuple executor
+// delta pins — through the batch pipeline, the tuple executor
 // and the definitional oracle, and requires all three to emit
 // identical tuple sets.
 func TestBatchDifferentialThreeWay(t *testing.T) {
 	rng := rand.New(rand.NewPCG(99, 17))
 	vals := []fact.Value{"a", "b", "c", "d"}
 	rels := []string{"R", "S"}
-	// The guard index carries the single declared register, and the
-	// guard reads only that one — the GuardFunc contract guarantees a
-	// guard its declared Regs, nothing more, and the executors differ
-	// in when they schedule the call.
-	guard := func(gi int, regs []fact.Value) (bool, error) {
-		return regs[gi] != "d", nil
-	}
 	for trial := 0; trial < 400; trial++ {
 		nRegs := 1 + rng.IntN(4)
 		nAtoms := 1 + rng.IntN(3)
@@ -82,21 +75,14 @@ func TestBatchDifferentialThreeWay(t *testing.T) {
 			continue
 		}
 		pickBound := func() Term { return Reg(boundRegs[rng.IntN(len(boundRegs))]) }
-		hasGuard := false
 		for i := 0; i < rng.IntN(3); i++ {
-			switch rng.IntN(4) {
+			switch rng.IntN(3) {
 			case 0:
 				spec.Filters = append(spec.Filters, Filter{Kind: FilterNeq, L: pickBound(), R: pickBound()})
 			case 1:
 				spec.Filters = append(spec.Filters, Filter{Kind: FilterEq, L: pickBound(), R: pickBound()})
 			case 2:
 				spec.Filters = append(spec.Filters, Filter{Kind: FilterNotIn, Rel: "S1", Terms: []Term{pickBound()}})
-			case 3:
-				if !hasGuard {
-					r := pickBound().Reg
-					spec.Filters = append(spec.Filters, Filter{Kind: FilterGuard, Regs: []int{r}, Guard: r})
-					hasGuard = true
-				}
 			}
 		}
 		for i := 0; i < 1+rng.IntN(2); i++ {
@@ -130,14 +116,14 @@ func TestBatchDifferentialThreeWay(t *testing.T) {
 				prev, _ := SetBatchMode(mode)
 				defer SetBatchMode(prev)
 				out := fact.NewRelation(len(spec.Head))
-				if err := p.Run(full, d, pin, nil, guard, out); err != nil {
+				if err := p.Run(full, d, pin, nil, out); err != nil {
 					t.Fatalf("trial %d pin %d mode %s: Run: %v", trial, pin, mode, err)
 				}
 				return out
 			}
 			batch := run("always")
 			tuple := run("off")
-			ref, err := evalDefinitional(&spec, full, d, pin, nil, guard)
+			ref, err := evalDefinitional(&spec, full, d, pin, nil)
 			if err != nil {
 				t.Fatalf("trial %d pin %d: oracle: %v", trial, pin, err)
 			}
@@ -169,32 +155,11 @@ func TestBatchFallbackOnRowCap(t *testing.T) {
 		I.AddFact(f("B", fact.Value(fmt.Sprintf("b%d", i))))
 	}
 	out := fact.NewRelation(2)
-	if err := p.Run(I, nil, -1, nil, nil, out); err != nil {
+	if err := p.Run(I, nil, -1, nil, out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() != 400 {
 		t.Fatalf("cross product lost rows on fallback: %d, want 400", out.Len())
-	}
-}
-
-// TestBatchGuardError: guard errors abort the batch pipeline exactly
-// like the tuple executor.
-func TestBatchGuardError(t *testing.T) {
-	forceBatchMode(t, "always")
-	p := MustNew(Spec{
-		Name: "guarderr", NumRegs: 1,
-		Head:    []Term{Reg(0)},
-		Atoms:   []Atom{{Rel: "A", Terms: []Term{Reg(0)}}},
-		Filters: []Filter{{Kind: FilterGuard, Regs: []int{0}, Guard: 0}},
-	})
-	I := inst(f("A", "x"), f("A", "y"))
-	boom := fmt.Errorf("boom")
-	out := fact.NewRelation(1)
-	err := p.Run(I, nil, -1, nil, func(gi int, regs []fact.Value) (bool, error) {
-		return false, boom
-	}, out)
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("guard error lost: %v", err)
 	}
 }
 
@@ -210,7 +175,7 @@ func TestBatchInputRegisters(t *testing.T) {
 	})
 	I := inst(f("E", "a", "b"), f("E", "a", "c"), f("E", "x", "y"))
 	out := fact.NewRelation(1)
-	if err := p.Run(I, nil, -1, []fact.Value{"a"}, nil, out); err != nil {
+	if err := p.Run(I, nil, -1, []fact.Value{"a"}, out); err != nil {
 		t.Fatal(err)
 	}
 	want := fact.NewRelation(1)
@@ -228,7 +193,7 @@ func TestBatchInputRegisters(t *testing.T) {
 	})
 	I2 := inst(f("U", "u"))
 	out2 := fact.NewRelation(2)
-	if err := p2.Run(I2, nil, -1, []fact.Value{"batch-fresh-input-arg"}, nil, out2); err != nil {
+	if err := p2.Run(I2, nil, -1, []fact.Value{"batch-fresh-input-arg"}, out2); err != nil {
 		t.Fatal(err)
 	}
 	if !out2.Contains(fact.Tuple{"batch-fresh-input-arg", "u"}) {
@@ -272,14 +237,14 @@ func TestBatchRemoveReAddDifferential(t *testing.T) {
 				prev, _ := SetBatchMode(mode)
 				defer SetBatchMode(prev)
 				out := fact.NewRelation(2)
-				if err := p.Run(full, d, pin, nil, nil, out); err != nil {
+				if err := p.Run(full, d, pin, nil, out); err != nil {
 					t.Fatalf("%s pin %d mode %s: %v", step, pin, mode, err)
 				}
 				return out
 			}
 			batch := run("always")
 			tuple := run("off")
-			ref, err := evalDefinitional(&p.spec, full, d, pin, nil, nil)
+			ref, err := evalDefinitional(&p.spec, full, d, pin, nil)
 			if err != nil {
 				t.Fatalf("%s pin %d: oracle: %v", step, pin, err)
 			}

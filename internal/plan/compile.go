@@ -22,7 +22,6 @@ const (
 	opCheckEq
 	opCheckNeq
 	opAssign
-	opGuard
 )
 
 // colTerm is a column that must equal a term's value.
@@ -54,9 +53,6 @@ type instr struct {
 
 	// opCheckEq / opCheckNeq / opAssign (l is the destination register)
 	l, r Term
-
-	// opGuard
-	guard int
 }
 
 type schedule struct {
@@ -129,18 +125,6 @@ func compile(spec *Spec, pin int, card func(rel string) int) *schedule {
 					case rb && f.L.IsReg():
 						s.instrs = append(s.instrs, instr{kind: opAssign, l: f.L, r: f.R})
 						bound[f.L.Reg] = true
-						placedF[i], changed = true, true
-					}
-				case FilterGuard:
-					ok := true
-					for _, r := range f.Regs {
-						if !bound[r] {
-							ok = false
-							break
-						}
-					}
-					if ok {
-						s.instrs = append(s.instrs, instr{kind: opGuard, guard: f.Guard})
 						placedF[i], changed = true, true
 					}
 				}

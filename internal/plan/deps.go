@@ -5,9 +5,7 @@ import "declnet/internal/query"
 // Deps reports the polarized read dependencies of the compiled plan:
 // every relational atom is a positive, required read (the join cannot
 // produce a binding without a tuple in it), every FilterNotIn is a
-// negated read, and guard filters contribute nothing here — the
-// caller owns the guard formulas and reports their dependencies from
-// the AST. branch tags the produced deps; the language front-ends use
+// negated read. branch tags the produced deps; the language front-ends use
 // it to group one plan per disjunct.
 //
 // This is the "analysis over the compiled plan IR" half of the static

@@ -82,17 +82,6 @@ func (p *Plan) explainInto(b *strings.Builder, pin int) {
 			fmt.Fprintf(b, "  check %s != %s\n", p.term(in.l), p.term(in.r))
 		case opAssign:
 			fmt.Fprintf(b, "  assign %s := %s\n", p.term(in.l), p.term(in.r))
-		case opGuard:
-			f := p.guardFilter(in.guard)
-			regs := "?"
-			if f != nil {
-				names := make([]string, len(f.Regs))
-				for i, r := range f.Regs {
-					names[i] = p.spec.regName(r)
-				}
-				regs = strings.Join(names, ",")
-			}
-			fmt.Fprintf(b, "  guard #%d(%s)\n", in.guard, regs)
 		}
 	}
 	head := make([]string, len(p.spec.Head))
@@ -100,15 +89,6 @@ func (p *Plan) explainInto(b *strings.Builder, pin int) {
 		head[i] = p.term(h)
 	}
 	fmt.Fprintf(b, "  emit (%s)\n", strings.Join(head, ","))
-}
-
-func (p *Plan) guardFilter(gi int) *Filter {
-	for i := range p.spec.Filters {
-		if f := &p.spec.Filters[i]; f.Kind == FilterGuard && f.Guard == gi {
-			return f
-		}
-	}
-	return nil
 }
 
 func (p *Plan) accessSuffix(in *instr) string {

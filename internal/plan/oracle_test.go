@@ -11,10 +11,10 @@ import (
 // of one tuple per atom (atom pin reads delta; the others read full,
 // or delta for a relation full does not hold, as Run documents) whose
 // constants and repeated registers agree, extended by the equality
-// filters that bind a register, passing every filter and guard, emits
+// filters that bind a register, passing every filter, emits
 // its head. It builds no schedule and uses no index, so it shares
 // nothing with the executors but the Spec.
-func evalDefinitional(spec *Spec, full, delta *fact.Instance, pin int, args []fact.Value, guard GuardFunc) (*fact.Relation, error) {
+func evalDefinitional(spec *Spec, full, delta *fact.Instance, pin int, args []fact.Value) (*fact.Relation, error) {
 	out := fact.NewRelation(len(spec.Head))
 	if len(spec.Atoms) == 0 && !spec.EmitOnEmpty {
 		return out, nil
@@ -37,7 +37,7 @@ func evalDefinitional(spec *Spec, full, delta *fact.Instance, pin int, args []fa
 	var atom func(i int)
 	atom = func(i int) {
 		if i == len(spec.Atoms) {
-			err = emitDefinitional(spec, regs, bound, named, guard, out)
+			err = emitDefinitional(spec, regs, bound, named, out)
 			return
 		}
 		a := spec.Atoms[i]
@@ -84,7 +84,7 @@ func evalDefinitional(spec *Spec, full, delta *fact.Instance, pin int, args []fa
 // unbound registers through FilterEq until nothing changes, checks
 // every filter, and adds the head. A register a filter or the head
 // reads that stays unbound is an unsafe spec.
-func emitDefinitional(spec *Spec, regs []fact.Value, bound []bool, named func(string) *fact.Relation, guard GuardFunc, out *fact.Relation) error {
+func emitDefinitional(spec *Spec, regs []fact.Value, bound []bool, named func(string) *fact.Relation, out *fact.Relation) error {
 	regs = append([]fact.Value(nil), regs...)
 	bound = append([]bool(nil), bound...)
 	isBound := func(t Term) bool { return !t.IsReg() || bound[t.Reg] }
@@ -134,17 +134,6 @@ func emitDefinitional(spec *Spec, regs []fact.Value, bound []bool, named func(st
 				return err
 			}
 			pass = (val(f.L) == val(f.R)) == (f.Kind == FilterEq)
-		case FilterGuard:
-			for _, r := range f.Regs {
-				if err := unsafe(Reg(r)); err != nil {
-					return err
-				}
-			}
-			ok, err := guard(f.Guard, regs)
-			if err != nil {
-				return err
-			}
-			pass = ok
 		}
 		if !pass {
 			return nil

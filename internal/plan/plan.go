@@ -8,12 +8,14 @@
 //
 //   - a Spec describes a conjunctive join: relational atoms over
 //     compile-time numbered registers, plus filters (anti-probe
-//     negation checks, (in)equalities, opaque guard hooks) and a head
-//     projection;
+//     negation checks, (in)equalities) and a head projection — every
+//     FO query lowers to such joins and anti-joins (relational algebra
+//     under active-domain semantics), so no filter calls back into a
+//     language front-end;
 //   - a cost-driven static orderer compiles the Spec once per query
 //     into a linear schedule of ops (scan, index probe via
-//     fact.Lookup, constant/equality check, register assignment,
-//     residual-guard check, project), choosing the atom order by
+//     fact.Lookup, anti-probe, constant/equality check, register
+//     assignment, project), choosing the atom order by
 //     bound-term count with ties broken by relation cardinality
 //     estimates taken from the first instance the plan is bound to;
 //   - the executor runs the schedule over dense register slots
@@ -82,11 +84,6 @@ const (
 	FilterEq
 	// FilterNeq requires L != R (both sides must be bound).
 	FilterNeq
-	// FilterGuard calls the GuardFunc passed to Run with index Guard
-	// once every register in Regs is bound. It is the hook for
-	// residual FO guard formulas, which need evaluation context (the
-	// instance, the active domain) that only exists at run time.
-	FilterGuard
 )
 
 // Filter is a non-atom constraint.
@@ -95,8 +92,6 @@ type Filter struct {
 	Rel   string // FilterNotIn
 	Terms []Term // FilterNotIn
 	L, R  Term   // FilterEq, FilterNeq
-	Regs  []int  // FilterGuard: registers the guard reads
-	Guard int    // FilterGuard: index passed to the GuardFunc
 }
 
 // Spec is the logical description a Plan is compiled from.
@@ -123,11 +118,6 @@ type Spec struct {
 	// convention).
 	EmitOnEmpty bool
 }
-
-// GuardFunc evaluates guard filter gi under the current register
-// state. Implementations must treat regs as read-only; the slice is
-// the executor's live frame.
-type GuardFunc func(gi int, regs []fact.Value) (bool, error)
 
 // Plan is a compiled conjunctive query: the Spec plus a lazily built
 // cache of schedules, one for the full evaluation and one per pinned
@@ -212,12 +202,6 @@ func validate(spec *Spec) error {
 			if err := checkTerm(f.R, fmt.Sprintf("filter %d", i)); err != nil {
 				return err
 			}
-		case FilterGuard:
-			for _, r := range f.Regs {
-				if r < 0 || r >= spec.NumRegs {
-					return bad("guard filter %d reads register %d beyond NumRegs %d", i, r, spec.NumRegs)
-				}
-			}
 		default:
 			return bad("filter %d has unknown kind %d", i, f.Kind)
 		}
@@ -282,8 +266,7 @@ func (p *Plan) peekSched(pin int) (*schedule, error) {
 // delta for a relation full does not hold at all, so full need not
 // contain delta when their relation names are disjoint (a transducer
 // state and the messages it receives). args supplies the Spec.Inputs
-// registers in order; guard resolves FilterGuard filters (may be nil
-// when the spec has none). Result tuples are added to out: a plain
+// registers in order. Result tuples are added to out: a plain
 // relation, or a delta staging sink (fact.Delta.Sink) so semi-naive
 // round drivers receive whole column slabs from the batch pipeline
 // without an intermediate head relation. full and a non-nil delta
@@ -291,7 +274,7 @@ func (p *Plan) peekSched(pin int) (*schedule, error) {
 // returned before either pipeline is picked so that both reject it
 // alike (the batch kernel joins packed IDs, which only compare within
 // one dictionary).
-func (p *Plan) Run(full, delta *fact.Instance, pin int, args []fact.Value, guard GuardFunc, out fact.Sink) error {
+func (p *Plan) Run(full, delta *fact.Instance, pin int, args []fact.Value, out fact.Sink) error {
 	if delta != nil && delta.Dict() != full.Dict() {
 		return fmt.Errorf("plan %s: full and delta are interned in different dictionaries (re-encode delta into full's with Rekey)", p.spec.Name)
 	}
@@ -307,11 +290,11 @@ func (p *Plan) Run(full, delta *fact.Instance, pin int, args []fact.Value, guard
 	// materialization cap) falls through to the tuple path, which
 	// streams.
 	if p.useBatch(s, &src) {
-		if done, err := p.runBatch(s, args, guard, &src, out); done {
+		if done, err := p.runBatch(s, args, &src, out); done {
 			return err
 		}
 	}
-	fr := frame{spec: &p.spec, instrs: s.instrs, guard: guard, out: out, src: src}
+	fr := frame{spec: &p.spec, instrs: s.instrs, out: out, src: src}
 	return fr.run(args)
 }
 
@@ -354,12 +337,10 @@ func (s *source) card(rel string) int {
 type frame struct {
 	spec   *Spec
 	instrs []instr
-	guard  GuardFunc
 	out    fact.Sink
 	src    source
 	regs   []fact.Value
 	head   fact.Tuple
-	err    error
 }
 
 func (fr *frame) run(args []fact.Value) error {
@@ -377,7 +358,7 @@ func (fr *frame) run(args []fact.Value) error {
 		fr.regs[r] = args[i]
 	}
 	fr.exec(0)
-	return fr.err
+	return nil
 }
 
 // resolve returns the value of a term under the current registers.
@@ -390,9 +371,6 @@ func (fr *frame) resolve(t Term) fact.Value {
 }
 
 func (fr *frame) exec(i int) {
-	if fr.err != nil {
-		return
-	}
 	if i == len(fr.instrs) {
 		for j, h := range fr.spec.Head {
 			fr.head[j] = fr.resolve(h)
@@ -416,17 +394,15 @@ func (fr *frame) exec(i int) {
 			}
 			for _, c := range in.checks {
 				if tuple[c.col] != fr.resolve(c.t) {
-					return fr.err == nil
+					return true
 				}
 			}
 			fr.exec(i + 1)
-			return fr.err == nil
+			return true
 		}
 		if in.kind == opProbe {
 			for _, tuple := range rel.Lookup(in.probeCol, fr.resolve(in.probe)) {
-				if !step(tuple) {
-					break
-				}
+				step(tuple)
 			}
 			return
 		}
@@ -451,14 +427,5 @@ func (fr *frame) exec(i int) {
 	case opAssign:
 		fr.regs[in.l.Reg] = fr.resolve(in.r)
 		fr.exec(i + 1)
-	case opGuard:
-		ok, err := fr.guard(in.guard, fr.regs)
-		if err != nil {
-			fr.err = err
-			return
-		}
-		if ok {
-			fr.exec(i + 1)
-		}
 	}
 }

@@ -21,13 +21,13 @@ func f(rel string, args ...fact.Value) fact.Fact { return fact.NewFact(rel, args
 
 // both runs the plan through the compiled executor and the
 // definitional oracle and checks they agree, returning the result.
-func both(t *testing.T, p *Plan, full, delta *fact.Instance, pin int, args []fact.Value, guard GuardFunc) *fact.Relation {
+func both(t *testing.T, p *Plan, full, delta *fact.Instance, pin int, args []fact.Value) *fact.Relation {
 	t.Helper()
 	out := fact.NewRelation(len(p.spec.Head))
-	if err := p.Run(full, delta, pin, args, guard, out); err != nil {
+	if err := p.Run(full, delta, pin, args, out); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	ref, err := evalDefinitional(&p.spec, full, delta, pin, args, guard)
+	ref, err := evalDefinitional(&p.spec, full, delta, pin, args)
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
@@ -45,7 +45,7 @@ func TestTwoAtomJoin(t *testing.T) {
 		Atoms: []Atom{{Rel: "T", Terms: []Term{Reg(0), Reg(1)}}, {Rel: "T", Terms: []Term{Reg(1), Reg(2)}}},
 	})
 	I := inst(f("T", "a", "b"), f("T", "b", "c"), f("T", "c", "d"))
-	out := both(t, p, I, nil, -1, nil, nil)
+	out := both(t, p, I, nil, -1, nil)
 	want := fact.NewRelation(2)
 	want.Add(fact.Tuple{"a", "c"})
 	want.Add(fact.Tuple{"b", "d"})
@@ -62,7 +62,7 @@ func TestRepeatedVarAndConst(t *testing.T) {
 		Atoms: []Atom{{Rel: "S", Terms: []Term{Reg(0), Reg(0), Const("k")}}},
 	})
 	I := inst(f("S", "a", "a", "k"), f("S", "a", "b", "k"), f("S", "c", "c", "x"), f("S", "d", "d", "k"))
-	out := both(t, p, I, nil, -1, nil, nil)
+	out := both(t, p, I, nil, -1, nil)
 	want := fact.NewRelation(1)
 	want.Add(fact.Tuple{"a"})
 	want.Add(fact.Tuple{"d"})
@@ -85,7 +85,7 @@ func TestFiltersEqNeqNotIn(t *testing.T) {
 		},
 	})
 	I := inst(f("R", "a", "b"), f("R", "a", "a"), f("R", "b", "c"), f("T", "c"))
-	out := both(t, p, I, nil, -1, nil, nil)
+	out := both(t, p, I, nil, -1, nil)
 	want := fact.NewRelation(2)
 	want.Add(fact.Tuple{"a", "b"})
 	if !out.Equal(want) {
@@ -102,33 +102,10 @@ func TestInputRegisters(t *testing.T) {
 		Inputs: []int{0},
 	})
 	I := inst(f("R", "n1", "a"), f("R", "n1", "b"), f("R", "n2", "c"))
-	out := both(t, p, I, nil, -1, []fact.Value{"n1"}, nil)
+	out := both(t, p, I, nil, -1, []fact.Value{"n1"})
 	want := fact.NewRelation(2)
 	want.Add(fact.Tuple{"n1", "a"})
 	want.Add(fact.Tuple{"n1", "b"})
-	if !out.Equal(want) {
-		t.Fatalf("got %v want %v", out, want)
-	}
-}
-
-func TestGuardFilter(t *testing.T) {
-	p := MustNew(Spec{
-		Name: "guard", NumRegs: 2, RegNames: []string{"x", "y"},
-		Head:    []Term{Reg(0), Reg(1)},
-		Atoms:   []Atom{{Rel: "R", Terms: []Term{Reg(0), Reg(1)}}},
-		Filters: []Filter{{Kind: FilterGuard, Regs: []int{1}, Guard: 0}},
-	})
-	I := inst(f("R", "a", "b"), f("R", "a", "keep"), f("R", "c", "keep"))
-	guard := func(gi int, regs []fact.Value) (bool, error) {
-		if gi != 0 {
-			return false, fmt.Errorf("unexpected guard index %d", gi)
-		}
-		return regs[1] == "keep", nil
-	}
-	out := both(t, p, I, nil, -1, nil, guard)
-	want := fact.NewRelation(2)
-	want.Add(fact.Tuple{"a", "keep"})
-	want.Add(fact.Tuple{"c", "keep"})
 	if !out.Equal(want) {
 		t.Fatalf("got %v want %v", out, want)
 	}
@@ -138,13 +115,13 @@ func TestEmitOnEmpty(t *testing.T) {
 	I := inst(f("R", "a"))
 	// Datalog convention: a fact rule emits its (ground) head once.
 	on := MustNew(Spec{Name: "on", Head: []Term{Const("a"), Const("b")}, EmitOnEmpty: true})
-	out := both(t, on, I, nil, -1, nil, nil)
+	out := both(t, on, I, nil, -1, nil)
 	if out.Len() != 1 {
 		t.Fatalf("EmitOnEmpty plan emitted %d tuples, want 1", out.Len())
 	}
 	// FO convention: a zero-atom branch emits nothing.
 	off := MustNew(Spec{Name: "off", Head: nil})
-	out = both(t, off, I, nil, -1, nil, nil)
+	out = both(t, off, I, nil, -1, nil)
 	if out.Len() != 0 {
 		t.Fatalf("zero-atom plan emitted %d tuples, want 0", out.Len())
 	}
@@ -164,19 +141,19 @@ func TestDeltaPinUnionEquation(t *testing.T) {
 	full.UnionWith(delta)
 
 	wantFull := fact.NewRelation(2)
-	if err := p.Run(full, nil, -1, nil, nil, wantFull); err != nil {
+	if err := p.Run(full, nil, -1, nil, wantFull); err != nil {
 		t.Fatal(err)
 	}
 	got := fact.NewRelation(2)
-	if err := p.Run(old, nil, -1, nil, nil, got); err != nil {
+	if err := p.Run(old, nil, -1, nil, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < p.NumAtoms(); i++ {
-		if err := p.Run(full, delta, i, nil, nil, got); err != nil {
+		if err := p.Run(full, delta, i, nil, got); err != nil {
 			t.Fatal(err)
 		}
 		// Each pinned variant matches the definitional oracle too.
-		both(t, p, full, delta, i, nil, nil)
+		both(t, p, full, delta, i, nil)
 	}
 	if !got.Equal(wantFull) {
 		t.Fatalf("semi-naive union %v != full evaluation %v", got, wantFull)
@@ -209,12 +186,12 @@ func TestMissingOrMismatchedRelation(t *testing.T) {
 		Atoms: []Atom{{Rel: "Nope", Terms: []Term{Reg(0)}}},
 	})
 	// Absent relation: no tuples, no error.
-	out := both(t, p, inst(f("Other", "a")), nil, -1, nil, nil)
+	out := both(t, p, inst(f("Other", "a")), nil, -1, nil)
 	if out.Len() != 0 {
 		t.Fatalf("absent relation produced %v", out)
 	}
 	// Arity mismatch: same.
-	out = both(t, p, inst(f("Nope", "a", "b")), nil, -1, nil, nil)
+	out = both(t, p, inst(f("Nope", "a", "b")), nil, -1, nil)
 	if out.Len() != 0 {
 		t.Fatalf("arity-mismatched relation produced %v", out)
 	}
@@ -259,7 +236,7 @@ func TestExplainDoesNotBindSchedule(t *testing.T) {
 		I.AddFact(f("Big", fact.Value(fmt.Sprintf("b%d", i)), "m"))
 	}
 	out := fact.NewRelation(2)
-	if err := p.Run(I, nil, -1, nil, nil, out); err != nil {
+	if err := p.Run(I, nil, -1, nil, out); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.Explain(-1); !strings.Contains(got, "scan Small(y,z)") {
@@ -347,7 +324,7 @@ func TestRandomizedDifferential(t *testing.T) {
 			if pin < 0 {
 				d = nil
 			}
-			both(t, p, full, d, pin, nil, nil)
+			both(t, p, full, d, pin, nil)
 		}
 	}
 }

@@ -64,7 +64,7 @@ func CanDelta(q Query) bool {
 
 // PlanExplainer is implemented by queries that evaluate through the
 // compiled query-plan layer (internal/plan) and can render their
-// physical plans: chosen atom order, probe columns, filter and guard
+// physical plans: chosen atom order, probe columns, filter
 // placement, delta-pinned variants. run.Explain aggregates it per
 // transducer so plan regressions are diffable.
 type PlanExplainer interface {

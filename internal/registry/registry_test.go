@@ -1,9 +1,11 @@
 package registry
 
 import (
+	"strings"
 	"testing"
 
 	"declnet/internal/fact"
+	"declnet/internal/transducer"
 )
 
 func TestLookupAllCatalogued(t *testing.T) {
@@ -19,6 +21,32 @@ func TestLookupAllCatalogued(t *testing.T) {
 	}
 	if _, err := Lookup("no-such-thing"); err == nil {
 		t.Error("unknown name accepted")
+	}
+}
+
+// TestCatalogueFOHasNoInterpreterPath: every FO query of every
+// catalogue transducer runs on compiled join plans — no branch falls
+// back to active-domain enumeration or calls back into a per-binding
+// guard.
+func TestCatalogueFOHasNoInterpreterPath(t *testing.T) {
+	fo := 0
+	for _, name := range Names() {
+		tr, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(transducer.ExplainPlans(tr), "\n") {
+			trimmed := strings.TrimSpace(line)
+			switch {
+			case strings.HasPrefix(trimmed, "fo query "):
+				fo++
+			case strings.Contains(line, "active-domain enumeration"), strings.Contains(line, "guard"):
+				t.Errorf("%s: interpreter path in explain output: %q", name, line)
+			}
+		}
+	}
+	if fo == 0 {
+		t.Fatal("no FO query in the catalogue's explain output")
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // ExplainPlans renders the compiled physical plan of every query of
 // the transducer — send, insert and delete queries in sorted relation
 // order, then the output query — in the stable textual form of the
-// plan layer (chosen atom order, probe columns, guard placement,
+// plan layer (chosen atom order, probe columns, filter placement,
 // delta pins). The rendering exists to make plan regressions
 // diffable: commit it, change the planner, diff.
 func ExplainPlans(t *Transducer) string {

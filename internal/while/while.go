@@ -46,6 +46,9 @@ type Assign struct {
 type While struct {
 	Cond fo.Formula
 	Body []Stmt
+
+	// cond is Cond compiled as a 0-ary query, set by New.
+	cond *fo.Query
 }
 
 func (Assign) isStmt() {}
@@ -66,26 +69,35 @@ type Program struct {
 }
 
 // New builds a program; the condition of every while-loop must be a
-// sentence (no free variables).
+// sentence (no free variables), and is compiled here, once, as a
+// 0-ary query.
 func New(out string, outArity int, stmts ...Stmt) (*Program, error) {
-	var check func([]Stmt) error
-	check = func(ss []Stmt) error {
-		for _, s := range ss {
+	var compile func([]Stmt) ([]Stmt, error)
+	compile = func(ss []Stmt) ([]Stmt, error) {
+		out := make([]Stmt, len(ss))
+		for i, s := range ss {
 			if w, ok := s.(While); ok {
 				if fv := fo.FreeVars(w.Cond); len(fv) != 0 {
-					return fmt.Errorf("while: loop condition %s has free variables %v", w.Cond, fv)
+					return nil, fmt.Errorf("while: loop condition %s has free variables %v", w.Cond, fv)
 				}
-				if err := check(w.Body); err != nil {
-					return err
+				body, err := compile(w.Body)
+				if err != nil {
+					return nil, err
 				}
+				if w.cond, err = fo.NewQuery("while", nil, w.Cond); err != nil {
+					return nil, err
+				}
+				w.Body, s = body, w
 			}
+			out[i] = s
 		}
-		return nil
+		return out, nil
 	}
-	if err := check(stmts); err != nil {
+	compiled, err := compile(stmts)
+	if err != nil {
 		return nil, err
 	}
-	return &Program{Stmts: stmts, Out: out, OutArity: outArity}, nil
+	return &Program{Stmts: compiled, Out: out, OutArity: outArity}, nil
 }
 
 // MustNew is New panicking on error.
@@ -117,13 +129,20 @@ func runBlock(stmts []Stmt, store *fact.Instance) error {
 			}
 			store.SetRelation(st.Rel, r)
 		case While:
+			cond := st.cond
+			if cond == nil { // a statement New did not compile
+				var err error
+				if cond, err = fo.NewQuery("while", nil, st.Cond); err != nil {
+					return fmt.Errorf("while: condition %s: %w", st.Cond, err)
+				}
+			}
 			seen := map[string]bool{}
 			for {
-				ok, err := fo.Holds(st.Cond, store)
+				holds, err := cond.Eval(store)
 				if err != nil {
 					return fmt.Errorf("while: condition %s: %w", st.Cond, err)
 				}
-				if !ok {
+				if holds.Empty() {
 					break
 				}
 				// Abiteboul–Simon loop detection: the store determines

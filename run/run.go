@@ -256,7 +256,7 @@ func ToQuiescence(net *Network, tr *itransducer.Transducer, p Partition, opt Opt
 
 // Explain renders the compiled physical query plan of every query of
 // the transducer (send, insert, delete, output): the chosen join
-// order, index-probe columns, filter and guard placement, and the
+// order, index-probe columns, filter placement, inner queries, and the
 // delta-pinned variants semi-naive firing uses. Every FO and Datalog
 // query evaluates through these plans — compiled once per query,
 // cached (sync.Once-guarded per delta pin, safe under the parallel
