@@ -50,7 +50,7 @@ func compileRule(r Rule, bound []string) *compiledRule {
 		}
 		return n
 	}
-	spec := plan.Spec{Name: r.Head.Pred, EmitOnEmpty: true}
+	spec := plan.Spec{Name: r.Head.Pred}
 	for _, v := range bound {
 		spec.Inputs = append(spec.Inputs, reg(v))
 	}

@@ -351,7 +351,7 @@ func compileBranch(name string, head []Var, c conj) (branch, error) {
 		}
 		return out
 	}
-	spec := plan.Spec{Name: name, EmitOnEmpty: true}
+	spec := plan.Spec{Name: name}
 	bound := map[Var]bool{}
 	needed := append([]Var(nil), head...)
 	need := func(ts ...Term) {

@@ -120,7 +120,6 @@ func batchTerms(ts []Term) []fact.BatchTerm {
 // a join refused to materialize (the batchMaxRows cap): nothing was
 // emitted and the caller must rerun on the tuple path.
 func (p *Plan) runBatch(s *schedule, args []fact.Value, src *source, out fact.Sink) (done bool, err error) {
-
 	if len(args) != len(p.spec.Inputs) {
 		return true, fmt.Errorf("plan %s: got %d args for %d input registers", p.spec.Name, len(args), len(p.spec.Inputs))
 	}

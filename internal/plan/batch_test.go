@@ -314,7 +314,7 @@ func TestExplainPipelineLine(t *testing.T) {
 		t.Fatalf("off explain missing pipeline line:\n%s", got)
 	}
 	// Zero-atom specs are tuple-only, with the reason.
-	p0 := MustNew(Spec{Name: "factrule", NumRegs: 0, Head: []Term{Const("k")}, EmitOnEmpty: true})
+	p0 := MustNew(Spec{Name: "factrule", NumRegs: 0, Head: []Term{Const("k")}})
 	if got := p0.Explain(-1); !strings.Contains(got, "pipeline tuple (no atoms)") {
 		t.Fatalf("zero-atom explain missing reason:\n%s", got)
 	}

@@ -212,8 +212,8 @@ func compile(spec *Spec, pin int, card func(rel string) int) *schedule {
 	}
 	// Columnar eligibility: every op kind has a batch translation, so
 	// the only schedules the batch pipeline cannot run are the
-	// zero-atom ones (nothing to scan; the tuple path's EmitOnEmpty
-	// convention applies).
+	// zero-atom ones (nothing to scan; the tuple path emits the head
+	// once if every filter passes).
 	if len(spec.Atoms) == 0 {
 		s.batchWhy = "no atoms"
 	} else {

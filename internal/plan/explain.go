@@ -38,10 +38,6 @@ func (p *Plan) explainInto(b *strings.Builder, pin int) {
 		fmt.Fprintf(b, "  <unschedulable: %v>\n", err)
 		return
 	}
-	if len(p.spec.Atoms) == 0 && !p.spec.EmitOnEmpty {
-		fmt.Fprintf(b, "  empty (no atoms: emits nothing)\n")
-		return
-	}
 	// The pipeline the executor picks per run: batch-eligible
 	// schedules go columnar above the cardinality threshold (or as the
 	// mode forces), everything else stays tuple-at-a-time.

@@ -16,9 +16,6 @@ import (
 // nothing with the executors but the Spec.
 func evalDefinitional(spec *Spec, full, delta *fact.Instance, pin int, args []fact.Value) (*fact.Relation, error) {
 	out := fact.NewRelation(len(spec.Head))
-	if len(spec.Atoms) == 0 && !spec.EmitOnEmpty {
-		return out, nil
-	}
 	if len(args) != len(spec.Inputs) {
 		return nil, fmt.Errorf("plan %s: got %d args for %d input registers", spec.Name, len(args), len(spec.Inputs))
 	}

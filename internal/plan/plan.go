@@ -106,17 +106,15 @@ type Spec struct {
 	// Head is the output projection; every register it mentions must
 	// be bound by Inputs, atoms, or equality assignments.
 	Head []Term
-	// Atoms is the conjunction to join.
+	// Atoms is the conjunction to join. With no atoms the plan emits
+	// its head once if every filter passes (a Datalog fact rule, an FO
+	// branch of filters only).
 	Atoms []Atom
 	// Filters are the non-atom constraints.
 	Filters []Filter
 	// Inputs lists registers pre-bound at entry; Run's args supply
 	// their values in the same order.
 	Inputs []int
-	// EmitOnEmpty controls the zero-atom case: true emits the head
-	// once (a Datalog fact rule), false emits nothing (the FO branch
-	// convention).
-	EmitOnEmpty bool
 }
 
 // Plan is a compiled conjunctive query: the Spec plus a lazily built
@@ -344,9 +342,6 @@ type frame struct {
 }
 
 func (fr *frame) run(args []fact.Value) error {
-	if len(fr.spec.Atoms) == 0 && !fr.spec.EmitOnEmpty {
-		return nil
-	}
 	if len(args) != len(fr.spec.Inputs) {
 		return fmt.Errorf("plan %s: got %d args for %d input registers", fr.spec.Name, len(args), len(fr.spec.Inputs))
 	}

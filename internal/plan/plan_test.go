@@ -113,17 +113,17 @@ func TestInputRegisters(t *testing.T) {
 
 func TestEmitOnEmpty(t *testing.T) {
 	I := inst(f("R", "a"))
-	// Datalog convention: a fact rule emits its (ground) head once.
-	on := MustNew(Spec{Name: "on", Head: []Term{Const("a"), Const("b")}, EmitOnEmpty: true})
+	// A plan with no atoms (a Datalog fact rule) emits its head once.
+	on := MustNew(Spec{Name: "on", Head: []Term{Const("a"), Const("b")}})
 	out := both(t, on, I, nil, -1, nil)
 	if out.Len() != 1 {
-		t.Fatalf("EmitOnEmpty plan emitted %d tuples, want 1", out.Len())
+		t.Fatalf("zero-atom plan emitted %d tuples, want 1", out.Len())
 	}
-	// FO convention: a zero-atom branch emits nothing.
-	off := MustNew(Spec{Name: "off", Head: nil})
+	// ... unless a filter fails.
+	off := MustNew(Spec{Name: "off", Filters: []Filter{{Kind: FilterEq, L: Const("a"), R: Const("b")}}})
 	out = both(t, off, I, nil, -1, nil)
 	if out.Len() != 0 {
-		t.Fatalf("zero-atom plan emitted %d tuples, want 0", out.Len())
+		t.Fatalf("zero-atom plan with a failing filter emitted %d tuples, want 0", out.Len())
 	}
 }
 
@@ -162,13 +162,13 @@ func TestDeltaPinUnionEquation(t *testing.T) {
 
 func TestUnsafeSpecRejected(t *testing.T) {
 	// Head register never bound.
-	_, err := New(Spec{Name: "unsafeHead", NumRegs: 1, Head: []Term{Reg(0)}, EmitOnEmpty: true})
+	_, err := New(Spec{Name: "unsafeHead", NumRegs: 1, Head: []Term{Reg(0)}})
 	if err == nil {
 		t.Fatal("unsafe head accepted")
 	}
 	// Neq over never-bound registers.
 	_, err = New(Spec{Name: "unsafeNeq", NumRegs: 2,
-		Filters: []Filter{{Kind: FilterNeq, L: Reg(0), R: Reg(1)}}, EmitOnEmpty: true})
+		Filters: []Filter{{Kind: FilterNeq, L: Reg(0), R: Reg(1)}}})
 	if err == nil {
 		t.Fatal("unsafe filter accepted")
 	}
