@@ -45,7 +45,9 @@ func NewQuery(name string, head []string, body Formula) (*Query, error) {
 	if rebinds(body, seen) {
 		body = renameApart(body, hv)
 	}
-	for i, c := range normalize(body) {
+	conjs := normalize(body)
+	q.branches = make([]branch, 0, len(conjs))
+	for i, c := range conjs {
 		b, err := compileBranch(fmt.Sprintf("%s#%d", name, i+1), hv, c)
 		if err != nil {
 			return nil, fmt.Errorf("fo: query %s: %w", name, err)

@@ -443,8 +443,9 @@ func compileBranch(name string, head []Var, c conj) (branch, error) {
 			break
 		}
 	}
-	for _, h := range head {
-		spec.Head = append(spec.Head, term(h))
+	spec.Head = make([]plan.Term, len(head))
+	for i, h := range head {
+		spec.Head[i] = term(h)
 	}
 	spec.NumRegs = len(regNames)
 	spec.RegNames = regNames
