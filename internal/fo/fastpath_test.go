@@ -1,8 +1,10 @@
 package fo
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"declnet/internal/fact"
@@ -376,4 +378,43 @@ func TestResidualEqLoweredNotGuarded(t *testing.T) {
 	if !subset(d, whole) {
 		t.Fatalf("EvalDelta %v not a subset of Eval %v", d, whole)
 	}
+}
+
+// TestEvalConcurrentInnerQueries: one query whose branches read inner
+// queries and the active domain, evaluated from several goroutines at
+// once, each on its own instance (as the parallel runtime does with
+// per-node states): the plans and their schedule caches are shared,
+// the overlays are per evaluation, and every answer matches the
+// oracle. Run under -race.
+func TestEvalConcurrentInnerQueries(t *testing.T) {
+	q := MustQuery("mix", []string{"x", "y"}, MustParse(
+		"(R(x, y) & !S(x)) | (S(x) & forall z (R(x, z) | z = y)) | (S(y) & !(exists w (R(w, x) & S(w))))"))
+	const workers = 8
+	insts := make([]*fact.Instance, workers)
+	wants := make([]*fact.Relation, workers)
+	for g := range insts {
+		I := fact.FromFacts(
+			fact.NewFact("R", "a", "b"), fact.NewFact("R", "b", fact.Value(fmt.Sprint("c", g%3))),
+			fact.NewFact("S", "a"), fact.NewFact("S", fact.Value(fmt.Sprint("c", g%2))))
+		want, err := q.EvalGeneric(I)
+		if err != nil {
+			t.Fatal(err)
+		}
+		insts[g], wants[g] = I, want
+	}
+	var wg sync.WaitGroup
+	for g := range insts {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 20; k++ {
+				got, err := q.Eval(insts[g])
+				if err != nil || !got.Equal(wants[g]) {
+					t.Errorf("goroutine %d: Eval = %v, %v; oracle %v", g, got, err, wants[g])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
