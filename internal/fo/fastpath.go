@@ -612,8 +612,10 @@ func (q *Query) explainInto(b *strings.Builder, indent string) {
 			kind = fmt.Sprintf("join plan (%s)", strings.Join(quals, ", "))
 		}
 		fmt.Fprintf(b, "%sbranch %d: %s\n", indent, i+1, kind)
+		// Inner queries (indented) always evaluate in full, so only the
+		// top-level query shows delta pins.
 		text := br.p.Explain(-1)
-		if q.deltaOK && br.pinnable() {
+		if indent == "" && q.deltaOK && br.pinnable() {
 			text = br.p.ExplainAll()
 		}
 		for _, line := range strings.SplitAfter(text, "\n") {
