@@ -124,11 +124,16 @@ func normalize(f Formula) []conj {
 }
 
 // renameApart renames bound variables so that no quantifier binds a
-// head variable or a variable another quantifier binds: each name then
-// denotes one variable, and absorbing an ∃ into the enclosing
-// conjunction is sound. A fresh name appends one or more primes to
-// the old one (x'), which the parser cannot produce. NewQuery calls it
-// only when rebinds finds such a repeat.
+// head variable, a variable an enclosing quantifier binds, or one
+// another quantifier of the same branch binds: each name then denotes
+// one variable within a branch, and absorbing an ∃ into the enclosing
+// conjunction is sound. The disjuncts of an ∨ reached from the root
+// through ∨ and ∃ alone become separate branches, so each may reuse
+// the names the others bind; any other ∨ may collapse into its
+// enclosing conjunction (a false disjunct drops out) and is renamed
+// as a whole. A fresh name appends one or more primes to the old one
+// (x'), which the parser cannot produce.
+// NewQuery calls it only when rebinds finds a repeated name.
 func renameApart(f Formula, head []Var) Formula {
 	used := map[Var]bool{}
 	collectVars(f, used)
@@ -136,7 +141,8 @@ func renameApart(f Formula, head []Var) Formula {
 	for _, v := range head {
 		used[v], taken[v] = true, true
 	}
-	var rename func(Formula, map[Var]Var) Formula
+	var taking []Var // names taken so far, in order
+	var rename func(f Formula, scope map[Var]Var, top bool) Formula
 	terms := func(ts []Term, scope map[Var]Var) []Term {
 		out := make([]Term, len(ts))
 		for i, t := range ts {
@@ -149,7 +155,7 @@ func renameApart(f Formula, head []Var) Formula {
 		}
 		return out
 	}
-	quant := func(vs []Var, body Formula, scope map[Var]Var) ([]Var, Formula) {
+	quant := func(vs []Var, scope map[Var]Var) ([]Var, map[Var]Var) {
 		inner := make(map[Var]Var, len(scope)+len(vs))
 		for k, v := range scope {
 			inner[k] = v
@@ -163,12 +169,13 @@ func renameApart(f Formula, head []Var) Formula {
 				}
 				used[n] = true
 			}
-			taken[v], taken[n] = true, true
+			taken[n] = true
+			taking = append(taking, n)
 			inner[v], out[i] = n, n
 		}
-		return out, rename(body, inner)
+		return out, inner
 	}
-	rename = func(f Formula, scope map[Var]Var) Formula {
+	rename = func(f Formula, scope map[Var]Var, top bool) Formula {
 		switch g := f.(type) {
 		case Atom:
 			return Atom{Rel: g.Rel, Terms: terms(g.Terms, scope)}
@@ -176,34 +183,41 @@ func renameApart(f Formula, head []Var) Formula {
 			ts := terms([]Term{g.L, g.R}, scope)
 			return Eq{L: ts[0], R: ts[1]}
 		case Not:
-			return Not{F: rename(g.F, scope)}
+			return Not{F: rename(g.F, scope, false)}
 		case And:
 			fs := make([]Formula, len(g.Fs))
 			for i, sub := range g.Fs {
-				fs[i] = rename(sub, scope)
+				fs[i] = rename(sub, scope, false)
 			}
 			return And{Fs: fs}
 		case Or:
 			fs := make([]Formula, len(g.Fs))
 			for i, sub := range g.Fs {
-				fs[i] = rename(sub, scope)
+				mark := len(taking)
+				fs[i] = rename(sub, scope, top)
+				if top {
+					for _, n := range taking[mark:] {
+						delete(taken, n)
+					}
+					taking = taking[:mark]
+				}
 			}
 			return Or{Fs: fs}
 		case Exists:
-			vs, body := quant(g.Vars, g.F, scope)
-			return Exists{Vars: vs, F: body}
+			vs, inner := quant(g.Vars, scope)
+			return Exists{Vars: vs, F: rename(g.F, inner, top)}
 		case Forall:
-			vs, body := quant(g.Vars, g.F, scope)
-			return Forall{Vars: vs, F: body}
+			vs, inner := quant(g.Vars, scope)
+			return Forall{Vars: vs, F: rename(g.F, inner, false)}
 		}
 		return f
 	}
-	return rename(f, nil)
+	return rename(f, nil, true)
 }
 
 // rebinds reports whether some quantifier of f binds a variable in
-// taken or one an earlier quantifier binds, adding every quantified
-// variable to taken.
+// taken or one another quantifier binds, adding every quantified
+// variable to taken. A formula without such repeats needs no renaming.
 func rebinds(f Formula, taken map[Var]bool) bool {
 	quant := func(vs []Var, body Formula) bool {
 		for _, v := range vs {

@@ -52,6 +52,25 @@ func TestFastPathShadowedHeadVariable(t *testing.T) {
 	if want, _ := sib.EvalGeneric(J); !got.Equal(want) || got.Len() != 1 {
 		t.Fatalf("sibling quantifiers: got %v, want %v", got, want)
 	}
+	// Top-level disjuncts may reuse a name; a disjunction that
+	// collapses into its conjunction (a false disjunct drops out) may
+	// not.
+	for _, src := range []string{
+		"(exists y R(x, y)) | (exists y S(x, y))",
+		"(false | exists y R(x, y)) & (exists y S(x, y))",
+	} {
+		q := MustQuery("reuse", []string{"x"}, MustParse(src))
+		got, err := q.Eval(J)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := q.EvalGeneric(J); !got.Equal(want) || got.Len() != 1 {
+			t.Fatalf("%s: got %v, want %v", src, got, want)
+		}
+	}
+	if ex := MustQuery("top", []string{"x"}, MustParse("(exists y R(x, y)) | (exists y S(x, y))")).ExplainPlan(); strings.Contains(ex, "'") {
+		t.Fatalf("top-level disjuncts need no renaming:\n%s", ex)
+	}
 	// ∃z over a variable nothing mentions ranges over an empty active
 	// domain when only a 0-ary fact holds.
 	unused := MustQuery("unused", nil, ExistsF([]string{"z"}, AtomF("P")))
