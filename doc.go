@@ -69,9 +69,11 @@
 // interning dictionary (Dict) sharded by value hash — per-shard
 // mutexes serialize only fresh-ID assignment, reads never lock —
 // tuples are keyed by their packed ID sequences, and relations are
-// insertion-ordered row stores over those keys (a key slab, the tuples
-// in row order, a pointer-free hash table of row numbers) with lazily
-// built per-column hash indexes; semi-naive fixpoints run on the kernel's delta-relation
+// insertion-ordered row stores over those keys (a key slab, a
+// pointer-free hash table of row numbers, and the tuples in row order,
+// decoded from the slab on first read for rows the batch pipeline,
+// delta commits and Rekey store as keys only) with lazily built
+// per-column hash indexes; semi-naive fixpoints run on the kernel's delta-relation
 // type, and FO queries expose exact semi-naive delta evaluation for
 // their positive branches. Every relation, instance, delta and batch
 // carries its owning *Dict and derived values inherit it; a
@@ -121,8 +123,9 @@
 // and a batch output append that
 // deduplicates whole column slabs against the destination relation
 // before allocating anything: each row probes the relation's row
-// store under one reused scratch key, and only new rows are stored
-// (fact.Sink — also the staging path of semi-naive delta rounds). The
+// store under one reused scratch key, and only new rows are stored, as
+// packed keys whose tuples are decoded on first read (fact.Sink — also
+// the staging path of semi-naive delta rounds). The
 // pipeline engages per execution by a cardinality threshold (4096
 // tuples; plan.SetBatchMode pins "auto"/"off"/"always" for
 // benchmarks and tests), so small inputs keep the

@@ -415,10 +415,12 @@ func (b *Batch) FilterNotIn(rel *Relation, terms []BatchTerm) {
 // ProjectInto appends the head projection of every row into out,
 // deduplicating within the batch and against the sink's existing
 // tuples through the columnar batch-append path (sink.go): each row is
-// probed against the row store under one reused scratch key, and
-// output tuples are materialized only for the genuinely new rows — the
-// per-row tuple build, pack and intern of the scalar path disappears
-// from the full-output workloads.
+// probed against the row store under one reused scratch key, and the
+// genuinely new rows are stored as packed keys only. No output tuple
+// is built here; the destination decodes its rows on the first read
+// that needs tuples (Each, Tuples, Lookup), so the per-row tuple
+// build, pack and intern of the scalar path disappears from the
+// full-output workloads.
 func (b *Batch) ProjectInto(head []BatchTerm, out Sink) {
 	if b.n == 0 {
 		return

@@ -7,15 +7,17 @@ import "encoding/binary"
 // per-column []uint32 ID vectors, with lazily built sorted runs
 // (radix-ordered permutations) and ID→row hash indexes. The batch
 // executor (batch.go and internal/plan's columnar pipeline) joins over
-// these vectors instead of walking the stored tuples one at a time.
+// these vectors instead of walking the stored tuples one at a time, so
+// it never makes a relation decode its tuples.
 //
 // The view is memoized on the Relation and maintained incrementally:
-// addKeyed appends each new row's IDs to every column, and the runs
-// and indexes carry watermarks so they extend (indexes) or rebuild
-// (runs) only over the appended tail on next access. Remove drops the
-// view, exactly like the per-column tuple indexes — deletion is rare
-// in the paper's inflationary transducers. The view serves the batch
-// join alone; output dedup probes the row store (sink.go).
+// every append (addKeyed, the batch sink, Delta.Commit) extends each
+// column with the new rows' IDs, and the runs and indexes carry
+// watermarks so they extend (indexes) or rebuild (runs) only over the
+// appended tail on next access. Remove drops the view, exactly like
+// the per-column tuple indexes — deletion is rare in the paper's
+// inflationary transducers. The view serves the batch join alone;
+// output dedup probes the row store (sink.go).
 
 // colview is the columnar decoding of a relation: col[c][row] is the
 // interned ID at column c of the relation's row-th stored tuple, so
@@ -43,7 +45,7 @@ type colview struct {
 // maintained by addKeyed; Remove invalidates it.
 func (r *Relation) columns() *colview {
 	if r.cview == nil {
-		n := len(r.rows)
+		n := r.Len()
 		cv := &colview{n: n, col: make([][]uint32, r.arity)}
 		for c := range cv.col {
 			col := make([]uint32, n)

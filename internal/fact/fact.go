@@ -13,11 +13,12 @@
 // is mapped to a dense uint32 ID by an interning dictionary
 // (intern.go), tuples are keyed by their packed ID sequences, and a
 // relation is an insertion-ordered row store — a slab of those packed
-// keys, the tuples in the same row order, and a pointer-free hash table
-// of row numbers once it outgrows a linear scan — with lazily built
-// per-column hash indexes (Lookup) that the join-based evaluators in
-// packages fo and datalog bind against. The string-typed API is a thin
-// surface over the interned representation.
+// keys, a pointer-free hash table of row numbers once it outgrows a
+// linear scan, and the tuples in the same row order, decoded from the
+// slab on first read for rows the batch pipeline stored as keys only —
+// with lazily built per-column hash indexes (Lookup) that the
+// join-based evaluators in packages fo and datalog bind against. The
+// string-typed API is a thin surface over the interned representation.
 package fact
 
 import (
@@ -136,15 +137,26 @@ func (f Fact) String() string { return f.Rel + f.Args.String() }
 
 // Relation is a finite set of tuples of a fixed arity. It is stored as
 // one insertion-ordered row store: a slab of packed interned-ID keys
-// (4 bytes per column, row-major), the stored tuples in the same row
-// order, and, once the relation outgrows a linear scan, a pointer-free
-// open-addressing table of row numbers over the slab. The zero value
-// is not usable; construct with NewRelation (process-default
-// dictionary) or Dict.NewRelation. Like the rest of the data model,
-// Relations are not safe for concurrent use: reads memoize (column
-// indexes, sorted order) in place — see Seal for the read-only
-// exception. Only the interning dictionary is shared safely across
-// goroutines.
+// (4 bytes per column, row-major), once the relation outgrows a linear
+// scan a pointer-free open-addressing table of row numbers over the
+// slab, and the stored tuples in the same row order.
+//
+// The tuples are a lazily decoded copy of the slab. Rows added with a
+// tuple (Add, UnionWith) keep it, as long as every earlier row is
+// decoded. The batch sink (Batch.ProjectInto into a Relation or a
+// Delta.Sink), Delta.Commit and Rekey append keys only, and the first
+// read that hands out tuples decodes every pending row in one slab:
+// Each, Tuples, Lookup, String, Remove, Seal, Minus and Intersect (of
+// the receiver) and UnionWith (of its argument). Len, Empty, Contains,
+// SubsetOf, Equal, Clone, Rekey and the batch executor read the slab
+// alone and never decode.
+//
+// The zero value is not usable; construct with NewRelation
+// (process-default dictionary) or Dict.NewRelation. Like the rest of
+// the data model, Relations are not safe for concurrent use: reads
+// memoize (decoded rows, column indexes, sorted order) in place — see
+// Seal for the read-only exception. Only the interning dictionary is
+// shared safely across goroutines.
 type Relation struct {
 	// dict is the interning dictionary the relation's packed keys are
 	// encoded in. Every derived relation (Clone, Minus, Intersect,
@@ -154,10 +166,16 @@ type Relation struct {
 	arity int
 
 	// keys is the row-major key slab: row i's packed key is the
-	// 4*arity bytes at keys[4*arity*i:], and rows[i] is its stored
-	// tuple. Rows keep insertion order, except that Remove moves the
-	// last row into the freed one.
+	// 4*arity bytes at keys[4*arity*i:]. It holds every row, so the
+	// row count is its length over the key width. Rows keep insertion
+	// order, except that Remove moves the last row into the freed one.
 	keys []byte
+
+	// rows is the decoded prefix of the slab: rows[i] is row i's
+	// stored tuple for i < len(rows). Rows appended key-only lie past
+	// len(rows) until materialize decodes them. A zero-arity relation
+	// has an empty slab and keeps its at most one row here, always
+	// decoded.
 	rows []Tuple
 
 	// table, when non-nil, is a linear-probing hash table over the
@@ -206,11 +224,46 @@ func (r *Relation) Dict() *Dict { return r.dict }
 // Arity returns the relation's arity.
 func (r *Relation) Arity() int { return r.arity }
 
-// Len returns the number of tuples in the relation.
-func (r *Relation) Len() int { return len(r.rows) }
+// Len returns the number of tuples in the relation. A decoded
+// relation (every Add-built one, and every zero-arity one) counts its
+// rows without a division.
+func (r *Relation) Len() int {
+	if r.decoded() {
+		return len(r.rows)
+	}
+	return len(r.keys) / (4 * r.arity)
+}
 
-// Empty reports whether the relation has no tuples.
-func (r *Relation) Empty() bool { return len(r.rows) == 0 }
+// Empty reports whether the relation has no tuples. A zero-arity
+// relation's slab is always empty and a wider one decodes no row
+// without its key, so no division is needed.
+func (r *Relation) Empty() bool { return len(r.keys) == 0 && len(r.rows) == 0 }
+
+// decoded reports whether every row has its tuple in rows; it always
+// holds at arity 0.
+func (r *Relation) decoded() bool { return 4*r.arity*len(r.rows) == len(r.keys) }
+
+// materialize decodes the rows appended key-only since the last decode
+// — rows [len(rows), Len) — carving their tuples from one []Value
+// slab. Every read that hands out stored tuples calls it first; on a
+// decoded relation it writes nothing, which is what keeps a sealed
+// relation's reads free of writes.
+func (r *Relation) materialize() {
+	if r.decoded() {
+		return
+	}
+	from, n, w := len(r.rows), r.Len(), r.arity
+	slab := make([]Value, (n-from)*w)
+	r.rows = slices.Grow(r.rows, n-from)
+	for i := from; i < n; i++ {
+		t := Tuple(slab[:w:w])
+		slab = slab[w:]
+		for c := range t {
+			t[c] = r.dict.value(r.rowID(i, c))
+		}
+		r.rows = append(r.rows, t)
+	}
+}
 
 // key returns the packed key of row i, a view into the slab.
 func (r *Relation) key(i int) []byte {
@@ -246,9 +299,12 @@ func (r *Relation) find(k []byte) int {
 		return -1
 	}
 	if r.table == nil {
-		for i := range r.rows {
-			if string(r.keys[i*kw:(i+1)*kw]) == string(k) {
-				return i
+		if kw == 0 {
+			return len(r.rows) - 1 // the empty tuple's row, or -1
+		}
+		for off := 0; off < len(r.keys); off += kw {
+			if string(r.keys[off:off+kw]) == string(k) {
+				return off / kw
 			}
 		}
 		return -1
@@ -279,7 +335,7 @@ func (r *Relation) slotOf(i int) int {
 // absent before — into the hash table, building the table once the
 // relation outgrows linearMax and doubling it past half load.
 func (r *Relation) placeFrom(from int) {
-	n := len(r.rows)
+	n := r.Len()
 	switch {
 	case r.table != nil && 2*n <= len(r.table):
 	case r.table != nil || n > linearMax:
@@ -288,8 +344,13 @@ func (r *Relation) placeFrom(from int) {
 	default:
 		return
 	}
+	r.place(from, n)
+}
+
+// place enters rows [from, to) into the hash table, which has room.
+func (r *Relation) place(from, to int) {
 	mask := len(r.table) - 1
-	for i := from; i < n; i++ {
+	for i := from; i < to; i++ {
 		s := int(hashKey(r.key(i))) & mask
 		for r.table[s] != 0 {
 			s = (s + 1) & mask
@@ -316,40 +377,57 @@ func (r *Relation) unplace(i int) {
 }
 
 // addKeyed appends a tuple absent from the relation under its packed
-// key. k is copied into the slab; t is stored as is.
+// key. k is copied into the slab; t is stored as is when every earlier
+// row is decoded, and is otherwise left for materialize to decode with
+// them.
 func (r *Relation) addKeyed(k []byte, t Tuple) {
+	if r.decoded() {
+		r.rows = append(r.rows, t)
+	}
 	r.keys = append(r.keys, k...)
-	r.rows = append(r.rows, t)
-	r.appended(len(r.rows) - 1)
+	r.appended(r.Len() - 1)
 }
 
 // appended maintains the hash table, the sorted memo and any built
-// indexes and columnar view after rows [from, Len) were appended to
-// the slab and row slice.
+// indexes and columnar view after rows [from, Len) were appended.
 func (r *Relation) appended(from int) {
 	r.placeFrom(from)
+	r.extended(from)
+}
+
+// extended maintains the sorted memo and any built indexes and
+// columnar view after rows [from, Len) were appended and placed in the
+// hash table. The tuple indexes hold decoded rows, so a relation with
+// one built decodes the appended rows here.
+func (r *Relation) extended(from int) {
 	r.sorted = nil
+	n := r.Len()
 	for c, m := range r.idx {
 		if m != nil {
-			for i := from; i < len(r.rows); i++ {
+			r.materialize()
+			for i := from; i < n; i++ {
 				id := r.rowID(i, c)
 				m[id] = append(m[id], r.rows[i])
 			}
 		}
 	}
 	if r.cview != nil {
-		for i := from; i < len(r.rows); i++ {
+		for i := from; i < n; i++ {
 			r.cview.appendRow(r.key(i))
 		}
 	}
 }
 
-// grow reserves room for n more rows in r's key slab and row slice,
-// so a caller about to add n new rows pays one growth instead of
-// append's repeated regrowth.
-func (r *Relation) grow(n int) {
+// reserve readies r for up to n more rows appended key-only: the key
+// slab grows once, and the hash table is sized once for Len+n rows, so
+// the appends neither regrow the slab nor rebuild the table at every
+// doubling.
+func (r *Relation) reserve(n int) {
 	r.keys = slices.Grow(r.keys, 4*r.arity*n)
-	r.rows = slices.Grow(r.rows, n)
+	if total := r.Len() + n; total > linearMax && (r.table == nil || 2*total > len(r.table)) {
+		r.table = make([]int32, tableSize(total))
+		r.place(0, r.Len())
+	}
 }
 
 // Add inserts a tuple; it panics if the tuple has the wrong arity.
@@ -381,6 +459,7 @@ func (r *Relation) Remove(t Tuple) bool {
 	if i < 0 {
 		return false
 	}
+	r.materialize()
 	last := len(r.rows) - 1
 	if r.table != nil {
 		r.unplace(i)
@@ -430,6 +509,7 @@ func (r *Relation) index(c int) map[uint32][]Tuple {
 		r.idx = make([]map[uint32][]Tuple, r.arity)
 	}
 	if r.idx[c] == nil {
+		r.materialize()
 		m := make(map[uint32][]Tuple, len(r.rows))
 		for i, t := range r.rows {
 			id := r.rowID(i, c)
@@ -445,6 +525,7 @@ func (r *Relation) index(c int) map[uint32][]Tuple {
 // be modified; the sort is memoized until the next mutation.
 func (r *Relation) Tuples() []Tuple {
 	if r.sorted == nil {
+		r.materialize()
 		out := make([]Tuple, len(r.rows))
 		copy(out, r.rows)
 		sort.Slice(out, func(a, b int) bool { return out[a].Less(out[b]) })
@@ -457,6 +538,7 @@ func (r *Relation) Tuples() []Tuple {
 // the one exception), stopping early if fn returns false. Tuples added
 // by fn are not visited.
 func (r *Relation) Each(fn func(Tuple) bool) {
+	r.materialize()
 	for _, t := range r.rows {
 		if !fn(t) {
 			return
@@ -465,22 +547,26 @@ func (r *Relation) Each(fn func(Tuple) bool) {
 }
 
 // Clone returns a copy of the relation over the same dictionary: one
-// copy each of the key slab, the row slice and the hash table. Stored
-// tuples are shared: they are immutable by convention (Add stores a
-// private copy and no accessor exposes them for writing). Column
-// indexes are not copied.
+// copy each of the key slab, the decoded rows and the hash table. It
+// decodes nothing: rows still pending decode stay pending in the copy.
+// Stored tuples are shared: they are immutable by convention (Add
+// stores a private copy and no accessor exposes them for writing).
+// Column indexes are not copied.
 func (r *Relation) Clone() *Relation {
 	// Room for a quarter more rows: callers mostly clone to grow (an
 	// inflationary update is a clone plus a few new facts), and the
 	// slack spares that growth a second copy of the slab and rows.
-	n := len(r.rows) + len(r.rows)/4 + 1
-	return &Relation{
+	n := r.Len() + r.Len()/4 + 1
+	c := &Relation{
 		dict:  r.dict,
 		arity: r.arity,
 		keys:  append(make([]byte, 0, 4*r.arity*n), r.keys...),
-		rows:  append(make([]Tuple, 0, n), r.rows...),
 		table: slices.Clone(r.table),
 	}
+	if len(r.rows) > 0 {
+		c.rows = append(make([]Tuple, 0, n), r.rows...)
+	}
+	return c
 }
 
 // Rekey re-encodes the relation into the destination dictionary: the
@@ -501,8 +587,9 @@ func (r *Relation) Rekey(dst *Dict) *Relation {
 }
 
 // Seal pre-builds every lazily memoized read structure of the
-// relation: the per-column tuple indexes, the memoized sorted order,
-// and the columnar view with its per-column indexes and sorted runs.
+// relation: the decoded rows, the per-column tuple indexes, the
+// memoized sorted order, and the columnar view with its per-column
+// indexes and sorted runs.
 // After Seal, read accessors (Lookup, Tuples, Each, Contains,
 // SubsetOf, Equal, the batch executor's columnar probes and the batch
 // sink's row-store dedup probes) perform no in-place memoization, so
@@ -513,6 +600,7 @@ func (r *Relation) Rekey(dst *Dict) *Relation {
 // permitted (memos are maintained or rebuilt as usual) but forfeits
 // the concurrent-read guarantee.
 func (r *Relation) Seal() {
+	r.materialize()
 	for c := 0; c < r.arity; c++ {
 		r.index(c)
 	}
@@ -535,6 +623,7 @@ func (r *Relation) UnionWith(s *Relation) {
 		panic("fact: union of relations with different arities")
 	}
 	mustShareDict(r.dict, s.dict, "UnionWith")
+	s.materialize()
 	for i, t := range s.rows {
 		if k := s.key(i); r.find(k) < 0 {
 			r.addKeyed(k, t)
@@ -544,12 +633,15 @@ func (r *Relation) UnionWith(s *Relation) {
 
 // appendDisjoint appends every row of s to r. s must share r's arity
 // and dictionary and hold no tuple of r, so no key is probed: the key
-// slab and rows are copied in one append each and the hash table is
-// resized at most once.
+// slab is copied in one append and the hash table is resized at most
+// once. The rows go in key-only unless both sides are fully decoded,
+// in which case s's tuples are appended too and r stays decoded.
 func (r *Relation) appendDisjoint(s *Relation) {
-	from := len(r.rows)
+	from := r.Len()
+	if r.decoded() && s.decoded() {
+		r.rows = append(r.rows, s.rows...)
+	}
 	r.keys = append(r.keys, s.keys...)
-	r.rows = append(r.rows, s.rows...)
 	r.appended(from)
 }
 
@@ -560,6 +652,7 @@ func (r *Relation) Minus(s *Relation) *Relation {
 		return r.Clone()
 	}
 	mustShareDict(r.dict, s.dict, "Minus")
+	r.materialize()
 	out := r.dict.NewRelation(r.arity)
 	for i, t := range r.rows {
 		if k := r.key(i); s.find(k) < 0 {
@@ -577,6 +670,7 @@ func (r *Relation) Intersect(s *Relation) *Relation {
 		return out
 	}
 	mustShareDict(r.dict, s.dict, "Intersect")
+	r.materialize()
 	for i, t := range r.rows {
 		if k := r.key(i); s.find(k) >= 0 {
 			out.addKeyed(k, t)
@@ -617,7 +711,7 @@ func (r *Relation) SubsetOf(s *Relation) bool {
 	if r.dict != s.dict {
 		return r.subsetRekeyed(s)
 	}
-	for i := range r.rows {
+	for i, n := 0, r.Len(); i < n; i++ {
 		if s.find(r.key(i)) < 0 {
 			return false
 		}
@@ -632,7 +726,7 @@ func (r *Relation) SubsetOf(s *Relation) bool {
 func (r *Relation) subsetRekeyed(s *Relation) bool {
 	m := newIDMap(r.dict, s.dict, len(r.keys)/4, false)
 	var scratch [64]byte
-	for i := range r.rows {
+	for i, n := 0, r.Len(); i < n; i++ {
 		k := scratch[:0]
 		for c := 0; c < r.arity; c++ {
 			id, ok := m.get(r.rowID(i, c))

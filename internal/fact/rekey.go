@@ -87,8 +87,12 @@ func (m *idMap) get(id uint32) (uint32, bool) {
 func (r *Relation) rekeyVia(m *idMap, dst *Dict) *Relation {
 	// Interning is injective in both dictionaries, so distinct stored
 	// tuples get distinct keys: rows go in without a membership probe,
-	// into a store sized up front.
-	out := &Relation{dict: dst, arity: r.arity, keys: make([]byte, len(r.keys)), rows: slices.Clone(r.rows)}
+	// into a store sized up front. They go in key-only, to be decoded
+	// through dst on first read; only arity 0 keeps its row decoded.
+	out := &Relation{dict: dst, arity: r.arity, keys: make([]byte, len(r.keys))}
+	if r.arity == 0 {
+		out.rows = slices.Clone(r.rows)
+	}
 	for off := 0; off < len(r.keys); off += 4 {
 		id, _ := m.get(binary.BigEndian.Uint32(r.keys[off:]))
 		binary.BigEndian.PutUint32(out.keys[off:], id)

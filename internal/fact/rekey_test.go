@@ -333,14 +333,18 @@ func TestRekeyParallelSharedDict(t *testing.T) {
 		if !out[g].Equal(r) {
 			t.Fatalf("relation %d changed contents", g)
 		}
-		for i := range out[g].rows {
-			for c, v := range out[g].rows[i] {
+		// Rekey stores keys only; Each decodes them through dst.
+		i := 0
+		out[g].Each(func(tu Tuple) bool {
+			for c, v := range tu {
 				if id, ok := dst.lookup(v); !ok || id != out[g].rowID(i, c) {
 					t.Fatalf("relation %d: %q keyed as %d, dictionary says %d (%v)", g, v, out[g].rowID(i, c), id, ok)
 				}
 				distinct[v] = true
 			}
-		}
+			i++
+			return true
+		})
 	}
 	if dst.Len() != len(distinct) {
 		t.Fatalf("shared destination holds %d values, want the %d distinct ones", dst.Len(), len(distinct))

@@ -6,10 +6,13 @@ package fact
 // executors emit one tuple at a time through Add; the batch executor
 // hands over whole ID column slabs through appendBatch, which dedups
 // each row by probing the destination's row store under one reused
-// scratch key, grows the destination once for the rows that pass, and
-// materializes output tuples only for the rows it stores. One dedup
-// regime serves every batch size: no row sort, no whole-row sorted
-// run to keep fresh.
+// scratch key, sizes the destination's key slab and hash table once
+// for the rows that pass, and stores their packed keys only: no output
+// tuple is built here. The destination decodes the stored rows into
+// tuples on the first read that needs them (see Relation), so a result
+// that is only counted, compared, joined again or rekeyed never is.
+// One dedup regime serves every batch size: no row sort, no whole-row
+// sorted run to keep fresh.
 
 import "encoding/binary"
 
@@ -49,13 +52,14 @@ func (s deltaSink) sinkDict() *Dict { return s.d.Full.dict }
 // batchAppend appends rows [0,n) of cols into dst, skipping rows
 // already present in dst or in exclude (when non-nil) — the columnar
 // counterpart of an Add loop. A first pass packs each row into one
-// reused scratch key and probes dst's (and exclude's) row store; a
-// second stores the rows that passed via addKeyed, which copies the
-// key into dst's slab and extends the hash table, indexes and columnar
-// view incrementally. The second pass probes dst again, so a
-// within-batch duplicate finds its first occurrence already stored.
-// Output tuples are carved from shared []Value slabs, and only for the
-// rows stored.
+// reused scratch key and probes dst's (and exclude's) row store. The
+// rows that pass bound dst's growth, so its key slab grows and its
+// hash table is sized once for them. A second pass copies each
+// passing key into the slab and enters it in the table; it probes dst
+// again, so a within-batch duplicate finds its first occurrence
+// already stored. The rows are stored key-only (dst decodes them on
+// first read) and dst's sorted memo, indexes and columnar view are
+// extended once for the whole batch.
 func batchAppend(dst *Relation, exclude *Relation, cols [][]uint32, n int) {
 	if n == 0 {
 		return
@@ -81,10 +85,8 @@ func batchAppend(dst *Relation, exclude *Relation, cols [][]uint32, n int) {
 		}
 		return key
 	}
-	// The rows that pass bound dst's growth, so its key slab and row
-	// slice grow once: a large semi-naive round would otherwise pay
-	// Go's 1.25x regrowth of a large pointer slice, and the GC assists
-	// that garbage triggers, many times over.
+	// Sizing up front spares a large semi-naive round Go's repeated
+	// regrowth of the slab and a full-table rehash at every doubling.
 	var sel []int32
 	for i := int32(0); i < int32(n); i++ {
 		k := pack(i)
@@ -92,21 +94,22 @@ func batchAppend(dst *Relation, exclude *Relation, cols [][]uint32, n int) {
 			sel = append(sel, i)
 		}
 	}
-	dst.grow(len(sel))
-	var slab []Value
+	if len(sel) == 0 {
+		return
+	}
+	from := dst.Len()
+	dst.reserve(len(sel))
+	row := from
 	for j, i := range sel {
 		k := pack(i)
 		if j > 0 && dst.find(k) >= 0 {
 			continue
 		}
-		if len(slab) < w {
-			slab = make([]Value, min(len(sel)-j, 1024)*w)
+		dst.keys = append(dst.keys, k...)
+		if dst.table != nil { // reserve left it room for every row
+			dst.place(row, row+1)
 		}
-		t := Tuple(slab[:w:w])
-		slab = slab[w:]
-		for c := 0; c < w; c++ {
-			t[c] = dst.dict.value(cols[c][i])
-		}
-		dst.addKeyed(k, t)
+		row++
 	}
+	dst.extended(from)
 }
