@@ -247,11 +247,16 @@ func (r *Relation) decoded() bool { return 4*r.arity*len(r.rows) == len(r.keys) 
 // — rows [len(rows), Len) — carving their tuples from one []Value
 // slab. Every read that hands out stored tuples calls it first; on a
 // decoded relation it writes nothing, which is what keeps a sealed
-// relation's reads free of writes.
+// relation's reads free of writes. The check is kept apart from the
+// decoding so that it inlines into those reads.
 func (r *Relation) materialize() {
-	if r.decoded() {
-		return
+	if !r.decoded() {
+		r.decode()
 	}
+}
+
+// decode is materialize's decoding step.
+func (r *Relation) decode() {
 	from, n, w := len(r.rows), r.Len(), r.arity
 	slab := make([]Value, (n-from)*w)
 	r.rows = slices.Grow(r.rows, n-from)
@@ -302,9 +307,9 @@ func (r *Relation) find(k []byte) int {
 		if kw == 0 {
 			return len(r.rows) - 1 // the empty tuple's row, or -1
 		}
-		for off := 0; off < len(r.keys); off += kw {
+		for i, off := 0, 0; off < len(r.keys); i, off = i+1, off+kw {
 			if string(r.keys[off:off+kw]) == string(k) {
-				return off / kw
+				return i
 			}
 		}
 		return -1
