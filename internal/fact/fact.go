@@ -640,7 +640,9 @@ func (r *Relation) UnionWith(s *Relation) {
 // and dictionary and hold no tuple of r, so no key is probed: the key
 // slab is copied in one append and the hash table is resized at most
 // once. The rows go in key-only unless both sides are fully decoded,
-// in which case s's tuples are appended too and r stays decoded.
+// in which case s's tuples are appended too and r stays decoded: a
+// tuple-pipeline round stages through Add and reads Full through
+// Lookup and Each, and would otherwise decode every row twice.
 func (r *Relation) appendDisjoint(s *Relation) {
 	from := r.Len()
 	if r.decoded() && s.decoded() {

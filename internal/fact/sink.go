@@ -85,8 +85,6 @@ func batchAppend(dst *Relation, exclude *Relation, cols [][]uint32, n int) {
 		}
 		return key
 	}
-	// Sizing up front spares a large semi-naive round Go's repeated
-	// regrowth of the slab and a full-table rehash at every doubling.
 	var sel []int32
 	for i := int32(0); i < int32(n); i++ {
 		k := pack(i)
@@ -97,6 +95,8 @@ func batchAppend(dst *Relation, exclude *Relation, cols [][]uint32, n int) {
 	if len(sel) == 0 {
 		return
 	}
+	// Sizing up front spares a large semi-naive round Go's repeated
+	// regrowth of the slab and a full-table rehash at every doubling.
 	from := dst.Len()
 	dst.reserve(len(sel))
 	row := from
