@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"declnet/internal/fact"
+	"declnet/internal/fo"
 	"declnet/internal/query"
 	"declnet/internal/transducer"
 )
@@ -58,9 +59,9 @@ func TestRuntimeErrorPropagates(t *testing.T) {
 	tr := transducer.NewBuilder("faulty", fact.Schema{"S": 1}).
 		Msg("M", 1).
 		Mem("R", 0).
-		Snd("M", query.Copy("S", 1)).
+		Snd("M", fo.MustQuery("sndM", []string{"x"}, fo.AtomF("S", "x"))).
 		Ins("R", failing).
-		Out(1, query.Copy("S", 1)).
+		Out(1, fo.MustQuery("out", []string{"x"}, fo.AtomF("S", "x"))).
 		MustBuild()
 	s, err := NewSim(Line(2), tr, map[fact.Value]*fact.Instance{
 		"n1": fact.FromFacts(ff("S", "a")),

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"declnet/internal/fact"
+	"declnet/internal/sa"
 	"declnet/internal/transducer"
 )
 
@@ -47,6 +48,41 @@ func TestCatalogueFOHasNoInterpreterPath(t *testing.T) {
 	}
 	if fo == 0 {
 		t.Fatal("no FO query in the catalogue's explain output")
+	}
+}
+
+// TestCatalogueRefinedClasses pins the static analyzer's refined
+// classification of every catalogue entry, as `calmlint` prints it.
+// Rewriting a construction in another query language must leave these
+// lines unchanged or make them more precise.
+func TestCatalogueRefinedClasses(t *testing.T) {
+	want := map[string]string{
+		"either":     "oblivious=false usesId=false usesAll=true inflationary=true monotone=false",
+		"emptiness":  "oblivious=false usesId=true usesAll=true inflationary=true monotone=false",
+		"eqsel":      "oblivious=true usesId=false usesAll=false inflationary=true monotone=true",
+		"first":      "oblivious=true usesId=false usesAll=false inflationary=true monotone=false",
+		"flood1":     "oblivious=true usesId=false usesAll=false inflationary=true monotone=true",
+		"flood2":     "oblivious=true usesId=false usesAll=false inflationary=true monotone=true",
+		"gossip":     "oblivious=false usesId=true usesAll=false inflationary=true monotone=true",
+		"multicast1": "oblivious=false usesId=true usesAll=true inflationary=true monotone=false",
+		"multicast2": "oblivious=false usesId=true usesAll=true inflationary=true monotone=false",
+		"parity":     "oblivious=false usesId=true usesAll=true inflationary=true monotone=false",
+		"ping":       "oblivious=false usesId=false usesAll=true inflationary=true monotone=false",
+		"relay":      "oblivious=true usesId=false usesAll=false inflationary=true monotone=true",
+		"tc":         "oblivious=true usesId=false usesAll=false inflationary=true monotone=true",
+	}
+	names := Names()
+	if len(names) != len(want) {
+		t.Errorf("catalogue has %d entries, table pins %d", len(names), len(want))
+	}
+	for _, name := range names {
+		tr, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sa.Analyze(tr).Refined.String(); got != want[name] {
+			t.Errorf("%s refined:\n got: %s\nwant: %s", name, got, want[name])
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"declnet/internal/fact"
+	"declnet/internal/fo"
 	"declnet/internal/query"
 )
 
@@ -97,7 +98,8 @@ func TestPropInflationaryStateGrows(t *testing.T) {
 	tr := NewBuilder("infl", fact.Schema{"S": 1}).
 		Msg("M", 1).
 		Mem("R", 1).
-		Ins("R", query.UnionOf(1, "M", "R", "S")).
+		Ins("R", fo.MustQuery("insR", []string{"x"},
+			fo.OrF(fo.AtomF("M", "x"), fo.AtomF("R", "x"), fo.AtomF("S", "x")))).
 		Out(0, nil).
 		MustBuild()
 	if !tr.Inflationary() {
@@ -130,9 +132,10 @@ func TestPropStepGenericity(t *testing.T) {
 	tr := NewBuilder("gen", fact.Schema{"S": 2}).
 		Msg("M", 2).
 		Mem("R", 2).
-		Snd("M", query.Copy("S", 2)).
-		Ins("R", query.UnionOf(2, "M", "R")).
-		Out(2, query.Copy("R", 2)).
+		Snd("M", fo.MustQuery("sndM", []string{"x", "y"}, fo.AtomF("S", "x", "y"))).
+		Ins("R", fo.MustQuery("insR", []string{"x", "y"},
+			fo.OrF(fo.AtomF("M", "x", "y"), fo.AtomF("R", "x", "y")))).
+		Out(2, fo.MustQuery("out", []string{"x", "y"}, fo.AtomF("R", "x", "y"))).
 		MustBuild()
 
 	state := fact.FromFacts(fact.NewFact("S", "a", "b"), fact.NewFact("R", "b", "c"))
