@@ -94,13 +94,6 @@ func NewFunc(name string, arity int, reads []string, monotone bool, f func(*Inst
 	return query.NewFunc(name, arity, reads, monotone, f)
 }
 
-// CopyQuery returns the identity query on one relation.
-func CopyQuery(rel string, arity int) Func { return query.Copy(rel, arity) }
-
-// UnionQuery returns the query computing the union of same-arity
-// relations.
-func UnionQuery(arity int, rels ...string) Func { return query.UnionOf(arity, rels...) }
-
 // EmptyQuery is the query returning the empty k-ary relation on every
 // input — the default for unspecified transducer queries.
 type EmptyQuery = query.Empty

@@ -168,8 +168,8 @@
 // re-probed only when its buffer gained an unseen fact, its state
 // changed, or it crashed/restarted — verdict monotonicity (a
 // saturated node stays saturated until one of those events) makes
-// the cached verdicts sound, and Sim.SetFullProbeSweep(true) restores
-// the probe-everything ablation for differential testing.
+// the cached verdicts sound (the runtime's tests check them against a
+// probe-everything sweep).
 //
 // Rounds are sound because single-node transitions on distinct nodes
 // commute: a transition reads only its own node's state and one fact

@@ -4,7 +4,6 @@ import (
 	"declnet/internal/datalog"
 	"declnet/internal/dist"
 	"declnet/internal/fact"
-	"declnet/internal/query"
 	"declnet/internal/transducer"
 )
 
@@ -47,18 +46,6 @@ func Zoo() []ZooEntry {
 	if err != nil {
 		panic(err)
 	}
-	emptinessCollect, err := dist.CollectThenCompute(fact.Schema{"S": 1},
-		query.NewFunc("emptiness", 0, []string{"S"}, false,
-			func(I *fact.Instance) (*fact.Relation, error) {
-				out := I.Dict().NewRelation(0)
-				if I.RelationOr("S", 1).Empty() {
-					out.Add(fact.Tuple{})
-				}
-				return out, nil
-			}))
-	if err != nil {
-		panic(err)
-	}
 
 	return []ZooEntry{
 		{
@@ -83,7 +70,7 @@ func Zoo() []ZooEntry {
 			CoordinationFree: false, MonotoneQuery: false,
 		},
 		{
-			Name: "collectEmptiness(Thm6.1)", Tr: emptinessCollect, Full: set,
+			Name: "collectEmptiness(Thm6.1)", Tr: dist.Emptiness(), Full: set,
 			Consistent: true, TopologyIndependent: true,
 			CoordinationFree: false, MonotoneQuery: false,
 		},

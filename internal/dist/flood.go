@@ -2,10 +2,10 @@ package dist
 
 import (
 	"fmt"
-	"sort"
 
 	"declnet/internal/datalog"
 	"declnet/internal/fact"
+	"declnet/internal/fo"
 	"declnet/internal/query"
 	"declnet/internal/transducer"
 )
@@ -20,26 +20,27 @@ func floodSubstrate(b *transducer.Builder, in fact.Schema) {
 	for _, rel := range in.Names() {
 		k := in[rel]
 		msg, acc := rel+floodMsgSuffix, rel+accMemSuffix
+		x := tupleVars(k)
 		b.Msg(msg, k).Mem(acc, k).
-			Snd(msg, query.UnionOf(k, rel, acc)).
-			Ins(acc, query.UnionOf(k, rel, acc, msg))
+			Snd(msg, fo.MustQuery("snd:"+msg, x, fo.OrF(fo.AtomF(rel, x...), fo.AtomF(acc, x...)))).
+			Ins(acc, fo.MustQuery("ins:"+acc, x, fo.OrF(fo.AtomF(rel, x...), fo.AtomF(acc, x...), fo.AtomF(msg, x...))))
 	}
 }
 
-// collectedQuery wraps q so that it evaluates on the node's collected
-// fragment of the global input — own input relations united with the
-// untagged flood accumulators, under the original relation names. The
-// wrapper inherits q's monotonicity annotation.
-func collectedQuery(in fact.Schema, q query.Query) query.Query {
-	reads := make([]string, 0, 2*len(in))
-	for _, rel := range in.Names() {
-		reads = append(reads, rel, rel+accMemSuffix)
+// collectedDefs defines each input relation R as the node's collected
+// fragment R(x̄) ∨ R@acc(x̄), or R(x̄) ∨ ∃i R@castm(i,x̄) when tagged: a
+// query composed with them evaluates on Collected(state, in, tagged).
+func collectedDefs(in fact.Schema, tagged bool) map[string]query.Query {
+	defs := make(map[string]query.Query, len(in))
+	for rel, k := range in {
+		x := tupleVars(k)
+		gathered := fo.Formula(fo.AtomF(rel+accMemSuffix, x...))
+		if tagged {
+			gathered = fo.ExistsF([]string{"i"}, fo.AtomF(rel+castMemSuffix, append([]string{"i"}, x...)...))
+		}
+		defs[rel] = fo.MustQuery("collected:"+rel, x, fo.OrF(fo.AtomF(rel, x...), gathered))
 	}
-	return query.NewFunc("collected:"+fmt.Sprint(q.Rels()), q.Arity(), reads,
-		q.SyntacticallyMonotone(),
-		func(I *fact.Instance) (*fact.Relation, error) {
-			return q.Eval(Collected(I, in, false))
-		})
+	return defs
 }
 
 // Flood returns the Lemma 5(2) transducer: oblivious replication of
@@ -48,26 +49,22 @@ func collectedQuery(in fact.Schema, q query.Query) query.Query {
 // can ever KNOW replication has finished — the price of obliviousness,
 // paid back in the far lower message count compared to Multicast.
 // An optional output query of the given arity is evaluated
-// continuously on the collected fragment; it must be syntactically
-// monotone for the network to stay consistent (nil means no output).
+// continuously on the collected fragment; it must read only the input
+// schema and be syntactically monotone (nil means no output).
 func Flood(in fact.Schema, out query.Query, outArity int) (*transducer.Transducer, error) {
 	if out != nil && !out.SyntacticallyMonotone() {
 		return nil, fmt.Errorf("dist: Flood streams continuously and needs a syntactically monotone output query; use CollectThenCompute for %v", out.Rels())
 	}
-	if out != nil {
-		if err := readsWithin(out, in); err != nil {
-			return nil, err
-		}
-		outArity = out.Arity()
-	}
 	b := transducer.NewBuilder("flood", in)
 	floodSubstrate(b, in)
-	if out != nil {
-		b.Out(outArity, collectedQuery(in, out))
-	} else {
-		b.Out(outArity, nil)
+	if out == nil {
+		return b.Out(outArity, nil).Build()
 	}
-	return b.Build()
+	c, err := query.Compose(out, collectedDefs(in, false))
+	if err != nil {
+		return nil, err
+	}
+	return b.Out(c.Arity(), c).Build()
 }
 
 // MonotoneStreaming returns the Theorem 6(2)/(4) transducer: an
@@ -83,13 +80,12 @@ func MonotoneStreaming(in fact.Schema, q query.Query) (*transducer.Transducer, e
 	if !q.SyntacticallyMonotone() {
 		return nil, fmt.Errorf("dist: MonotoneStreaming requires a syntactically monotone query (got one reading %v); use CollectThenCompute instead", q.Rels())
 	}
-	if err := readsWithin(q, in); err != nil {
+	tr, err := Flood(in, q, q.Arity())
+	if err != nil {
 		return nil, err
 	}
-	b := transducer.NewBuilder("monotoneStreaming", in)
-	floodSubstrate(b, in)
-	b.Out(q.Arity(), collectedQuery(in, q))
-	return b.Build()
+	tr.Name = "monotoneStreaming"
+	return tr, nil
 }
 
 // DatalogStreaming returns the Theorem 6(5) transducer: a positive
@@ -115,20 +111,4 @@ func DatalogStreaming(p *datalog.Program, ans string) (*transducer.Transducer, e
 	}
 	tr.Name = "datalogStreaming:" + ans
 	return tr, nil
-}
-
-// readsWithin checks that the query reads only relations of the input
-// schema.
-func readsWithin(q query.Query, in fact.Schema) error {
-	var missing []string
-	for _, r := range q.Rels() {
-		if !in.Has(r) {
-			missing = append(missing, r)
-		}
-	}
-	if len(missing) > 0 {
-		sort.Strings(missing)
-		return fmt.Errorf("dist: query reads %v outside the input schema %s", missing, in)
-	}
-	return nil
 }

@@ -238,7 +238,7 @@ func runCell(e diffExample, c cfg) (cellRun, error) {
 	if err != nil {
 		return cellRun{}, err
 	}
-	sim.SetFullProbeSweep(c.sweep)
+	network.SetFullProbeSweep(sim, c.sweep)
 	var res network.RunResult
 	if c.workers > 0 {
 		res, err = sim.RunParallel(network.ParallelOptions{

@@ -4,18 +4,10 @@ import (
 	"fmt"
 
 	"declnet/internal/fact"
+	"declnet/internal/fo"
 	"declnet/internal/query"
 	"declnet/internal/transducer"
 )
-
-// idOf extracts the node's own identifier from the system relation Id.
-func idOf(I *fact.Instance) (fact.Value, error) {
-	r := I.RelationOr(transducer.SysId, 1)
-	if r.Len() != 1 {
-		return "", fmt.Errorf("dist: Id relation is %v, want a singleton", r)
-	}
-	return r.Tuples()[0][0], nil
-}
 
 // taggedSubstrate wires the origin-tagged replication-with-
 // acknowledgements machinery shared by Multicast (Lemma 5(1)) and
@@ -38,114 +30,65 @@ func idOf(I *fact.Instance) (fact.Value, error) {
 // complete everywhere. Everything is gossiped, so the construction
 // works on arbitrary connected networks, and own contributions are
 // inserted directly into memory, so it also works on the single-node
-// network where no message is ever delivered.
+// network where no message is ever delivered. Memories are sent
+// verbatim, and the inserts are FO:
+//
+//	castm(i,x̄)  := cast(i,x̄) ∨ (Id(i) ∧ R(x̄))
+//	ackm(w,i,x̄) := ack(w,i,x̄) ∨ (Id(w) ∧ castm(i,x̄))
+//	cdone(i,w)  := cdone@cast(i,w) ∨ (Id(i) ∧ All(w) ∧
+//	               ⋀_R ¬∃x̄ (Id(i) ∧ All(w) ∧ R(x̄) ∧ ¬ackm(w,i,x̄)))
+//
+// Repeating Id(i) and All(w) inside the negation binds every inner
+// variable by an atom, so no inner query ranges over the active domain.
 func taggedSubstrate(b *transducer.Builder, in fact.Schema) {
-	rels := in.Names()
-	b.Msg(cdoneMsg, 2).Mem(cdoneMem, 2)
-
-	var ownRels, ackMems []string
-	for _, rel := range rels {
+	id, all := transducer.SysId, transducer.SysAll
+	b.Msg(cdoneMsg, 2).Mem(cdoneMem, 2).
+		Snd(cdoneMsg, copyQuery(cdoneMem, "i", "w"))
+	certified := []fo.Formula{fo.AtomF(id, "i"), fo.AtomF(all, "w")}
+	for _, rel := range in.Names() {
 		k := in[rel]
+		x := tupleVars(k)
+		ix := append([]string{"i"}, x...)
+		wix := append([]string{"w"}, ix...)
 		cast, castm := rel+castMsgSuffix, rel+castMemSuffix
 		ack, ackm := rel+ackMsgSuffix, rel+ackMemSuffix
-		ownRels = append(ownRels, rel)
-		ackMems = append(ackMems, ackm)
 		b.Msg(cast, k+1).Mem(castm, k+1).
-			Msg(ack, k+2).Mem(ackm, k+2)
-
-		b.Snd(cast, query.Copy(castm, k+1))
-		b.Snd(ack, query.Copy(ackm, k+2))
+			Msg(ack, k+2).Mem(ackm, k+2).
+			Snd(cast, copyQuery(castm, ix...)).
+			Snd(ack, copyQuery(ackm, wix...))
 
 		// Collect tagged facts: received ones plus my own, self-tagged.
-		rel, k := rel, k
-		b.Ins(castm, query.NewFunc("ins:"+castm, k+1,
-			[]string{cast, transducer.SysId, rel}, false,
-			func(I *fact.Instance) (*fact.Relation, error) {
-				me, err := idOf(I)
-				if err != nil {
-					return nil, err
-				}
-				out := I.RelationOr(cast, k+1).Clone()
-				I.RelationOr(rel, k).Each(func(t fact.Tuple) bool {
-					out.Add(append(fact.Tuple{me}, t...))
-					return true
-				})
-				return out, nil
-			}))
-
+		b.Ins(castm, fo.MustQuery("ins:"+castm, ix, fo.OrF(
+			fo.AtomF(cast, ix...),
+			fo.AndF(fo.AtomF(id, "i"), fo.AtomF(rel, x...)))))
 		// Acknowledge everything collected: received acks plus my own.
-		b.Ins(ackm, query.NewFunc("ins:"+ackm, k+2,
-			[]string{ack, castm, transducer.SysId}, false,
-			func(I *fact.Instance) (*fact.Relation, error) {
-				me, err := idOf(I)
-				if err != nil {
-					return nil, err
-				}
-				out := I.RelationOr(ack, k+2).Clone()
-				I.RelationOr(castm, k+1).Each(func(t fact.Tuple) bool {
-					out.Add(append(fact.Tuple{me}, t...))
-					return true
-				})
-				return out, nil
-			}))
+		b.Ins(ackm, fo.MustQuery("ins:"+ackm, wix, fo.OrF(
+			fo.AtomF(ack, wix...),
+			fo.AndF(fo.AtomF(id, "w"), fo.AtomF(castm, ix...)))))
+
+		certified = append(certified, fo.NotF(fo.ExistsF(x, fo.AndF(
+			fo.AtomF(id, "i"), fo.AtomF(all, "w"), fo.AtomF(rel, x...),
+			fo.NotF(fo.AtomF(ackm, wix...))))))
 	}
-
-	b.Snd(cdoneMsg, query.Copy(cdoneMem, 2))
-
 	// Certify: I am the origin; node w has acknowledged every fact of
 	// my own fragment.
-	reads := append([]string{cdoneMsg, transducer.SysId, transducer.SysAll}, ownRels...)
-	reads = append(reads, ackMems...)
-	b.Ins(cdoneMem, query.NewFunc("ins:"+cdoneMem, 2, reads, false,
-		func(I *fact.Instance) (*fact.Relation, error) {
-			me, err := idOf(I)
-			if err != nil {
-				return nil, err
-			}
-			out := I.RelationOr(cdoneMsg, 2).Clone()
-			var nodes []fact.Value
-			I.RelationOr(transducer.SysAll, 1).Each(func(t fact.Tuple) bool {
-				nodes = append(nodes, t[0])
-				return true
-			})
-			for _, w := range nodes {
-				acked := true
-				for _, rel := range rels {
-					k := in[rel]
-					ackm := I.RelationOr(rel+ackMemSuffix, k+2)
-					I.RelationOr(rel, k).Each(func(t fact.Tuple) bool {
-						if !ackm.Contains(append(fact.Tuple{w, me}, t...)) {
-							acked = false
-						}
-						return acked
-					})
-					if !acked {
-						break
-					}
-				}
-				if acked {
-					out.Add(fact.Tuple{me, w})
-				}
-			}
-			return out, nil
-		}))
+	b.Ins(cdoneMem, fo.MustQuery("ins:"+cdoneMem, []string{"i", "w"}, fo.OrF(
+		fo.AtomF(cdoneMsg, "i", "w"),
+		fo.AndF(certified...))))
 }
 
-// allPairsDone reports whether cdone@mem certifies (u, w) for every
-// pair of nodes: replication is complete everywhere.
-func allPairsDone(I *fact.Instance) bool {
-	cd := I.RelationOr(cdoneMem, 2)
-	done := true
-	I.RelationOr(transducer.SysAll, 1).Each(func(u fact.Tuple) bool {
-		I.RelationOr(transducer.SysAll, 1).Each(func(w fact.Tuple) bool {
-			if !cd.Contains(fact.Tuple{u[0], w[0]}) {
-				done = false
-			}
-			return done
-		})
-		return done
-	})
-	return done
+// tupleVars returns the variables x1, ..., xk of a k-ary tuple.
+func tupleVars(k int) []string {
+	x := make([]string, k)
+	for i := range x {
+		x[i] = fmt.Sprintf("x%d", i+1)
+	}
+	return x
+}
+
+// copyQuery is the FO query returning relation rel verbatim.
+func copyQuery(rel string, head ...string) *fo.Query {
+	return fo.MustQuery("copy:"+rel, head, fo.AtomF(rel, head...))
 }
 
 // Multicast returns the Lemma 5(1) transducer: replication of the
@@ -157,26 +100,17 @@ func allPairsDone(I *fact.Instance) bool {
 // query of the given arity is evaluated on the collected instance once
 // replication is certified complete (nil means no output).
 func Multicast(in fact.Schema, out query.Query, outArity int) (*transducer.Transducer, error) {
-	if out != nil {
-		if err := readsWithin(out, in); err != nil {
-			return nil, err
-		}
-		outArity = out.Arity()
+	b, err := collectBuilder("multicast", in, out, outArity)
+	if err != nil {
+		return nil, err
 	}
-	b := transducer.NewBuilder("multicast", in)
-	taggedSubstrate(b, in)
-	b.Mem(readyRel, 0)
-	b.Ins(readyRel, query.NewFunc("ins:"+readyRel, 0,
-		[]string{cdoneMem, transducer.SysAll}, false,
-		func(I *fact.Instance) (*fact.Relation, error) {
-			r := I.Dict().NewRelation(0)
-			if allPairsDone(I) {
-				r.Add(fact.Tuple{})
-			}
-			return r, nil
-		}))
-	b.Out(outArity, gatedOutput(in, out, outArity))
-	return b.Build()
+	// Ready() := ¬∃u,w (All(u) ∧ All(w) ∧ ¬cdone@mem(u,w)): every
+	// origin has certified every node.
+	all := transducer.SysAll
+	return b.Mem(readyRel, 0).
+		Ins(readyRel, fo.MustQuery("ins:"+readyRel, nil, fo.NotF(fo.ExistsF([]string{"u", "w"},
+			fo.AndF(fo.AtomF(all, "u"), fo.AtomF(all, "w"), fo.NotF(fo.AtomF(cdoneMem, "u", "w"))))))).
+		Build()
 }
 
 // CollectThenCompute returns the Theorem 6(1) transducer: every node
@@ -189,45 +123,45 @@ func CollectThenCompute(in fact.Schema, q query.Query) (*transducer.Transducer, 
 	if q == nil {
 		return nil, fmt.Errorf("dist: CollectThenCompute needs a query")
 	}
-	if err := readsWithin(q, in); err != nil {
+	b, err := collectBuilder("collectThenCompute", in, q, q.Arity())
+	if err != nil {
 		return nil, err
 	}
-	b := transducer.NewBuilder("collectThenCompute", in)
-	taggedSubstrate(b, in)
-	b.Out(q.Arity(), gatedOutput(in, q, q.Arity()))
 	return b.Build()
 }
 
-// gatedOutput wraps q to evaluate on the collected instance only after
-// every origin has certified THIS node's collection complete. A nil q
-// yields nil (the empty output of the given arity).
-func gatedOutput(in fact.Schema, q query.Query, outArity int) query.Query {
+// collectBuilder starts a transducer on the tagged substrate whose
+// output (none for a nil q) is q, evaluated on the collected instance,
+// behind the gate that every origin has certified THIS node's
+// collection complete:
+//
+//	complete() := ∃i (Id(i) ∧ ¬∃u (Id(i) ∧ All(u) ∧ ¬cdone@mem(u,i)))
+//	out(x̄)     := complete() ∧ result(x̄)
+//
+// where result is q composed with the collected input, so q may read
+// only relations of the input schema.
+func collectBuilder(name string, in fact.Schema, q query.Query, outArity int) (*transducer.Builder, error) {
+	b := transducer.NewBuilder(name, in)
+	taggedSubstrate(b, in)
 	if q == nil {
-		return nil
+		return b.Out(outArity, nil), nil
 	}
-	reads := []string{cdoneMem, transducer.SysId, transducer.SysAll}
-	for _, rel := range in.Names() {
-		reads = append(reads, rel, rel+castMemSuffix)
+	result, err := query.Compose(q, collectedDefs(in, true))
+	if err != nil {
+		return nil, err
 	}
-	return query.NewFunc("gated", outArity, reads, false,
-		func(I *fact.Instance) (*fact.Relation, error) {
-			me, err := idOf(I)
-			if err != nil {
-				return nil, err
-			}
-			cd := I.RelationOr(cdoneMem, 2)
-			complete := true
-			I.RelationOr(transducer.SysAll, 1).Each(func(u fact.Tuple) bool {
-				if !cd.Contains(fact.Tuple{u[0], me}) {
-					complete = false
-				}
-				return complete
-			})
-			if !complete {
-				return I.Dict().NewRelation(outArity), nil
-			}
-			return q.Eval(Collected(I, in, true))
-		})
+	id, all := transducer.SysId, transducer.SysAll
+	complete := fo.MustQuery("complete", nil, fo.ExistsF([]string{"i"}, fo.AndF(
+		fo.AtomF(id, "i"),
+		fo.NotF(fo.ExistsF([]string{"u"}, fo.AndF(
+			fo.AtomF(id, "i"), fo.AtomF(all, "u"), fo.NotF(fo.AtomF(cdoneMem, "u", "i"))))))))
+	x := tupleVars(q.Arity())
+	gated, err := query.Compose(fo.MustQuery("gated", x, fo.AndF(fo.AtomF("complete"), fo.AtomF("result", x...))),
+		map[string]query.Query{"complete": complete, "result": result})
+	if err != nil {
+		return nil, err
+	}
+	return b.Out(q.Arity(), gated), nil
 }
 
 // Emptiness returns the Example 10 transducer: the non-monotone
@@ -237,14 +171,7 @@ func gatedOutput(in fact.Schema, q query.Query, outArity int) query.Query {
 // completion. The paper's canonical coordination-requiring query.
 func Emptiness() *transducer.Transducer {
 	tr, err := CollectThenCompute(fact.Schema{"S": 1},
-		query.NewFunc("emptiness", 0, []string{"S"}, false,
-			func(I *fact.Instance) (*fact.Relation, error) {
-				out := I.Dict().NewRelation(0)
-				if I.RelationOr("S", 1).Empty() {
-					out.Add(fact.Tuple{})
-				}
-				return out, nil
-			}))
+		fo.MustQuery("emptiness", nil, fo.NotF(fo.ExistsF([]string{"x"}, fo.AtomF("S", "x")))))
 	if err != nil {
 		panic(err) // fixed schema and query; cannot fail
 	}

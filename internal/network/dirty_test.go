@@ -263,7 +263,7 @@ func quiescePrefix(t *testing.T, maxSteps int, fullSweep bool) *Sim {
 		t.Fatal(err)
 	}
 	s.CoalesceDuplicates = true
-	s.SetFullProbeSweep(fullSweep)
+	SetFullProbeSweep(s, fullSweep)
 	if maxSteps > 0 {
 		if _, err := s.RunParallel(ParallelOptions{Seed: 13, Workers: 2, MaxSteps: maxSteps}); err != nil {
 			t.Fatal(err)
@@ -323,7 +323,7 @@ func TestProbeCountSublinear(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.CoalesceDuplicates = true
-		s.SetFullProbeSweep(fullSweep)
+		SetFullProbeSweep(s, fullSweep)
 		res, err := s.RunParallel(ParallelOptions{Seed: 2, Workers: 2, MaxSteps: 4_000_000})
 		if err != nil {
 			t.Fatal(err)

@@ -882,14 +882,12 @@ func (s *Sim) clearDirty(n *nodeRT) {
 	}
 }
 
-// SetFullProbeSweep disables (on=true) dirty-set quiescence: every
-// check probes every node and rescans the held queue, reproducing the
-// pre-dirty-set runtime's verdict procedure exactly. The verdicts are
-// provably identical either way — this knob exists so the
-// differential harness can machine-check that, and so the probe-count
-// ablation has a baseline. Not a semantics switch; trajectories are
-// unaffected.
-func (s *Sim) SetFullProbeSweep(on bool) { s.fullSweep = on }
+// SetFullProbeSweep disables (on=true) dirty-set quiescence on s:
+// every check probes every node and rescans the held queue, as the
+// pre-dirty-set runtime did. Verdicts and trajectories are identical
+// either way; the differential tests machine-check that. A function,
+// not a method, so that facades aliasing Sim do not export it.
+func SetFullProbeSweep(s *Sim, on bool) { s.fullSweep = on }
 
 // DirtyNodes returns the current size of the quiescence dirty set:
 // the number of nodes whose cached verdict is invalid.

@@ -121,6 +121,9 @@ func (e Empty) SyntacticallyMonotone() bool { return true }
 // RelBounded implements RelBounded; a constant query reads nothing.
 func (e Empty) RelBounded() bool { return true }
 
+// ExplainPlan implements PlanExplainer; there is nothing to plan.
+func (e Empty) ExplainPlan() string { return fmt.Sprintf("empty query: arity %d\n", e.K) }
+
 // Func wraps an arbitrary Go function as a query. This is the
 // "computationally complete query language" of Theorem 6(1): any
 // partial computable query is expressible. Declared relation reads and
@@ -172,29 +175,6 @@ func (q Func) SyntacticallyMonotone() bool { return q.Monotone }
 
 // RelBounded implements RelBounded per the NewFunc contract.
 func (q Func) RelBounded() bool { return !q.AdomSensitive }
-
-// Copy is the query that returns relation rel verbatim (the identity
-// query on one relation); it is monotone.
-func Copy(rel string, arity int) Func {
-	return NewFunc("copy:"+rel, arity, []string{rel}, true,
-		func(I *fact.Instance) (*fact.Relation, error) {
-			return I.RelationOr(rel, arity).Clone(), nil
-		})
-}
-
-// UnionOf returns the query computing the union of same-arity
-// relations; it is monotone.
-func UnionOf(arity int, rels ...string) Func {
-	names := append([]string(nil), rels...)
-	return NewFunc(fmt.Sprintf("union:%v", names), arity, names, true,
-		func(I *fact.Instance) (*fact.Relation, error) {
-			out := I.Dict().NewRelation(arity)
-			for _, r := range names {
-				out.UnionWith(I.RelationOr(r, arity))
-			}
-			return out, nil
-		})
-}
 
 func dedupSorted(xs []string) []string {
 	if len(xs) == 0 {

@@ -2,6 +2,7 @@ package query
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -45,35 +46,80 @@ func TestFuncReadsDeduplicated(t *testing.T) {
 	}
 }
 
-func TestCopyAndUnionOf(t *testing.T) {
-	I := fact.FromFacts(
-		fact.NewFact("R", "a"), fact.NewFact("S", "b"), fact.NewFact("S", "a"),
-	)
-	c := Copy("R", 1)
-	out, err := c.Eval(I)
-	if err != nil || out.Len() != 1 {
-		t.Errorf("Copy = %v, %v", out, err)
-	}
-	u := UnionOf(1, "R", "S")
-	out, err = u.Eval(I)
-	if err != nil || out.Len() != 2 {
-		t.Errorf("UnionOf = %v, %v", out, err)
-	}
-	// Missing relation treated as empty.
-	out, err = UnionOf(1, "R", "Z").Eval(I)
-	if err != nil || out.Len() != 1 {
-		t.Errorf("UnionOf with missing = %v, %v", out, err)
-	}
+// relQuery returns the query copying relation rel, as a Func.
+func relQuery(rel string, arity int) Func {
+	return NewFunc("copy:"+rel, arity, []string{rel}, true,
+		func(I *fact.Instance) (*fact.Relation, error) {
+			return I.RelationOr(rel, arity).Clone(), nil
+		})
 }
 
 func TestMergeRelsAndMentions(t *testing.T) {
-	a := Copy("R", 1)
-	b := UnionOf(1, "S", "T")
+	a := relQuery("R", 1)
+	b := NewFunc("union", 1, []string{"S", "T"}, true, nil)
 	got := MergeRels(a, b, nil)
 	if !reflect.DeepEqual(got, []string{"R", "S", "T"}) {
 		t.Errorf("MergeRels = %v", got)
 	}
 	if !Mentions(b, "S") || Mentions(b, "R") || Mentions(nil, "R") {
 		t.Error("Mentions wrong")
+	}
+}
+
+// depQuery is a query with fixed polarized dependencies and
+// monotonicity, for the composition rules.
+type depQuery struct {
+	Func
+	deps []Dep
+}
+
+func (q depQuery) QueryDeps() []Dep { return q.deps }
+
+func TestComposeEvalAndAnalysis(t *testing.T) {
+	I := fact.FromFacts(fact.NewFact("R", "a"), fact.NewFact("S", "b"))
+	// outer reads definition D negatively and E positively; D reads R
+	// negatively and S positively, E reads R through a guard.
+	outer := depQuery{relQuery("D", 1), []Dep{
+		{Rel: "D", Polarity: PolNeg, Branch: 0, Where: "o1"},
+		{Rel: "E", Polarity: PolPos, Branch: 1, Where: "o2"},
+	}}
+	outer.Reads, outer.Monotone = []string{"D", "E"}, false
+	d := depQuery{relQuery("S", 1), []Dep{
+		{Rel: "R", Polarity: PolNeg, Branch: -1, Where: "d1"},
+		{Rel: "S", Polarity: PolPos, Branch: -1, Where: "d2"},
+	}}
+	e := relQuery("R", 1)
+	e.Monotone = false
+	c, err := Compose(outer, map[string]Query{"D": d, "E": e})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := c.Eval(I)
+	if err != nil || out.Len() != 1 || !out.Contains(fact.Tuple{"b"}) {
+		t.Errorf("Eval = %v, %v; want D = S = {(b)}", out, err)
+	}
+	if got := c.Rels(); !reflect.DeepEqual(got, []string{"R", "S"}) {
+		t.Errorf("Rels = %v", got)
+	}
+	var got []string
+	for _, dep := range c.QueryDeps() {
+		got = append(got, fmt.Sprintf("%d%s", dep.Branch, dep))
+	}
+	if want := []string{"0+R", "0-S", "1?R"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("QueryDeps = %v, want %v", got, want)
+	}
+	ev := c.MonotoneEvidence()
+	if ev.Monotone || c.SyntacticallyMonotone() || len(ev.Blockers) != 2 {
+		t.Errorf("MonotoneEvidence = %+v, want two blockers (outer, E)", ev)
+	}
+	if _, err := Compose(outer, map[string]Query{"D": d}); err == nil {
+		t.Error("outer reading an undefined relation accepted")
+	}
+	mono, err := Compose(relQuery("D", 1), map[string]Query{"D": relQuery("S", 1)})
+	if err != nil || !mono.SyntacticallyMonotone() {
+		t.Errorf("monotone over monotone not proved: %v", err)
+	}
+	if got := ExplainPlan(Empty{K: 2}); got != "empty query: arity 2\n" {
+		t.Errorf("ExplainPlan(Empty) = %q", got)
 	}
 }

@@ -51,6 +51,27 @@ func TestCatalogueFOHasNoInterpreterPath(t *testing.T) {
 	}
 }
 
+// TestCatalogueHasOneOpaqueQuery: every catalogue query evaluates
+// through a compiled plan except parity's own Go query (Corollary 8:
+// |S| is even is not FO-expressible).
+func TestCatalogueHasOneOpaqueQuery(t *testing.T) {
+	var opaque []string
+	for _, name := range Names() {
+		tr, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(transducer.ExplainPlans(tr), "\n") {
+			if strings.Contains(line, "opaque query") {
+				opaque = append(opaque, name+": "+strings.TrimSpace(line))
+			}
+		}
+	}
+	if want := "parity: opaque query (no compiled plan): arity 0, reads [S]"; len(opaque) != 1 || opaque[0] != want {
+		t.Errorf("opaque explain lines = %q, want only %q", opaque, want)
+	}
+}
+
 // TestCatalogueRefinedClasses pins the static analyzer's refined
 // classification of every catalogue entry, as `calmlint` prints it.
 // Rewriting a construction in another query language must leave these

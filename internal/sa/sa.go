@@ -188,23 +188,14 @@ func queryRefs(tr *transducer.Transducer) []struct {
 			Target string
 		}{QueryRef{kind, rel}, q, invert, target})
 	}
-	for _, rel := range sortedRels(tr.Schema.Msg) {
+	for _, rel := range tr.Schema.Msg.Names() {
 		add("send", rel, tr.Snd[rel], false, rel)
 	}
-	for _, rel := range sortedRels(tr.Schema.Mem) {
+	for _, rel := range tr.Schema.Mem.Names() {
 		add("insert", rel, tr.Ins[rel], false, rel)
 		add("delete", rel, tr.Del[rel], true, rel)
 	}
 	add("output", "", tr.Out, false, outRel)
-	return out
-}
-
-func sortedRels(s map[string]int) []string {
-	out := make([]string, 0, len(s))
-	for r := range s {
-		out = append(out, r)
-	}
-	sort.Strings(out)
 	return out
 }
 
@@ -233,7 +224,7 @@ func Analyze(tr *transducer.Transducer) *Report {
 	// Memory persists across steps: every memory relation depends
 	// positively on its own previous value (the conflict-resolution
 	// update keeps untouched tuples).
-	for _, rel := range sortedRels(tr.Schema.Mem) {
+	for _, rel := range tr.Schema.Mem.Names() {
 		rep.Edges = append(rep.Edges, Edge{
 			From: rel, To: rel, Polarity: query.PolPos,
 			Query: QueryRef{"insert", rel},
@@ -249,13 +240,13 @@ func Analyze(tr *transducer.Transducer) *Report {
 	populatedFn := func(rel string) bool { return populated[rel] }
 	for changed := true; changed; {
 		changed = false
-		for _, rel := range sortedRels(tr.Schema.Msg) {
+		for _, rel := range tr.Schema.Msg.Names() {
 			if !populated[rel] && query.MayProduce(tr.Snd[rel], populatedFn) {
 				populated[rel] = true
 				changed = true
 			}
 		}
-		for _, rel := range sortedRels(tr.Schema.Mem) {
+		for _, rel := range tr.Schema.Mem.Names() {
 			if !populated[rel] && query.MayProduce(tr.Ins[rel], populatedFn) {
 				populated[rel] = true
 				changed = true
@@ -366,10 +357,10 @@ func relMonotone(tr *transducer.Transducer, qs []struct {
 	for rel := range tr.Schema.In {
 		mono[rel] = Verdict{OK: true}
 	}
-	for _, rel := range sortedRels(tr.Schema.Msg) {
+	for _, rel := range tr.Schema.Msg.Names() {
 		mono[rel] = Verdict{OK: true}
 	}
-	for _, rel := range sortedRels(tr.Schema.Mem) {
+	for _, rel := range tr.Schema.Mem.Names() {
 		mono[rel] = Verdict{OK: true}
 	}
 	demote := func(rel string, w Witness) bool {

@@ -27,10 +27,10 @@ func ExplainPlans(t *Transducer) string {
 		b.WriteString(" ==\n")
 		b.WriteString(query.ExplainPlan(q))
 	}
-	for _, rel := range sortedRels(t.Schema.Msg) {
+	for _, rel := range t.Schema.Msg.Names() {
 		section("snd", rel, t.Snd[rel])
 	}
-	for _, rel := range sortedRels(t.Schema.Mem) {
+	for _, rel := range t.Schema.Mem.Names() {
 		section("ins", rel, t.Ins[rel])
 		section("del", rel, t.Del[rel])
 	}

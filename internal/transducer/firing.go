@@ -110,10 +110,10 @@ func NewFiring(t *Transducer) *Firing {
 		})
 		return len(f.queries) - 1
 	}
-	for _, rel := range sortedRels(t.Schema.Msg) {
+	for _, rel := range t.Schema.Msg.Names() {
 		add('s', "snd:"+rel, rel, t.Snd[rel])
 	}
-	for _, rel := range sortedRels(t.Schema.Mem) {
+	for _, rel := range t.Schema.Mem.Names() {
 		e := memEntry{rel: rel, arity: t.Schema.Mem[rel]}
 		e.ins = add('i', "ins:"+rel, rel, t.Ins[rel])
 		e.del = add('d', "del:"+rel, rel, t.Del[rel])

@@ -17,7 +17,6 @@ package transducer
 
 import (
 	"fmt"
-	"sort"
 
 	"declnet/internal/fact"
 	"declnet/internal/query"
@@ -203,7 +202,7 @@ func (t *Transducer) Step(state *fact.Instance, rcv *fact.Instance) (Effect, err
 	}
 
 	snd := iPrime.Dict().NewInstance()
-	for _, rel := range sortedRels(t.Schema.Msg) {
+	for _, rel := range t.Schema.Msg.Names() {
 		q := t.Snd[rel]
 		if q == nil {
 			continue
@@ -221,7 +220,7 @@ func (t *Transducer) Step(state *fact.Instance, rcv *fact.Instance) (Effect, err
 	}
 
 	next := state.ShallowClone()
-	for _, rel := range sortedRels(t.Schema.Mem) {
+	for _, rel := range t.Schema.Mem.Names() {
 		arity := t.Schema.Mem[rel]
 		ins := iPrime.Dict().NewRelation(arity)
 		del := iPrime.Dict().NewRelation(arity)
@@ -252,15 +251,6 @@ func unionRel(a, b *fact.Relation) *fact.Relation {
 	u := a.Clone()
 	u.UnionWith(b)
 	return u
-}
-
-func sortedRels(s fact.Schema) []string {
-	names := make([]string, 0, len(s))
-	for n := range s {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // queries returns every query of the transducer (nil entries skipped).
