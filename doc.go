@@ -51,6 +51,10 @@
 // against the semantic sweeps by the soundness harness in
 // internal/sa.
 //
+// The library's own constructions are written in FO (Corollary 8's
+// parity query, which FO cannot express, is the one Go function), so
+// the analyzer reads their source rather than annotations.
+//
 // Custom transducers are assembled with the Builder; any of the
 // substrate languages (or a plain Go function via NewFunc) serves as
 // the query language:

@@ -119,6 +119,20 @@ func TestComposeEvalAndAnalysis(t *testing.T) {
 	if err != nil || !mono.SyntacticallyMonotone() {
 		t.Errorf("monotone over monotone not proved: %v", err)
 	}
+	// A definition may build its result in the default dictionary
+	// while the instance uses its own.
+	foreign := NewFunc("foreign", 1, nil, true, func(*fact.Instance) (*fact.Relation, error) {
+		r := fact.NewRelation(1)
+		r.Add(fact.Tuple{"z"})
+		return r, nil
+	})
+	fc, err := Compose(relQuery("D", 1), map[string]Query{"D": foreign})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := fc.Eval(fact.NewDict().NewInstance()); err != nil || !out.Contains(fact.Tuple{"z"}) {
+		t.Errorf("Eval over a foreign-dictionary definition = %v, %v", out, err)
+	}
 	if got := ExplainPlan(Empty{K: 2}); got != "empty query: arity 2\n" {
 		t.Errorf("ExplainPlan(Empty) = %q", got)
 	}
