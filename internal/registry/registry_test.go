@@ -1,6 +1,10 @@
 package registry
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -103,6 +107,77 @@ func TestCatalogueRefinedClasses(t *testing.T) {
 		}
 		if got := sa.Analyze(tr).Refined.String(); got != want[name] {
 			t.Errorf("%s refined:\n got: %s\nwant: %s", name, got, want[name])
+		}
+	}
+}
+
+// lintGoldenPath pins the whole static-analysis report of every
+// catalogue entry. Regenerate (only when intentionally changing an
+// analysis result) with:
+//
+//	GOLDEN_UPDATE=1 go test ./internal/registry -run TestCatalogueLintGolden
+const lintGoldenPath = "testdata/lint_golden.txt"
+
+// TestCatalogueLintGolden renders the full sa.Analyze report of every
+// catalogue entry — dependency edges with their positions, the
+// populated set, the provably-empty queries, every verdict with its
+// witnesses and the per-relation monotonicity — and compares it with
+// the committed golden file byte for byte.
+func TestCatalogueLintGolden(t *testing.T) {
+	var b strings.Builder
+	for _, name := range Names() {
+		tr, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := sa.Analyze(tr)
+		fmt.Fprintf(&b, "### %s\n%s", name, rep)
+		fmt.Fprintf(&b, "  empty queries: %v\n", rep.EmptyQueries)
+		verdict := func(label string, v sa.Verdict) {
+			fmt.Fprintf(&b, "  %s: ok=%v\n", label, v.OK)
+			for _, w := range v.Witnesses {
+				fmt.Fprintf(&b, "    %s\n", strings.ReplaceAll(w.String(), "\n", "\n    "))
+			}
+		}
+		verdict("monotone", rep.Monotone)
+		verdict("oblivious", rep.Oblivious)
+		verdict("inflationary", rep.Inflationary)
+		verdict("stratified", rep.Stratified)
+		rels := make([]string, 0, len(rep.RelMonotone))
+		for rel := range rep.RelMonotone {
+			rels = append(rels, rel)
+		}
+		sort.Strings(rels)
+		for _, rel := range rels {
+			verdict("relation "+rel+" monotone", rep.RelMonotone[rel])
+		}
+	}
+	got := b.String()
+	if os.Getenv("GOLDEN_UPDATE") != "" {
+		if err := os.MkdirAll(filepath.Dir(lintGoldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(lintGoldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(lintGoldenPath)
+	if err != nil {
+		t.Fatalf("missing golden file (run with GOLDEN_UPDATE=1 to generate): %v", err)
+	}
+	want := strings.Split(string(raw), "\n")
+	lines := strings.Split(got, "\n")
+	for i := 0; i < len(lines) || i < len(want); i++ {
+		var g, w string
+		if i < len(lines) {
+			g = lines[i]
+		}
+		if i < len(want) {
+			w = want[i]
+		}
+		if g != w {
+			t.Fatalf("lint report diverged from %s at line %d:\n got: %s\nwant: %s", lintGoldenPath, i+1, g, w)
 		}
 	}
 }
