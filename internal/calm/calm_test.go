@@ -27,7 +27,6 @@ func TestZooClassification(t *testing.T) {
 		"monotoneStreamingTC(Thm6.2)": {Oblivious: true, Inflationary: true, Monotone: true},
 		"equalitySelection(Ex3)":      {Oblivious: true, Inflationary: true, Monotone: true},
 		"emptiness(Ex10)":             {UsesId: true, UsesAll: true, Inflationary: true},
-		"collectEmptiness(Thm6.1)":    {UsesId: true, UsesAll: true, Inflationary: true},
 		"eitherNonempty(Sec5)":        {UsesAll: true, Inflationary: true},
 		"pingIdentity(Ex15)":          {UsesAll: true, Inflationary: true},
 	}

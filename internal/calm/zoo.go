@@ -70,11 +70,6 @@ func Zoo() []ZooEntry {
 			CoordinationFree: false, MonotoneQuery: false,
 		},
 		{
-			Name: "collectEmptiness(Thm6.1)", Tr: dist.Emptiness(), Full: set,
-			Consistent: true, TopologyIndependent: true,
-			CoordinationFree: false, MonotoneQuery: false,
-		},
-		{
 			Name: "eitherNonempty(Sec5)", Tr: dist.EitherNonempty(), Full: ab,
 			Consistent: true, TopologyIndependent: true,
 			CoordinationFree: true, MonotoneQuery: true,
