@@ -452,34 +452,6 @@ func BenchmarkE13Quiescence(b *testing.B) {
 	}
 }
 
-// BenchmarkE14SemiNaiveVsNaive is the fixpoint-strategy ablation:
-// semi-naive vs naive Datalog evaluation of the same program and EDB,
-// both firing the same compiled rule plans.
-func BenchmarkE14SemiNaiveVsNaive(b *testing.B) {
-	prog := datalog.MustParse(`
-		tc(X, Y) :- e(X, Y).
-		tc(X, Z) :- e(X, Y), tc(Y, Z).
-	`)
-	edb := declnet.NewInstance()
-	for i := 0; i < 48; i++ {
-		edb.AddFact(ff("e", declnet.Value(fmt.Sprintf("v%d", i)), declnet.Value(fmt.Sprintf("v%d", i+1))))
-	}
-	b.Run("seminaive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := prog.Eval(edb); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := prog.EvalNaive(edb); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkA2Coalescing is the design-choice ablation for the
 // harness's duplicate coalescing: identical quiescent outputs, very
 // different run lengths.
@@ -703,9 +675,9 @@ func BenchmarkInternParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkE14Schedulers is the scheduling ablation: random fair
+// BenchmarkE22Schedulers is the scheduling ablation: random fair
 // scheduling vs round-robin FIFO on the same workload.
-func BenchmarkE14Schedulers(b *testing.B) {
+func BenchmarkE22Schedulers(b *testing.B) {
 	tr := build.TransitiveClosure()
 	I := chainEdges(6)
 	net := run.Ring(4)

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	datalogi -program tc.dl -facts edges.dl [-query tc] [-naive]
+//	datalogi -program tc.dl -facts edges.dl [-query tc]
 //
 // Program syntax (see package declnet/datalog): uppercase identifiers are
 // variables, lowercase and quoted identifiers are constants, rules end
@@ -27,11 +27,10 @@ func main() {
 	programPath := flag.String("program", "", "path to the Datalog program")
 	factsPath := flag.String("facts", "", "path to the ground facts")
 	queryPred := flag.String("query", "", "print only this predicate (default: all IDB predicates)")
-	naive := flag.Bool("naive", false, "use naive instead of semi-naive evaluation")
 	flag.Parse()
 
 	if *programPath == "" || *factsPath == "" {
-		fmt.Fprintln(os.Stderr, "usage: datalogi -program FILE -facts FILE [-query PRED] [-naive]")
+		fmt.Fprintln(os.Stderr, "usage: datalogi -program FILE -facts FILE [-query PRED]")
 		os.Exit(2)
 	}
 	progSrc, err := os.ReadFile(*programPath)
@@ -58,12 +57,7 @@ func main() {
 	fmt.Printf("%% %d rules, EDB %v, IDB %v, %d strata\n",
 		len(prog.Rules), prog.EDB(), prog.IDB(), len(strata))
 
-	var out = edb
-	if *naive {
-		out, err = prog.EvalNaive(edb)
-	} else {
-		out, err = prog.Eval(edb)
-	}
+	out, err := prog.Eval(edb)
 	if err != nil {
 		fatal(err)
 	}

@@ -138,7 +138,7 @@ func TestEvalInputArityMismatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, eval := range map[string]func(*fact.Instance) (*fact.Instance, error){
-			"Eval": p.Eval, "EvalNaive": p.EvalNaive,
+			"Eval": p.Eval, "EvalNaive": p.evalNaive,
 		} {
 			_, err := eval(I)
 			if err == nil {
@@ -361,10 +361,10 @@ func TestQueryInterface(t *testing.T) {
 	if q.Arity() != 2 {
 		t.Errorf("arity = %d", q.Arity())
 	}
-	if got := q.Rels(); !reflect.DeepEqual(got, []string{"e"}) {
-		t.Errorf("Rels = %v", got)
+	if got := q.Summary().Reads; !reflect.DeepEqual(got, []string{"e"}) {
+		t.Errorf("Reads = %v", got)
 	}
-	if !q.SyntacticallyMonotone() {
+	if !q.Summary().Evidence.Monotone {
 		t.Error("positive program should be monotone")
 	}
 	out, err := q.Eval(fact.FromFacts(ff("e", "a", "b"), ff("e", "b", "c")))

@@ -13,7 +13,7 @@ import (
 // input is not modified. An input relation whose arity differs from
 // the program's use of that predicate is an error.
 func (p *Program) Eval(edb *fact.Instance) (*fact.Instance, error) {
-	return p.eval(edb.Clone(), true)
+	return p.eval(edb.Clone())
 }
 
 // EvalOwned is Eval taking ownership of edb: the fixpoint is computed
@@ -21,19 +21,10 @@ func (p *Program) Eval(edb *fact.Instance) (*fact.Instance, error) {
 // per evaluation (package dedalus evaluates one per time slice) it
 // saves the defensive clone.
 func (p *Program) EvalOwned(edb *fact.Instance) (*fact.Instance, error) {
-	return p.eval(edb, true)
+	return p.eval(edb)
 }
 
-// EvalNaive is Eval using naive fixpoint iteration: every rule is
-// re-fired through its compiled plan against the full instance each
-// round, with no delta pinning. It exists for the naive/semi-naive
-// ablation (datalogi -naive, E14), which compares the two fixpoint
-// strategies on one executor; results are identical to Eval.
-func (p *Program) EvalNaive(edb *fact.Instance) (*fact.Instance, error) {
-	return p.eval(edb.Clone(), false)
-}
-
-func (p *Program) eval(edb *fact.Instance, seminaive bool) (*fact.Instance, error) {
+func (p *Program) eval(edb *fact.Instance) (*fact.Instance, error) {
 	strata, err := p.Stratify()
 	if err != nil {
 		return nil, err
@@ -65,39 +56,12 @@ func (p *Program) eval(edb *fact.Instance, seminaive bool) (*fact.Instance, erro
 				pred, r.Arity(), p.arities[pred])
 		}
 	}
-	I := edb
 	for i := range strata {
-		if seminaive {
-			err = evalStratumSemiNaive(p.stratumRules[i], p.stratumPreds[i], I)
-		} else {
-			err = evalStratumNaive(p.stratumRules[i], I)
-		}
-		if err != nil {
+		if err := evalStratumSemiNaive(p.stratumRules[i], p.stratumPreds[i], edb); err != nil {
 			return nil, err
 		}
 	}
-	return I, nil
-}
-
-func evalStratumNaive(crs []*compiledRule, I *fact.Instance) error {
-	for {
-		changed := false
-		for _, cr := range crs {
-			heads, err := cr.fire(I, -1, nil, nil)
-			if err != nil {
-				return err
-			}
-			heads.Each(func(t fact.Tuple) bool {
-				if I.AddFact(fact.Fact{Rel: cr.headPred, Args: t}) {
-					changed = true
-				}
-				return true
-			})
-		}
-		if !changed {
-			return nil
-		}
-	}
+	return edb, nil
 }
 
 func evalStratumSemiNaive(crs []*compiledRule, inStratum map[string]bool, I *fact.Instance) error {

@@ -8,7 +8,7 @@ import (
 	"declnet/internal/fact"
 )
 
-// checkAgainstOracle requires semi-naive Eval and naive EvalNaive of p
+// checkAgainstOracle requires semi-naive Eval and naive evalNaive of p
 // on edb to both equal evalOracle's fixpoint.
 func checkAgainstOracle(t *testing.T, p *Program, edb *fact.Instance) {
 	t.Helper()
@@ -17,7 +17,7 @@ func checkAgainstOracle(t *testing.T, p *Program, edb *fact.Instance) {
 		t.Fatal(err)
 	}
 	for name, eval := range map[string]func(*fact.Instance) (*fact.Instance, error){
-		"Eval": p.Eval, "EvalNaive": p.EvalNaive,
+		"Eval": p.Eval, "EvalNaive": p.evalNaive,
 	} {
 		got, err := eval(edb)
 		if err != nil {

@@ -2,7 +2,7 @@ package datalog
 
 // Differential harness for the plan lowering, driven by the committed
 // fuzz corpus: every parseable, stratifiable corpus program is
-// evaluated on random EDBs by semi-naive Eval and naive EvalNaive,
+// evaluated on random EDBs by semi-naive Eval and naive evalNaive,
 // both on the compiled rule plans, and checked against evalOracle, the
 // stratified naive evaluator over the rule syntax (oracle_test.go)
 // that shares no code with the rule compiler or the plan layer. The
@@ -158,7 +158,7 @@ func checkCorpusPrograms(t *testing.T, perRun bool) {
 			}
 			want, wantErr := evalOracle(p, I)
 			sn, snErr := p.Eval(I)
-			nv, nvErr := p.EvalNaive(I)
+			nv, nvErr := p.evalNaive(I)
 			if (snErr == nil) != (wantErr == nil) || (nvErr == nil) != (wantErr == nil) {
 				t.Fatalf("program %d:\n%s\nengines disagree on error: seminaive %v, naive %v, oracle %v", pi, p, snErr, nvErr, wantErr)
 			}

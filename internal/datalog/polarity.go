@@ -221,69 +221,46 @@ func (p *Program) relPolarities(ans string) map[string]polSet {
 	return pol
 }
 
-// QueryDeps implements query.DepAnalyzable: the polarity of the answer
-// predicate's dependency on each extensional relation the program
-// reads, composed through the rule graph.
-func (q *Query) QueryDeps() []query.Dep {
-	pol := q.Program.relPolarities(q.Ans)
-	idb := map[string]bool{}
-	for _, r := range q.Program.Rules {
-		idb[r.Head.Pred] = true
+// summarize builds the query's summary:
+//   - the reads are the extensional predicates the program reads, and
+//     the monotonicity evidence is the program's;
+//   - the deps give the polarity of the answer predicate's dependency
+//     on each extensional relation it reaches, composed through the
+//     rule graph;
+//   - evaluation restricts the input to the program's extensional
+//     predicates, so the result depends on nothing else: rel-bounded;
+//   - each rule is one emptiness clause, which needs a fact in every
+//     predicate of a positive body literal (negations and comparisons
+//     need no facts; fact rules need nothing), and the query's result
+//     is the answer predicate.
+func (q *Query) summarize() *query.Summary {
+	s := &query.Summary{
+		Reads:      q.Program.EDB(),
+		Evidence:   q.Program.MonotoneEvidence(),
+		RelBounded: true,
+		Clauses:    []query.Clause{{Body: []string{q.Ans}}},
 	}
-	var deps []query.Dep
-	for _, e := range q.Program.EDB() { // sorted
-		s, ok := pol[e]
+	pol := q.Program.relPolarities(q.Ans)
+	for _, e := range s.Reads { // sorted
+		ps, ok := pol[e]
 		if !ok {
 			continue // not reachable from the answer predicate
 		}
-		deps = append(deps, query.Dep{
+		s.Deps = append(s.Deps, query.Dep{
 			Rel:      e,
-			Polarity: s.polarity(),
+			Polarity: ps.polarity(),
 			Branch:   -1,
-			Where:    fmt.Sprintf("datalog program, dependency %s →%s %s", q.Ans, s.polarity(), e),
+			Where:    fmt.Sprintf("datalog program, dependency %s →%s %s", q.Ans, ps.polarity(), e),
 		})
 	}
-	return deps
-}
-
-// MonotoneEvidence implements query.MonotoneExplainable.
-func (q *Query) MonotoneEvidence() query.MonotoneEvidence {
-	return q.Program.MonotoneEvidence()
-}
-
-// PossiblyNonempty implements query.EmptinessAnalyzable: the answer
-// predicate can hold a tuple only if it is derivable assuming exactly
-// the relations accepted by populated may hold facts. A rule can fire
-// only when every positive body literal's predicate is populatable
-// (negations and comparisons need no facts); fact rules (empty body)
-// always can.
-func (q *Query) PossiblyNonempty(populated func(rel string) bool) bool {
-	idb := map[string]bool{}
 	for _, r := range q.Program.Rules {
-		idb[r.Head.Pred] = true
-	}
-	can := map[string]bool{}
-	for _, e := range q.Program.EDB() {
-		can[e] = populated(e)
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, r := range q.Program.Rules {
-			if can[r.Head.Pred] {
-				continue
-			}
-			fires := true
-			for _, l := range r.Body {
-				if l.Kind == LitPos && !can[l.Atom.Pred] {
-					fires = false
-					break
-				}
-			}
-			if fires {
-				can[r.Head.Pred] = true
-				changed = true
+		c := query.Clause{Head: r.Head.Pred}
+		for _, l := range r.Body {
+			if l.Kind == LitPos {
+				c.Body = append(c.Body, l.Atom.Pred)
 			}
 		}
+		s.Clauses = append(s.Clauses, c)
 	}
-	return can[q.Ans]
+	return s
 }

@@ -99,7 +99,7 @@ func TestQueryDepsComposedPolarity(t *testing.T) {
 	)
 	q := MustQuery(p, "ans")
 	pol := map[string]query.Polarity{}
-	for _, d := range q.QueryDeps() {
+	for _, d := range q.Summary().Deps {
 		pol[d.Rel] = d.Polarity
 	}
 	if pol["a"] != query.PolPos {
@@ -119,10 +119,10 @@ func TestPossiblyNonemptyFixpoint(t *testing.T) {
 		rule(atom("ans", "X"), Pos("mid", V("X")), Pos("aux", V("X"))),
 	)
 	q := MustQuery(p, "ans")
-	if q.PossiblyNonempty(func(rel string) bool { return rel == "src" }) {
+	if q.Summary().MayProduce(func(rel string) bool { return rel == "src" }) {
 		t.Fatal("aux never populated: ans cannot fire")
 	}
-	if !q.PossiblyNonempty(func(rel string) bool { return rel == "src" || rel == "aux" }) {
+	if !q.Summary().MayProduce(func(rel string) bool { return rel == "src" || rel == "aux" }) {
 		t.Fatal("both populated: ans may fire")
 	}
 	// A fact rule fires from nothing.
@@ -130,7 +130,7 @@ func TestPossiblyNonemptyFixpoint(t *testing.T) {
 		Rule{Head: Atom{Pred: "ans", Terms: []Term{C("k")}}},
 	)
 	qf := MustQuery(pf, "ans")
-	if !qf.PossiblyNonempty(func(string) bool { return false }) {
+	if !qf.Summary().MayProduce(func(string) bool { return false }) {
 		t.Fatal("ground fact rule needs no populated relations")
 	}
 }

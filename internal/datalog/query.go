@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"declnet/internal/fact"
+	"declnet/internal/query"
 )
 
 // Query adapts a Datalog program to the query.Query interface: running
@@ -16,6 +17,7 @@ type Query struct {
 	Ans     string
 	ansAr   int
 	edb     fact.Schema
+	summary *query.Summary
 }
 
 // NewQuery builds a Datalog query; the answer predicate must occur in
@@ -33,7 +35,9 @@ func NewQuery(p *Program, ans string) (*Query, error) {
 	for _, e := range p.EDB() {
 		edb[e] = arities[e]
 	}
-	return &Query{Program: p, Ans: ans, ansAr: ar, edb: edb}, nil
+	q := &Query{Program: p, Ans: ans, ansAr: ar, edb: edb}
+	q.summary = q.summarize()
+	return q, nil
 }
 
 // MustQuery is NewQuery panicking on error.
@@ -48,19 +52,8 @@ func MustQuery(p *Program, ans string) *Query {
 // Arity implements query.Query.
 func (q *Query) Arity() int { return q.ansAr }
 
-// Rels implements query.Query: the extensional predicates the program
-// reads.
-func (q *Query) Rels() []string { return q.Program.EDB() }
-
-// SyntacticallyMonotone implements query.Query: effectively positive
-// programs — positive outright, or reducible to a positive program by
-// complement absorption (see polarity.go) — are monotone.
-func (q *Query) SyntacticallyMonotone() bool { return q.Program.EffectivelyPositive() }
-
-// RelBounded implements query.RelBounded: evaluation restricts the
-// input to the program's EDB predicates, so the result depends on
-// nothing else.
-func (q *Query) RelBounded() bool { return true }
+// Summary implements query.Query.
+func (q *Query) Summary() *query.Summary { return q.summary }
 
 // Eval implements query.Query.
 func (q *Query) Eval(I *fact.Instance) (*fact.Relation, error) {
@@ -69,17 +62,6 @@ func (q *Query) Eval(I *fact.Instance) (*fact.Relation, error) {
 	// least model. Restrict builds a fresh owned instance, so the
 	// fixpoint can run in place.
 	out, err := q.Program.EvalOwned(I.Restrict(q.edb))
-	if err != nil {
-		return nil, err
-	}
-	return out.RelationOr(q.Ans, q.ansAr).Clone(), nil
-}
-
-// EvalNaive is Eval by naive fixpoint iteration (Program.EvalNaive:
-// every rule re-fired in full each round, on the same compiled plans)
-// — identical results, for the naive/semi-naive comparison.
-func (q *Query) EvalNaive(I *fact.Instance) (*fact.Relation, error) {
-	out, err := q.Program.EvalNaive(I.Restrict(q.edb))
 	if err != nil {
 		return nil, err
 	}

@@ -103,17 +103,37 @@ output T/2
 	}
 }
 
+// adomComplement is a firing-only example whose output query ranges
+// over the active domain and reads no message relation: out(x) :=
+// ¬S(x). A delivered message carrying a value the state lacks grows
+// the active domain and so the output, which only a query not marked
+// rel-bounded re-evaluates.
+func adomComplement(t testing.TB) diffExample {
+	t.Helper()
+	tr, err := transducer.NewBuilder("adomComplement", fact.Schema{"S": 1}).
+		Msg("M", 1).
+		Snd("M", fo.MustQuery("sndM", []string{"x"}, fo.AtomF("S", "x"))).
+		Out(1, fo.MustQuery("out", []string{"x"}, fo.NotF(fo.AtomF("S", "x")))).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return diffExample{"adomComplement", tr, fact.FromFacts(f("S", "x1"), f("S", "x2")), network.Line(2), true}
+}
+
 // TestDifferentialFiringVsStep cross-checks the incremental evaluator
 // against the specification evaluator: under 50 random node-local
 // schedules per example — arbitrary interleavings of heartbeats and
-// deliveries of previously sent facts — Firing.Step must produce
-// effects bit-identical to Transducer.Step from the same (state, rcv),
-// and return the input state itself exactly when the state is
-// unchanged (the identity contract the sim and HeartbeatFixpoint use).
+// deliveries of previously sent facts, or of one fact per message
+// relation over values no state holds (as another node may send) —
+// Firing.Step must produce effects bit-identical to Transducer.Step
+// from the same (state, rcv), and return the input state itself
+// exactly when the state is unchanged (the identity contract the sim
+// and HeartbeatFixpoint use).
 func TestDifferentialFiringVsStep(t *testing.T) {
 	const schedules = 50
 	const stepsPer = 25
-	for _, e := range diffZoo(t) {
+	for _, e := range append(diffZoo(t), adomComplement(t)) {
 		t.Run(e.name, func(t *testing.T) {
 			// A well-formed two-node state for node n1 (one-node for
 			// single-node constructions), holding the whole input.
@@ -129,6 +149,13 @@ func TestDifferentialFiringVsStep(t *testing.T) {
 				state := initial.Clone()
 				firing := transducer.NewFiring(e.tr)
 				var pool []fact.Fact
+				for _, rel := range e.tr.Schema.Msg.Names() {
+					args := make([]fact.Value, e.tr.Schema.Msg[rel])
+					for i := range args {
+						args[i] = fact.Value(fmt.Sprintf("foreign%d", i))
+					}
+					pool = append(pool, fact.NewFact(rel, args...))
+				}
 				for step := 0; step < stepsPer; step++ {
 					var rcv *fact.Instance
 					if len(pool) > 0 && rng.IntN(2) == 1 {

@@ -52,8 +52,8 @@ func collectedDefs(in fact.Schema, tagged bool) map[string]query.Query {
 // continuously on the collected fragment; it must read only the input
 // schema and be syntactically monotone (nil means no output).
 func Flood(in fact.Schema, out query.Query, outArity int) (*transducer.Transducer, error) {
-	if out != nil && !out.SyntacticallyMonotone() {
-		return nil, fmt.Errorf("dist: Flood streams continuously and needs a syntactically monotone output query; use CollectThenCompute for %v", out.Rels())
+	if out != nil && !out.Summary().Evidence.Monotone {
+		return nil, fmt.Errorf("dist: Flood streams continuously and needs a syntactically monotone output query; use CollectThenCompute for %v", out.Summary().Reads)
 	}
 	b := transducer.NewBuilder("flood", in)
 	floodSubstrate(b, in)
@@ -77,8 +77,8 @@ func MonotoneStreaming(in fact.Schema, q query.Query) (*transducer.Transducer, e
 	if q == nil {
 		return nil, fmt.Errorf("dist: MonotoneStreaming needs a query")
 	}
-	if !q.SyntacticallyMonotone() {
-		return nil, fmt.Errorf("dist: MonotoneStreaming requires a syntactically monotone query (got one reading %v); use CollectThenCompute instead", q.Rels())
+	if !q.Summary().Evidence.Monotone {
+		return nil, fmt.Errorf("dist: MonotoneStreaming requires a syntactically monotone query (got one reading %v); use CollectThenCompute instead", q.Summary().Reads)
 	}
 	tr, err := Flood(in, q, q.Arity())
 	if err != nil {

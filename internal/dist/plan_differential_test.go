@@ -1,27 +1,20 @@
 package dist
 
 // Differential harness for the compiled query-plan layer: every FO
-// and Datalog query of every zoo construction is evaluated on real
-// run states through the compiled plan executor (static cached
-// schedule, register slots), the production path behind Eval, and
-// checked against
-//
-//   - for FO, the definitional active-domain evaluator foOracle,
-//     which evaluates the formula by its standard semantics and never
-//     touches the plan layer;
-//   - for Datalog, naive fixpoint iteration (EvalNaive) on the same
-//     executor, so semi-naive deltas must reach the naive fixpoint;
-//
-// and every delta-pinned plan variant is checked against the
-// semi-naive union equation Eval(full) = Eval(full\Δ) ∪
-// EvalDelta(full, Δ) on the same states.
+// query of every zoo construction is evaluated on real run states
+// through the compiled plan executor (static cached schedule, register
+// slots), the production path behind Eval, and checked against the
+// definitional active-domain evaluator foOracle, which evaluates the
+// formula by its standard semantics and never touches the plan layer;
+// every delta-pinned plan variant is checked against the semi-naive
+// union equation Eval(full) = Eval(full\Δ) ∪ EvalDelta(full, Δ) on
+// the same states.
 
 import (
 	"fmt"
 	"strings"
 	"testing"
 
-	"declnet/internal/datalog"
 	"declnet/internal/fact"
 	"declnet/internal/fo"
 	"declnet/internal/query"
@@ -73,24 +66,24 @@ func zooStates(t *testing.T, e diffExample) []*fact.Instance {
 }
 
 // checkDeltaPins verifies the semi-naive union equation for every
-// read relation of a CanDelta query — each relation split drives a
-// different pinned plan variant.
+// read relation of a query whose summary marks it Delta — each
+// relation split drives a different pinned plan variant.
 func checkDeltaPins(t *testing.T, key string, q query.Query, state *fact.Instance) {
 	t.Helper()
 	d, ok := q.(query.DeltaEvaluable)
-	if !ok || !d.CanDelta() {
+	if !ok || !q.Summary().Delta {
 		return
 	}
 	want, err := q.Eval(state)
 	if err != nil {
 		t.Fatalf("%s: eval: %v", key, err)
 	}
-	splits := q.Rels()
-	splits = append(splits, "") // "" = combined split over every read relation
+	reads := q.Summary().Reads
+	splits := append(append([]string(nil), reads...), "") // "" = combined split over every read relation
 	for _, target := range splits {
 		delta := fact.NewInstance()
 		old := state.Clone()
-		for _, rel := range q.Rels() {
+		for _, rel := range reads {
 			if target != "" && rel != target {
 				continue
 			}
@@ -226,34 +219,23 @@ func foOracle(q *fo.Query, I *fact.Instance) *fact.Relation {
 }
 
 // TestDifferentialPlanVsOracles: the compiled plan path vs the
-// generic FO evaluator and naive Datalog, over all zoo constructions
-// and their run states, including every delta-pinned variant.
+// generic FO evaluator, over all zoo constructions and their run
+// states, including every delta-pinned variant. The zoo's Datalog
+// query is checked against naive iteration in internal/datalog
+// (TestZooDatalogNaiveMatchesSemiNaive).
 func TestDifferentialPlanVsOracles(t *testing.T) {
 	for _, e := range diffZoo(t) {
 		t.Run(e.name, func(t *testing.T) {
 			states := zooStates(t, e)
 			for key, q := range zooQueries(e.tr) {
 				for si, I := range states {
-					switch tq := q.(type) {
-					case *fo.Query:
-						want, err := tq.Eval(I)
+					if fq, ok := q.(*fo.Query); ok {
+						want, err := fq.Eval(I)
 						if err != nil {
 							t.Fatalf("%s state %d: eval: %v", key, si, err)
 						}
-						if gen := foOracle(tq, I); !want.Equal(gen) {
+						if gen := foOracle(fq, I); !want.Equal(gen) {
 							t.Errorf("%s state %d: plan %v != generic active-domain %v", key, si, want, gen)
-						}
-					case *datalog.Query:
-						want, err := tq.Eval(I)
-						if err != nil {
-							t.Fatalf("%s state %d: eval: %v", key, si, err)
-						}
-						naive, err := tq.EvalNaive(I)
-						if err != nil {
-							t.Fatalf("%s state %d: naive: %v", key, si, err)
-						}
-						if !want.Equal(naive) {
-							t.Errorf("%s state %d: semi-naive %v != naive %v", key, si, want, naive)
 						}
 					}
 					checkDeltaPins(t, key, q, I)

@@ -180,7 +180,7 @@ func WhileTransducer(p *while.Program, in fact.Schema) (*transducer.Transducer, 
 		for _, e := range edges {
 			reads[pcRel(e.from)] = true
 			if e.cond != nil {
-				for _, r := range e.cond.Rels() {
+				for _, r := range e.cond.Summary().Reads {
 					reads[r] = true
 				}
 			}
@@ -253,7 +253,7 @@ func WhileTransducer(p *while.Program, in fact.Schema) (*transducer.Transducer, 
 		reads := map[string]bool{rel: true}
 		for _, i := range sites {
 			reads[pcRel(i)] = true
-			for _, r := range instrs[i].assign.Q.Rels() {
+			for _, r := range instrs[i].assign.Q.Summary().Reads {
 				reads[r] = true
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"declnet/internal/fact"
+	"declnet/internal/query"
 )
 
 // Query is an FO query: an output tuple of head variables together
@@ -23,13 +24,27 @@ type Query struct {
 	// anti-join, so the query is monotone and re-evaluating a branch
 	// over full ∪ delta never loses a derivation of the union.
 	deltaOK bool
+
+	// summary is built by NewQuery (polarity.go); inner queries have
+	// none.
+	summary *query.Summary
 }
 
 // NewQuery builds an FO query, checks that the body's free variables
 // are all listed in the head (safety of output tuples is then
-// guaranteed by the active-domain semantics), and lowers the body
-// onto the compiled plan layer.
+// guaranteed by the active-domain semantics), lowers the body onto the
+// compiled plan layer and summarizes it.
 func NewQuery(name string, head []string, body Formula) (*Query, error) {
+	q, err := compileQuery(name, head, body)
+	if err != nil {
+		return nil, err
+	}
+	q.summary = q.summarize()
+	return q, nil
+}
+
+// compileQuery is NewQuery without the summary, for inner queries.
+func compileQuery(name string, head []string, body Formula) (*Query, error) {
 	hv := make([]Var, len(head))
 	seen := make(map[Var]bool, len(head))
 	for i, h := range head {
@@ -71,13 +86,8 @@ func MustQuery(name string, head []string, body Formula) *Query {
 // Arity implements query.Query.
 func (q *Query) Arity() int { return len(q.Head) }
 
-// Rels implements query.Query.
-func (q *Query) Rels() []string { return RelNames(q.Body) }
-
-// SyntacticallyMonotone implements query.Query: effectively positive
-// formulas (positive modulo negated equalities, see EffectivelyPositive)
-// are monotone.
-func (q *Query) SyntacticallyMonotone() bool { return EffectivelyPositive(q.Body).Monotone }
+// Summary implements query.Query.
+func (q *Query) Summary() *query.Summary { return q.summary }
 
 // String renders the query as head :- body.
 func (q *Query) String() string {

@@ -52,7 +52,7 @@ type eqLit struct {
 // subLit is a conjunct that is not a literal: the branch reads the
 // inner query over f's free variables as a join atom, or as an
 // anti-join when neg is set. src is the conjunct as written, whose
-// polarity QueryDeps reports.
+// polarity the query's summary reports.
 type subLit struct {
 	src, f Formula
 	neg    bool
@@ -409,7 +409,7 @@ func compileBranch(name string, head []Var, c conj) (branch, error) {
 		for i, v := range fv {
 			names[i], ts[i] = string(v), v
 		}
-		q, err := NewQuery(fmt.Sprintf("%s.%d", name, j+1), names, s.f)
+		q, err := compileQuery(fmt.Sprintf("%s.%d", name, j+1), names, s.f)
 		if err != nil {
 			return branch{}, err
 		}
@@ -520,18 +520,15 @@ func (b *branch) run(c *evalCtx, out *fact.Relation) error {
 	return b.p.Run(I, nil, -1, nil, out)
 }
 
-// CanDelta reports whether EvalDelta is exact for this query: its
-// plans, inner queries included, have no anti-join (negated
-// (in)equalities compare bound values and do not count), so the query
-// is monotone. It implements query.DeltaEvaluable.
-func (q *Query) CanDelta() bool { return q.deltaOK }
-
 // EvalDelta returns derivations of the query that may involve at least
 // one fact of delta, evaluated against full ∪ delta. full must either
 // contain delta or hold none of delta's relations (a transducer state
 // and the messages it receives, whose schemas are disjoint); either
-// way the union is never materialized for join branches. For CanDelta
-// queries the result is exact in the semi-naive sense:
+// way the union is never materialized for join branches. For queries
+// whose plans, inner queries included, have no anti-join (negated
+// (in)equalities compare bound values and do not count), so that the
+// summary marks them Delta, the result is exact in the semi-naive
+// sense:
 //
 //	Eval(full ∪ delta) = Eval((full ∪ delta) \ delta) ∪ EvalDelta(full, delta)
 //
@@ -597,7 +594,7 @@ func withDelta(full, delta *fact.Instance) *fact.Instance {
 // ExplainPlan implements query.PlanExplainer: it renders the compiled
 // plan of every branch — chosen atom order, probe columns, filters and
 // anti-joins — with every pinned delta variant for the delta-joinable
-// branches of CanDelta queries, followed by each inner query's plans,
+// branches of Delta queries, followed by each inner query's plans,
 // indented.
 func (q *Query) ExplainPlan() string {
 	var b strings.Builder

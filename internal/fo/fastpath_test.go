@@ -152,7 +152,7 @@ func TestEvalDeltaRespectsClosedGuards(t *testing.T) {
 			AtomF("R", "x"),
 			OrF(AtomT("S", C("a")), AtomT("T", C("a"))),
 		))
-	if !q.CanDelta() {
+	if !q.Summary().Delta {
 		t.Fatal("query should be delta-evaluable (positive)")
 	}
 	// S and T are empty: the closed conjunct is false everywhere, so the
@@ -344,7 +344,7 @@ func TestResidualEqLoweredNotGuarded(t *testing.T) {
 	if b := q.branches[0]; b.nEqs != 1 || !b.pinnable() {
 		t.Fatalf("branch = %+v: equality must lower to a filter on a plain join", b)
 	}
-	if !q.CanDelta() {
+	if !q.Summary().Delta {
 		t.Fatal("eq-filter branch must stay delta-evaluable")
 	}
 	ex := q.ExplainPlan()

@@ -124,7 +124,7 @@ func FuzzParseQuery(f *testing.F) {
 
 // fuzzEvaluate evaluates an accepted query on a small instance built
 // from its own atoms: Eval must not panic and must agree with the
-// oracle, and a CanDelta query must satisfy the semi-naive union
+// oracle, and a Delta query must satisfy the semi-naive union
 // equation. The oracle enumerates adom^k, so queries with more than
 // six variables or three constants are only parsed.
 func fuzzEvaluate(t *testing.T, q *Query) {

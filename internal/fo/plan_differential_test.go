@@ -6,7 +6,7 @@ package fo
 // evaluated on random instances through the compiled plan executor
 // (Eval) and the active-domain oracle (EvalGeneric, oracle_test.go),
 // which evaluates the formula by its standard semantics and never
-// touches the plan layer. For CanDelta queries
+// touches the plan layer. For Delta queries
 // every delta-pinned variant is also checked against the semi-naive
 // union equation.
 
@@ -213,7 +213,7 @@ func checkCorpusQueries(t *testing.T, perRun bool) {
 }
 
 // checkAgainstOracle checks Eval on I against the oracle, errors
-// included, and for CanDelta queries every delta-pinned variant
+// included, and for Delta queries every delta-pinned variant
 // against the semi-naive union equation.
 func checkAgainstOracle(t *testing.T, qi int, q *Query, I *fact.Instance) {
 	t.Helper()
@@ -239,14 +239,14 @@ func checkAgainstOracle(t *testing.T, qi int, q *Query, I *fact.Instance) {
 // split exercises a different pinned plan schedule.
 func checkQueryDeltaPins(t *testing.T, qi int, q *Query, full *fact.Instance, want *fact.Relation) {
 	t.Helper()
-	if !q.CanDelta() {
+	if !q.Summary().Delta {
 		return
 	}
-	splits := append(q.Rels(), "")
+	splits := append(append([]string(nil), q.Summary().Reads...), "")
 	for _, target := range splits {
 		delta := full.Dict().NewInstance()
 		old := full.Clone()
-		for _, rel := range q.Rels() {
+		for _, rel := range q.Summary().Reads {
 			if target != "" && rel != target {
 				continue
 			}

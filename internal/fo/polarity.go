@@ -94,7 +94,6 @@ func (a *depAccum) add(d query.Dep) {
 	k := [2]interface{}{d.Rel, d.Branch}
 	if i, ok := a.index[k]; ok {
 		a.deps[i].Polarity = a.deps[i].Polarity.Join(d.Polarity)
-		a.deps[i].Required = a.deps[i].Required || d.Required
 		return
 	}
 	a.index[k] = len(a.deps)
@@ -152,13 +151,27 @@ func RelPolarities(f Formula) map[string]query.Polarity {
 	return out
 }
 
-// QueryDeps implements query.DepAnalyzable: the polarized read
-// dependencies of the query, one group per disjunctive branch. The
-// atom reads (positive, required) and anti-joins (negative) come from
-// the compiled plan itself (plan.Plan.Deps) — the analyzed join is
-// exactly the executed join — and each inner query contributes the
-// AST polarity walk of the conjunct it stands for.
-func (q *Query) QueryDeps() []query.Dep {
+// summarize builds the query's summary:
+//   - the reads are the body's relations, and the monotonicity
+//     evidence is EffectivelyPositive of the body;
+//   - the polarized deps come one group per disjunctive branch. The
+//     atom reads (positive) and anti-joins (negative) come from the
+//     compiled plan itself (plan.Plan.Deps) — the analyzed join is
+//     exactly the executed join — and each inner query contributes the
+//     AST polarity walk of the conjunct it stands for;
+//   - the query is rel-bounded when no branch, at any depth of its
+//     inner queries, joins the active domain: every variable is then
+//     bound by a positive atom over a relation the query reads;
+//   - each branch is one emptiness clause, which needs a fact in every
+//     relation its atoms read. Inner queries and the active domain are
+//     conservatively satisfiable.
+func (q *Query) summarize() *query.Summary {
+	s := &query.Summary{
+		Reads:      RelNames(q.Body),
+		Evidence:   EffectivelyPositive(q.Body),
+		RelBounded: q.relBounded(),
+		Delta:      q.deltaOK,
+	}
 	acc := newDepAccum()
 	for i := range q.branches {
 		b := &q.branches[i]
@@ -167,35 +180,31 @@ func (q *Query) QueryDeps() []query.Dep {
 				acc.add(d)
 			}
 		}
-		for _, s := range b.subs {
-			walkPolarity(s.src, query.PolPos, i, fmt.Sprintf("branch %d subquery", i+1), acc)
+		for _, sub := range b.subs {
+			walkPolarity(sub.src, query.PolPos, i, fmt.Sprintf("branch %d subquery", i+1), acc)
 		}
+		c := query.Clause{Body: make([]string, len(b.atoms))}
+		for j, a := range b.atoms {
+			c.Body[j] = a.Rel
+		}
+		s.Clauses = append(s.Clauses, c)
 	}
-	return acc.deps
+	s.Deps = acc.deps
+	return s
 }
 
-// MonotoneEvidence implements query.MonotoneExplainable.
-func (q *Query) MonotoneEvidence() query.MonotoneEvidence {
-	return EffectivelyPositive(q.Body)
-}
-
-// PossiblyNonempty implements query.EmptinessAnalyzable: the query
-// can produce a tuple only if some branch can, and a branch cannot
-// fire while one of its atoms reads a relation that provably never
-// holds a fact. Inner queries and the active domain are conservatively
-// satisfiable.
-func (q *Query) PossiblyNonempty(populated func(rel string) bool) bool {
-	for i := range q.branches {
-		ok := true
-		for _, a := range q.branches[i].atoms {
-			if !populated(a.Rel) {
-				ok = false
-				break
+// relBounded reports whether no branch of q or of its inner queries
+// joins the active domain.
+func (q *Query) relBounded() bool {
+	for _, b := range q.branches {
+		if b.adom {
+			return false
+		}
+		for _, sub := range b.subs {
+			if !sub.q.relBounded() {
+				return false
 			}
 		}
-		if ok {
-			return true
-		}
 	}
-	return false
+	return true
 }

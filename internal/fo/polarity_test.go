@@ -1,6 +1,7 @@
 package fo
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -43,7 +44,7 @@ func TestNeqQueryIsMonotone(t *testing.T) {
 	if IsPositive(q.Body) {
 		t.Fatal("sanity: IsPositive should reject ¬(x=y)")
 	}
-	if !q.SyntacticallyMonotone() {
+	if !q.Summary().Evidence.Monotone {
 		t.Fatal("x≠y selection must be effectively positive")
 	}
 }
@@ -51,7 +52,7 @@ func TestNeqQueryIsMonotone(t *testing.T) {
 func TestQueryDepsPolarity(t *testing.T) {
 	q := MustQuery("q", []string{"x"},
 		AndF(AtomF("R", "x"), NotF(AtomF("S", "x"))))
-	deps := q.QueryDeps()
+	deps := q.Summary().Deps
 	pol := map[string]query.Polarity{}
 	for _, d := range deps {
 		pol[d.Rel] = d.Polarity
@@ -62,24 +63,21 @@ func TestQueryDepsPolarity(t *testing.T) {
 	if pol["S"] != query.PolNeg {
 		t.Errorf("S polarity = %s, want -", pol["S"])
 	}
-	// The positive atom comes from the compiled plan and is required.
-	foundRequired := false
+	// The positive atom comes from the compiled plan, and the branch
+	// needs a fact in R to fire.
 	for _, d := range deps {
-		if d.Rel == "R" && d.Required {
-			foundRequired = true
-			if !strings.Contains(d.Where, "plan") {
-				t.Errorf("plan-derived dep should say so: %q", d.Where)
-			}
+		if d.Rel == "R" && !strings.Contains(d.Where, "plan") {
+			t.Errorf("plan-derived dep should say so: %q", d.Where)
 		}
 	}
-	if !foundRequired {
-		t.Errorf("R should be a required plan atom: %+v", deps)
+	if cs := q.Summary().Clauses; len(cs) != 1 || !reflect.DeepEqual(cs[0].Body, []string{"R"}) {
+		t.Errorf("clauses = %+v, want one branch needing R", cs)
 	}
 }
 
 func TestQueryDepsForallGuard(t *testing.T) {
 	q := MustQuery("q", nil, ForallF([]string{"x"}, AtomF("R", "x")))
-	for _, d := range q.QueryDeps() {
+	for _, d := range q.Summary().Deps {
 		if d.Rel == "R" && d.Polarity != query.PolGuard {
 			t.Errorf("read under forall must be guard polarity, got %s", d.Polarity)
 		}
@@ -93,11 +91,11 @@ func TestPossiblyNonempty(t *testing.T) {
 			AndF(AtomF("Live", "x"), NotF(AtomF("Other", "x"))),
 		))
 	populated := func(rel string) bool { return rel == "Live" || rel == "Other" }
-	if !q.PossiblyNonempty(populated) {
+	if !q.Summary().MayProduce(populated) {
 		t.Fatal("the Live branch can fire")
 	}
 	none := func(rel string) bool { return false }
-	if q.PossiblyNonempty(none) {
+	if q.Summary().MayProduce(none) {
 		t.Fatal("no populated relations: every branch needs its atoms")
 	}
 }

@@ -3,8 +3,7 @@ package plan
 import "declnet/internal/query"
 
 // Deps reports the polarized read dependencies of the compiled plan:
-// every relational atom is a positive, required read (the join cannot
-// produce a binding without a tuple in it), every FilterNotIn is a
+// every relational atom is a positive read, every FilterNotIn is a
 // negated read. branch tags the produced deps; the language front-ends use
 // it to group one plan per disjunct.
 //
@@ -21,7 +20,6 @@ func (p *Plan) Deps(branch int) []query.Dep {
 			Rel:      a.Rel,
 			Polarity: query.PolPos,
 			Branch:   branch,
-			Required: true,
 			Where:    "plan " + spec.Name + ": atom over " + a.Rel,
 		})
 	}

@@ -12,38 +12,34 @@ import (
 // compute: each definition computes one relation from the instance, and
 // the outer query reads exactly those, under their names. Constructions
 // use it to run a caller's query over a view of the state (the
-// collected input, a completion gate); reads, polarities, monotonicity
-// and plans all derive from the parts.
+// collected input, a completion gate); its summary derives from the
+// parts' summaries, and its plans from the parts' plans.
 type Composed struct {
-	outer Query
-	defs  map[string]Query
-	names []string // sorted keys of defs
-	rels  []string // what the definitions read
+	outer   Query
+	defs    map[string]Query
+	names   []string // sorted keys of defs
+	summary *Summary
 }
 
 // Compose returns outer composed with the named definitions; outer may
 // read only relations that defs defines.
 func Compose(outer Query, defs map[string]Query) (*Composed, error) {
 	c := &Composed{outer: outer, defs: defs}
-	var qs []Query
-	for n, q := range defs {
-		c.names, qs = append(c.names, n), append(qs, q)
+	for n := range defs {
+		c.names = append(c.names, n)
 	}
 	sort.Strings(c.names)
-	c.rels = MergeRels(qs...)
-	for _, r := range outer.Rels() {
+	for _, r := range outer.Summary().Reads {
 		if defs[r] == nil {
 			return nil, fmt.Errorf("query: composed query reads %s, which none of %v defines", r, c.names)
 		}
 	}
+	c.summary = c.summarize()
 	return c, nil
 }
 
 // Arity implements Query.
 func (c *Composed) Arity() int { return c.outer.Arity() }
-
-// Rels implements Query: the relations the definitions read.
-func (c *Composed) Rels() []string { return c.rels }
 
 // Eval implements Query.
 func (c *Composed) Eval(I *fact.Instance) (*fact.Relation, error) {
@@ -61,30 +57,64 @@ func (c *Composed) Eval(I *fact.Instance) (*fact.Relation, error) {
 	return c.outer.Eval(view)
 }
 
-// SyntacticallyMonotone implements Query.
-func (c *Composed) SyntacticallyMonotone() bool { return c.MonotoneEvidence().Monotone }
+// Summary implements Query.
+func (c *Composed) Summary() *Summary { return c.summary }
 
-// QueryDeps implements DepAnalyzable: each read of a definition by the
-// outer query expands into the definition's reads, polarities composed.
-func (c *Composed) QueryDeps() []Dep {
+// summarize composes the parts' summaries:
+//   - the reads are what the definitions read;
+//   - each read of a definition by the outer query expands into the
+//     definition's reads, polarities composed;
+//   - the composition is proved monotone when the outer query and
+//     every definition are;
+//   - it is rel-bounded when every definition is, since the outer
+//     query sees only the view the definitions compute;
+//   - it claims no emptiness and takes no delta evaluation.
+func (c *Composed) summarize() *Summary {
+	s := &Summary{Clauses: []Clause{{}}, RelBounded: true}
+	var reads []string
+	for _, n := range c.names {
+		d := c.defs[n].Summary()
+		reads = append(reads, d.Reads...)
+		s.RelBounded = s.RelBounded && d.RelBounded
+	}
+	s.Reads = dedupSorted(reads)
+
 	type key struct {
 		rel    string
 		branch int
 	}
-	var out []Dep
 	index := map[key]int{}
-	for _, od := range DepsOf(c.outer) {
-		for _, d := range DepsOf(c.defs[od.Rel]) {
+	outer := c.outer.Summary()
+	for _, od := range outer.Deps {
+		for _, d := range c.defs[od.Rel].Summary().Deps {
 			k, pol := key{d.Rel, od.Branch}, through(od.Polarity, d.Polarity)
 			if i, ok := index[k]; ok {
-				out[i].Polarity = out[i].Polarity.Join(pol)
+				s.Deps[i].Polarity = s.Deps[i].Polarity.Join(pol)
 				continue
 			}
-			index[k] = len(out)
-			out = append(out, Dep{Rel: d.Rel, Polarity: pol, Branch: od.Branch, Where: od.Where + ", then " + d.Where})
+			index[k] = len(s.Deps)
+			s.Deps = append(s.Deps, Dep{Rel: d.Rel, Polarity: pol, Branch: od.Branch, Where: od.Where + ", then " + d.Where})
 		}
 	}
-	return out
+
+	ev := outer.Evidence
+	ev.Reasons = append([]string(nil), ev.Reasons...)
+	ev.Blockers = append([]string(nil), ev.Blockers...)
+	for _, n := range c.names {
+		d := c.defs[n].Summary().Evidence
+		for _, r := range d.Reasons {
+			ev.Reasons = append(ev.Reasons, n+": "+r)
+		}
+		for _, b := range d.Blockers {
+			ev.Blockers = append(ev.Blockers, n+": "+b)
+		}
+		ev.Monotone = ev.Monotone && d.Monotone
+	}
+	if !ev.Monotone {
+		ev.Reasons = nil
+	}
+	s.Evidence = ev
+	return s
 }
 
 // through is the polarity of a read q made by a definition that is
@@ -98,26 +128,6 @@ func through(p, q Polarity) Polarity {
 		return PolPos
 	}
 	return PolNeg
-}
-
-// MonotoneEvidence implements MonotoneExplainable: the composition is
-// proved monotone when the outer query and every definition are.
-func (c *Composed) MonotoneEvidence() MonotoneEvidence {
-	ev := ExplainMonotone(c.outer)
-	for _, n := range c.names {
-		d := ExplainMonotone(c.defs[n])
-		for _, r := range d.Reasons {
-			ev.Reasons = append(ev.Reasons, n+": "+r)
-		}
-		for _, b := range d.Blockers {
-			ev.Blockers = append(ev.Blockers, n+": "+b)
-		}
-		ev.Monotone = ev.Monotone && d.Monotone
-	}
-	if !ev.Monotone {
-		ev.Reasons = nil
-	}
-	return ev
 }
 
 // ExplainPlan implements PlanExplainer: the outer query's plans, then

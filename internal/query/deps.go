@@ -1,21 +1,18 @@
 package query
 
 // This file is the extraction contract between the concrete query
-// languages (fo, datalog, while, opaque Funcs) and the static
-// CALM analyzer (internal/sa): a query exposes its reads as *polarized
-// dependencies* — which relation, read positively, under negation, or
-// through an opaque guard — instead of the flat name list of Rels().
-// The analyzer composes these per-query dependencies into the
-// predicate dependency graph of a whole transducer and derives
-// monotonicity, stratification and emptiness verdicts with witnesses.
-//
-// Everything here is OPTIONAL for a Query implementation: DepsOf,
-// ExplainMonotone and PossiblyNonempty fall back to sound conservative
-// answers derived from Rels() and SyntacticallyMonotone(), so opaque
-// queries degrade to "reads everything through a guard" rather than
-// breaking the analysis.
+// languages (fo, datalog, while, opaque Funcs) and their consumers,
+// the transducer runtime and the static CALM analyzer (internal/sa):
+// every query carries one immutable Summary, built once by its
+// language. Its reads are *polarized dependencies* — which relation,
+// read positively, under negation, or through an opaque guard — that
+// the analyzer composes into the predicate dependency graph of a
+// whole transducer to derive monotonicity, stratification and
+// emptiness verdicts with witnesses. Opaque queries summarize soundly:
+// every declared read is a guard unless the query is declared
+// monotone, and no emptiness is claimed.
 
-import "fmt"
+import "sort"
 
 // Polarity classifies how a query's output depends on a read relation.
 type Polarity int8
@@ -94,54 +91,12 @@ type Dep struct {
 	// Branch groups dependencies by disjunct of the query (fo branch,
 	// datalog rule); -1 when the query has no disjunctive structure.
 	Branch int
-	// Required marks a positive dependency the branch cannot fire
-	// without: if Rel is empty the branch derives nothing. The
-	// provably-empty analysis keys off this.
-	Required bool
 	// Where locates the occurrence for witnesses ("branch 2, atom
 	// S(x,y)"; "rule 1, literal not a(X)").
 	Where string
 }
 
-func (d Dep) String() string {
-	req := ""
-	if d.Required {
-		req = " (required)"
-	}
-	return fmt.Sprintf("%s%s%s", d.Polarity, d.Rel, req)
-}
-
-// DepAnalyzable is implemented by queries that can report polarized
-// dependencies. DepsOf is the accessor with the conservative fallback.
-type DepAnalyzable interface {
-	Query
-
-	// QueryDeps returns the polarized read dependencies, one entry
-	// per (relation, branch) occurrence group.
-	QueryDeps() []Dep
-}
-
-// DepsOf returns the polarized dependencies of any query. Queries not
-// implementing DepAnalyzable degrade soundly: every read is reported
-// as PolPos when the query declares syntactic monotonicity (monotone
-// in every read, by definition) and PolGuard otherwise.
-func DepsOf(q Query) []Dep {
-	if q == nil {
-		return nil
-	}
-	if da, ok := q.(DepAnalyzable); ok {
-		return da.QueryDeps()
-	}
-	pol := PolGuard
-	if q.SyntacticallyMonotone() {
-		pol = PolPos
-	}
-	deps := make([]Dep, 0, len(q.Rels()))
-	for _, r := range q.Rels() {
-		deps = append(deps, Dep{Rel: r, Polarity: pol, Branch: -1, Where: "declared read (opaque query)"})
-	}
-	return deps
-}
+func (d Dep) String() string { return d.Polarity.String() + d.Rel }
 
 // MonotoneEvidence is a monotonicity verdict with its reason chain.
 // Monotone=true is a PROOF obligation — the soundness harness checks
@@ -158,57 +113,96 @@ type MonotoneEvidence struct {
 	Blockers []string
 }
 
-// MonotoneExplainable is implemented by queries that can explain
-// their monotonicity verdict.
-type MonotoneExplainable interface {
-	Query
-
-	// MonotoneEvidence reports the monotonicity verdict with reasons.
-	// It must agree with SyntacticallyMonotone().
-	MonotoneEvidence() MonotoneEvidence
+// Summary is a query's static description: everything the transducer
+// runtime and the static analyzer need to know about it without
+// evaluating it. Each language builds it once, when the query is made
+// (fo.NewQuery, datalog.NewQuery, while.New, Compose); it is shared,
+// and callers must not modify it.
+type Summary struct {
+	// Reads lists the relations the query may read, sorted. It is the
+	// basis of the syntactic obliviousness check (a transducer is
+	// oblivious if no query mentions Id or All).
+	Reads []string
+	// Deps are the polarized read dependencies, one entry per
+	// (relation, branch) occurrence group.
+	Deps []Dep
+	// Evidence is the monotonicity verdict with its reason chain.
+	Evidence MonotoneEvidence
+	// RelBounded marks a result that depends only on the contents of
+	// the relations in Reads — not on the active domain of the rest of
+	// the evaluated instance. Such a result stays valid as long as the
+	// read relations are unchanged, however the rest of the instance
+	// grows; the incremental transducer firing keeps cached results
+	// across unrelated state changes on it.
+	RelBounded bool
+	// Delta marks EvalDelta (DeltaEvaluable) as exact for the query.
+	Delta bool
+	// Clauses are the Horn clauses of the emptiness analysis; see
+	// MayProduce.
+	Clauses []Clause
 }
 
-// ExplainMonotone returns q's monotonicity evidence, synthesizing a
-// minimal chain for queries that cannot explain themselves.
-func ExplainMonotone(q Query) MonotoneEvidence {
-	if q == nil {
-		return MonotoneEvidence{Monotone: true, Reasons: []string{"absent query defaults to the empty query"}}
-	}
-	if me, ok := q.(MonotoneExplainable); ok {
-		return me.MonotoneEvidence()
-	}
-	if q.SyntacticallyMonotone() {
-		return MonotoneEvidence{Monotone: true, Reasons: []string{"query declares syntactic monotonicity"}}
-	}
-	return MonotoneEvidence{Blockers: []string{"opaque query without a monotonicity annotation"}}
+// Clause is one Horn clause Head ← Body of the emptiness analysis:
+// Head can hold a fact only if every relation of Body does, and then
+// it may. The empty Head stands for the query's own result; other
+// heads name intermediate relations the query derives (Datalog's
+// intensional predicates). An FO branch or a Datalog rule keeps its
+// positive atoms as Body: negations and comparisons need no facts.
+type Clause struct {
+	Head string
+	Body []string
 }
 
-// EmptinessAnalyzable is implemented by queries that can prove
-// emptiness of their result under an assumption about which relations
-// can ever hold facts.
-type EmptinessAnalyzable interface {
-	Query
-
-	// PossiblyNonempty reports whether the query could produce a
-	// tuple on SOME instance whose nonempty relations all satisfy
-	// populated. False is a proof of emptiness; true is no claim.
-	PossiblyNonempty(populated func(rel string) bool) bool
+// MayProduce reports whether the query could produce a tuple on SOME
+// instance whose nonempty relations all satisfy populated. False is a
+// proof of emptiness; true is no claim. It is the least fixpoint of
+// the clauses: a relation some clause derives holds a fact once one of
+// its clauses fires, any other relation when populated accepts it.
+func (s *Summary) MayProduce(populated func(rel string) bool) bool {
+	fired := make([]bool, len(s.Clauses))
+	holds := func(rel string) bool {
+		derived := false
+		for i, c := range s.Clauses {
+			if c.Head == rel {
+				if fired[i] {
+					return true
+				}
+				derived = true
+			}
+		}
+		return !derived && populated(rel)
+	}
+	for changed := true; changed; {
+		changed = false
+		for i, c := range s.Clauses {
+			if fired[i] {
+				continue
+			}
+			ok := true
+			for _, r := range c.Body {
+				if !holds(r) {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				if c.Head == "" {
+					return true
+				}
+				fired[i], changed = true, true
+			}
+		}
+	}
+	return false
 }
 
-// MayProduce reports whether q could produce output when only the
-// relations accepted by populated may hold facts. Conservative
-// fallback: true (no emptiness claim) — note that opaque queries can
-// produce output from EMPTY reads (the emptiness test does), so
-// a reads-based fallback would be unsound.
-func MayProduce(q Query, populated func(rel string) bool) bool {
-	if q == nil {
-		return false // missing query defaults to Empty
+// Mentions reports whether the query reads any of the given relations.
+func (s *Summary) Mentions(rels ...string) bool {
+	for _, r := range rels {
+		i := sort.SearchStrings(s.Reads, r)
+		if i < len(s.Reads) && s.Reads[i] == r {
+			return true
+		}
 	}
-	if ea, ok := q.(EmptinessAnalyzable); ok {
-		return ea.PossiblyNonempty(populated)
-	}
-	if _, isEmpty := q.(Empty); isEmpty {
-		return false
-	}
-	return true
+	return false
 }

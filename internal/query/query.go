@@ -5,6 +5,13 @@
 // (first-order logic, Datalog fragments, while-programs, and arbitrary
 // Go functions standing in for a computationally complete language)
 // implements the Query interface defined here.
+//
+// A query describes itself through one immutable Summary (deps.go):
+// the relations it reads, with polarity, its monotonicity evidence,
+// rel-boundedness, delta exactness and the Horn clauses behind the
+// emptiness analysis. Each language builds the summary once, when the
+// query is made, so the transducer runtime and the static analyzer
+// read facts instead of re-deriving them.
 package query
 
 import (
@@ -21,45 +28,30 @@ type Query interface {
 	// Arity is the arity k of the query's output relation.
 	Arity() int
 
-	// Rels returns the relation names the query may read, sorted.
-	// It is the basis of the syntactic obliviousness check (a
-	// transducer is oblivious if no query mentions Id or All).
-	Rels() []string
-
 	// Eval computes the query on an instance. The result is a k-ary
 	// relation over adom(I) (safety is the implementation's duty).
 	Eval(I *fact.Instance) (*fact.Relation, error)
 
-	// SyntacticallyMonotone reports whether the query is monotone by
-	// construction (e.g. negation-free). False means "unknown", not
-	// "non-monotone".
-	SyntacticallyMonotone() bool
+	// Summary returns the query's static description. It is shared:
+	// callers must not modify it.
+	Summary() *Summary
 }
 
-// DeltaEvaluable is implemented by queries that support exact
-// semi-naive delta evaluation, the contract behind incremental
-// transducer firing (package transducer) and delta-driven fixpoints.
+// DeltaEvaluable is implemented by queries that support semi-naive
+// delta evaluation, the contract behind incremental transducer firing
+// (package transducer) and delta-driven fixpoints.
 type DeltaEvaluable interface {
 	Query
-
-	// CanDelta reports whether EvalDelta is exact for this query.
-	CanDelta() bool
 
 	// EvalDelta returns derivations that may involve at least one fact
 	// of delta, evaluated against I = full ∪ delta. full either already
 	// contains delta or holds none of delta's relations (a transducer
 	// state and its received messages, whose schemas are disjoint), so
-	// callers never need to build the union. When CanDelta holds, the
-	// result satisfies
+	// callers never need to build the union. When Summary().Delta
+	// holds, the result satisfies
 	//
 	//	Eval(I) = Eval(I \ delta) ∪ EvalDelta(full, delta).
 	EvalDelta(full, delta *fact.Instance) (*fact.Relation, error)
-}
-
-// CanDelta reports whether q supports exact delta evaluation.
-func CanDelta(q Query) bool {
-	d, ok := q.(DeltaEvaluable)
-	return ok && d.CanDelta()
 }
 
 // PlanExplainer is implemented by queries that evaluate through the
@@ -79,23 +71,7 @@ func ExplainPlan(q Query) string {
 	if e, ok := q.(PlanExplainer); ok {
 		return e.ExplainPlan()
 	}
-	return fmt.Sprintf("opaque query (no compiled plan): arity %d, reads %v\n", q.Arity(), q.Rels())
-}
-
-// RelBounded is implemented by queries whose result depends only on
-// the contents of the relations named by Rels() — not on the ambient
-// active domain of the evaluated instance. Such results stay valid as
-// long as the read relations are unchanged, no matter how the rest of
-// the instance grows; the incremental transducer firing uses this to
-// keep cached query results across unrelated state changes.
-type RelBounded interface {
-	RelBounded() bool
-}
-
-// IsRelBounded reports whether q declares rel-bounded evaluation.
-func IsRelBounded(q Query) bool {
-	b, ok := q.(RelBounded)
-	return ok && b.RelBounded()
+	return fmt.Sprintf("opaque query (no compiled plan): arity %d, reads %v\n", q.Arity(), q.Summary().Reads)
 }
 
 // Empty is the query returning the empty k-ary relation on every
@@ -103,23 +79,23 @@ func IsRelBounded(q Query) bool {
 // transducers and as the default for unspecified transducer queries.
 type Empty struct{ K int }
 
+// emptySummary describes every Empty query: it reads nothing and has
+// no clause, so it provably never produces a tuple.
+var emptySummary = &Summary{
+	Evidence:   MonotoneEvidence{Monotone: true, Reasons: []string{"query declares syntactic monotonicity"}},
+	RelBounded: true,
+}
+
 // Arity implements Query.
 func (e Empty) Arity() int { return e.K }
-
-// Rels implements Query.
-func (e Empty) Rels() []string { return nil }
 
 // Eval implements Query.
 func (e Empty) Eval(I *fact.Instance) (*fact.Relation, error) {
 	return I.Dict().NewRelation(e.K), nil
 }
 
-// SyntacticallyMonotone implements Query; the constant-empty query is
-// trivially monotone.
-func (e Empty) SyntacticallyMonotone() bool { return true }
-
-// RelBounded implements RelBounded; a constant query reads nothing.
-func (e Empty) RelBounded() bool { return true }
+// Summary implements Query.
+func (e Empty) Summary() *Summary { return emptySummary }
 
 // ExplainPlan implements PlanExplainer; there is nothing to plan.
 func (e Empty) ExplainPlan() string { return fmt.Sprintf("empty query: arity %d\n", e.K) }
@@ -155,9 +131,6 @@ func NewFunc(name string, arity int, reads []string, monotone bool, f func(*fact
 // Arity implements Query.
 func (q Func) Arity() int { return q.K }
 
-// Rels implements Query.
-func (q Func) Rels() []string { return q.Reads }
-
 // Eval implements Query.
 func (q Func) Eval(I *fact.Instance) (*fact.Relation, error) {
 	r, err := q.F(I)
@@ -170,11 +143,29 @@ func (q Func) Eval(I *fact.Instance) (*fact.Relation, error) {
 	return r, nil
 }
 
-// SyntacticallyMonotone implements Query.
-func (q Func) SyntacticallyMonotone() bool { return q.Monotone }
-
-// RelBounded implements RelBounded per the NewFunc contract.
-func (q Func) RelBounded() bool { return !q.AdomSensitive }
+// Summary implements Query. A Func is its declared fields, which stay
+// settable after NewFunc (AdomSensitive is set that way), so its
+// summary is read off them on each call: every read is positive when
+// the function is declared monotone and a guard otherwise, and, since
+// an opaque function may produce output from empty reads (the
+// emptiness test does), one empty-bodied clause claims no emptiness.
+func (q Func) Summary() *Summary {
+	s := &Summary{
+		Reads:      q.Reads,
+		Evidence:   MonotoneEvidence{Blockers: []string{"opaque query without a monotonicity annotation"}},
+		RelBounded: !q.AdomSensitive,
+		Clauses:    []Clause{{}},
+	}
+	pol := PolGuard
+	if q.Monotone {
+		pol = PolPos
+		s.Evidence = MonotoneEvidence{Monotone: true, Reasons: []string{"query declares syntactic monotonicity"}}
+	}
+	for _, r := range q.Reads {
+		s.Deps = append(s.Deps, Dep{Rel: r, Polarity: pol, Branch: -1, Where: "declared read (opaque query)"})
+	}
+	return s
+}
 
 func dedupSorted(xs []string) []string {
 	if len(xs) == 0 {
@@ -189,30 +180,4 @@ func dedupSorted(xs []string) []string {
 		}
 	}
 	return out
-}
-
-// MergeRels unions the Rels of several queries, sorted, deduplicated.
-func MergeRels(qs ...Query) []string {
-	var all []string
-	for _, q := range qs {
-		if q != nil {
-			all = append(all, q.Rels()...)
-		}
-	}
-	return dedupSorted(all)
-}
-
-// Mentions reports whether the query reads any of the given relations.
-func Mentions(q Query, rels ...string) bool {
-	if q == nil {
-		return false
-	}
-	reads := q.Rels()
-	for _, r := range rels {
-		i := sort.SearchStrings(reads, r)
-		if i < len(reads) && reads[i] == r {
-			return true
-		}
-	}
-	return false
 }

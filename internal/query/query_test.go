@@ -15,8 +15,8 @@ func TestEmptyQuery(t *testing.T) {
 	if err != nil || out.Len() != 0 || out.Arity() != 2 {
 		t.Errorf("Empty.Eval = %v, %v", out, err)
 	}
-	if !e.SyntacticallyMonotone() || e.Rels() != nil {
-		t.Error("Empty metadata wrong")
+	if s := e.Summary(); !s.Evidence.Monotone || s.Reads != nil || s.MayProduce(func(string) bool { return true }) {
+		t.Error("Empty summary wrong")
 	}
 }
 
@@ -41,8 +41,8 @@ func TestFuncErrorWrapped(t *testing.T) {
 
 func TestFuncReadsDeduplicated(t *testing.T) {
 	q := NewFunc("q", 0, []string{"b", "a", "b", "a"}, true, nil)
-	if got := q.Rels(); !reflect.DeepEqual(got, []string{"a", "b"}) {
-		t.Errorf("Rels = %v", got)
+	if got := q.Summary().Reads; !reflect.DeepEqual(got, []string{"a", "b"}) {
+		t.Errorf("Reads = %v", got)
 	}
 }
 
@@ -55,41 +55,59 @@ func relQuery(rel string, arity int) Func {
 }
 
 func TestMergeRelsAndMentions(t *testing.T) {
-	a := relQuery("R", 1)
-	b := NewFunc("union", 1, []string{"S", "T"}, true, nil)
-	got := MergeRels(a, b, nil)
-	if !reflect.DeepEqual(got, []string{"R", "S", "T"}) {
-		t.Errorf("MergeRels = %v", got)
-	}
-	if !Mentions(b, "S") || Mentions(b, "R") || Mentions(nil, "R") {
+	b := NewFunc("union", 1, []string{"S", "T"}, true, nil).Summary()
+	if !b.Mentions("S") || b.Mentions("R") || !b.Mentions("R", "T") {
 		t.Error("Mentions wrong")
 	}
 }
 
-// depQuery is a query with fixed polarized dependencies and
-// monotonicity, for the composition rules.
-type depQuery struct {
-	Func
-	deps []Dep
+// TestMayProduceFixpoint: a derived relation holds a fact only once
+// one of its clauses fires, whatever populated says about it.
+func TestMayProduceFixpoint(t *testing.T) {
+	s := &Summary{Clauses: []Clause{
+		{Body: []string{"mid"}},
+		{Head: "mid", Body: []string{"mid"}},
+		{Head: "mid", Body: []string{"src"}},
+	}}
+	if s.MayProduce(func(rel string) bool { return rel == "mid" }) {
+		t.Error("mid is derived: populated must not vouch for it")
+	}
+	if !s.MayProduce(func(rel string) bool { return rel == "src" }) {
+		t.Error("src populated: mid, then the result, may hold facts")
+	}
 }
 
-func (q depQuery) QueryDeps() []Dep { return q.deps }
+// depQuery is a query with a fixed summary, for the composition rules.
+type depQuery struct {
+	Func
+	s *Summary
+}
+
+func (q depQuery) Summary() *Summary { return q.s }
+
+// withDeps returns f with its summary's deps replaced.
+func withDeps(f Func, deps []Dep) depQuery {
+	s := *f.Summary()
+	s.Deps = deps
+	return depQuery{f, &s}
+}
 
 func TestComposeEvalAndAnalysis(t *testing.T) {
 	I := fact.FromFacts(fact.NewFact("R", "a"), fact.NewFact("S", "b"))
 	// outer reads definition D negatively and E positively; D reads R
 	// negatively and S positively, E reads R through a guard.
-	outer := depQuery{relQuery("D", 1), []Dep{
+	of := relQuery("D", 1)
+	of.Reads, of.Monotone = []string{"D", "E"}, false
+	outer := withDeps(of, []Dep{
 		{Rel: "D", Polarity: PolNeg, Branch: 0, Where: "o1"},
 		{Rel: "E", Polarity: PolPos, Branch: 1, Where: "o2"},
-	}}
-	outer.Reads, outer.Monotone = []string{"D", "E"}, false
-	d := depQuery{relQuery("S", 1), []Dep{
+	})
+	d := withDeps(relQuery("S", 1), []Dep{
 		{Rel: "R", Polarity: PolNeg, Branch: -1, Where: "d1"},
 		{Rel: "S", Polarity: PolPos, Branch: -1, Where: "d2"},
-	}}
+	})
 	e := relQuery("R", 1)
-	e.Monotone = false
+	e.Monotone, e.AdomSensitive = false, true
 	c, err := Compose(outer, map[string]Query{"D": d, "E": e})
 	if err != nil {
 		t.Fatal(err)
@@ -98,26 +116,29 @@ func TestComposeEvalAndAnalysis(t *testing.T) {
 	if err != nil || out.Len() != 1 || !out.Contains(fact.Tuple{"b"}) {
 		t.Errorf("Eval = %v, %v; want D = S = {(b)}", out, err)
 	}
-	if got := c.Rels(); !reflect.DeepEqual(got, []string{"R", "S"}) {
-		t.Errorf("Rels = %v", got)
+	if got := c.Summary().Reads; !reflect.DeepEqual(got, []string{"R", "S"}) {
+		t.Errorf("Reads = %v", got)
 	}
 	var got []string
-	for _, dep := range c.QueryDeps() {
+	for _, dep := range c.Summary().Deps {
 		got = append(got, fmt.Sprintf("%d%s", dep.Branch, dep))
 	}
 	if want := []string{"0+R", "0-S", "1?R"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("QueryDeps = %v, want %v", got, want)
+		t.Errorf("Deps = %v, want %v", got, want)
 	}
-	ev := c.MonotoneEvidence()
-	if ev.Monotone || c.SyntacticallyMonotone() || len(ev.Blockers) != 2 {
+	ev := c.Summary().Evidence
+	if ev.Monotone || len(ev.Blockers) != 2 {
 		t.Errorf("MonotoneEvidence = %+v, want two blockers (outer, E)", ev)
 	}
 	if _, err := Compose(outer, map[string]Query{"D": d}); err == nil {
 		t.Error("outer reading an undefined relation accepted")
 	}
 	mono, err := Compose(relQuery("D", 1), map[string]Query{"D": relQuery("S", 1)})
-	if err != nil || !mono.SyntacticallyMonotone() {
+	if err != nil || !mono.Summary().Evidence.Monotone {
 		t.Errorf("monotone over monotone not proved: %v", err)
+	}
+	if c.Summary().RelBounded || !mono.Summary().RelBounded {
+		t.Error("a composition is rel-bounded exactly when every definition is")
 	}
 	// A definition may build its result in the default dictionary
 	// while the instance uses its own.

@@ -1,9 +1,10 @@
 // Package sa is the static CALM analyzer: a multi-pass analysis over
-// the query ASTs and the compiled plan IR of a transducer that
-// replaces the one-bit SyntacticallyMonotone gate with per-relation
-// polarity and dependency analysis, and refines the syntactic §4
-// classification (oblivious / inflationary / monotone) with
-// provably-empty-query and per-relation evidence. Every verdict
+// the query summaries of a transducer (query.Summary, built by each
+// language from its ASTs and compiled plan IR) that replaces the
+// one-bit monotonicity gate with per-relation polarity and dependency
+// analysis, and refines the syntactic §4 classification (oblivious /
+// inflationary / monotone) with provably-empty-query and per-relation
+// evidence. Every verdict
 // carries a structured witness — relation, query, position, reason
 // chain — so a negative answer names the exact position that blocked
 // the proof.
@@ -22,15 +23,15 @@
 // # Passes
 //
 //  1. Dependency graph: every transducer query contributes polarized
-//     edges target → read (query.DepsOf, backed per language by the
-//     compiled plan IR via plan.Plan.Deps, the fo/datalog polarity
+//     edges target → read (query.Summary.Deps, built per language from
+//     the compiled plan IR via plan.Plan.Deps, the fo/datalog polarity
 //     walks, and the while-program dataflow). Deletion queries invert
 //     the polarity of their reads (growing a read can shrink memory).
 //  2. Populatable-relation fixpoint: starting from the input and
 //     system schema, a message or memory relation is populatable only
 //     if its producing query may produce output given the relations
-//     already populatable (query.MayProduce). Everything outside the
-//     fixpoint provably never holds a fact.
+//     already populatable (query.Summary.MayProduce). Everything
+//     outside the fixpoint provably never holds a fact.
 //  3. Provably-empty queries: a query whose every disjunct requires an
 //     unpopulatable relation can never produce a tuple; such queries
 //     are waived by the refined verdicts (they behave as the empty
@@ -53,6 +54,7 @@ package sa
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -163,30 +165,23 @@ type Report struct {
 	Refined calm.Class
 }
 
-// queryRefs enumerates the transducer's queries in deterministic
-// order with their polarity inversion (deletions invert).
-func queryRefs(tr *transducer.Transducer) []struct {
-	Ref    QueryRef
-	Q      query.Query
+// summarized is one query of a transducer with its summary.
+type summarized struct {
+	Ref QueryRef
+	S   *query.Summary
+	// Invert marks a deletion query, which inverts its reads.
 	Invert bool
 	Target string
-} {
-	var out []struct {
-		Ref    QueryRef
-		Q      query.Query
-		Invert bool
-		Target string
-	}
+}
+
+// queryRefs enumerates the transducer's queries in deterministic
+// order with their summaries.
+func queryRefs(tr *transducer.Transducer) []summarized {
+	var out []summarized
 	add := func(kind, rel string, q query.Query, invert bool, target string) {
-		if q == nil {
-			return
+		if q != nil {
+			out = append(out, summarized{QueryRef{kind, rel}, q.Summary(), invert, target})
 		}
-		out = append(out, struct {
-			Ref    QueryRef
-			Q      query.Query
-			Invert bool
-			Target string
-		}{QueryRef{kind, rel}, q, invert, target})
 	}
 	for _, rel := range tr.Schema.Msg.Names() {
 		add("send", rel, tr.Snd[rel], false, rel)
@@ -206,7 +201,7 @@ func Analyze(tr *transducer.Transducer) *Report {
 
 	// Pass 1: dependency graph.
 	for _, e := range qs {
-		for _, d := range query.DepsOf(e.Q) {
+		for _, d := range e.S.Deps {
 			pol := d.Polarity
 			if e.Invert {
 				pol = invert(pol)
@@ -240,15 +235,10 @@ func Analyze(tr *transducer.Transducer) *Report {
 	populatedFn := func(rel string) bool { return populated[rel] }
 	for changed := true; changed; {
 		changed = false
-		for _, rel := range tr.Schema.Msg.Names() {
-			if !populated[rel] && query.MayProduce(tr.Snd[rel], populatedFn) {
-				populated[rel] = true
-				changed = true
-			}
-		}
-		for _, rel := range tr.Schema.Mem.Names() {
-			if !populated[rel] && query.MayProduce(tr.Ins[rel], populatedFn) {
-				populated[rel] = true
+		for _, e := range qs {
+			producer := e.Ref.Kind == "send" || e.Ref.Kind == "insert"
+			if producer && !populated[e.Target] && e.S.MayProduce(populatedFn) {
+				populated[e.Target] = true
 				changed = true
 			}
 		}
@@ -261,7 +251,7 @@ func Analyze(tr *transducer.Transducer) *Report {
 	// Pass 3: provably-empty queries.
 	empty := map[QueryRef]bool{}
 	for _, e := range qs {
-		if !query.MayProduce(e.Q, populatedFn) {
+		if !e.S.MayProduce(populatedFn) {
 			empty[e.Ref] = true
 			rep.EmptyQueries = append(rep.EmptyQueries, e.Ref)
 		}
@@ -276,16 +266,15 @@ func Analyze(tr *transducer.Transducer) *Report {
 		if empty[e.Ref] {
 			continue // behaves as the empty query everywhere reachable
 		}
-		ev := query.ExplainMonotone(e.Q)
-		if !ev.Monotone {
+		if ev := e.S.Evidence; !ev.Monotone {
 			rep.Monotone.OK = false
 			rep.Monotone.Witnesses = append(rep.Monotone.Witnesses, Witness{
 				Relation: e.Target, Query: e.Ref,
 				Where:   "monotonicity not proved",
-				Reasons: ev.Blockers,
+				Reasons: slices.Clone(ev.Blockers),
 			})
 		}
-		for _, d := range query.DepsOf(e.Q) {
+		for _, d := range e.S.Deps {
 			if d.Rel == transducer.SysId {
 				usesId = true
 			}
@@ -344,12 +333,7 @@ func invert(p query.Polarity) query.Polarity {
 // then only grows as the input grows); a memory relation additionally
 // requires its deletion query provably empty (deletion-free memory
 // accumulates). Relations are demoted until the set is consistent.
-func relMonotone(tr *transducer.Transducer, qs []struct {
-	Ref    QueryRef
-	Q      query.Query
-	Invert bool
-	Target string
-}, empty map[QueryRef]bool) map[string]Verdict {
+func relMonotone(tr *transducer.Transducer, qs []summarized, empty map[QueryRef]bool) map[string]Verdict {
 	mono := map[string]Verdict{
 		transducer.SysId:  {OK: true},
 		transducer.SysAll: {OK: true},
@@ -370,18 +354,18 @@ func relMonotone(tr *transducer.Transducer, qs []struct {
 		}
 		return false
 	}
-	checkProducer := func(ref QueryRef, q query.Query, target string) bool {
-		if q == nil || empty[ref] {
+	checkProducer := func(ref QueryRef, s *query.Summary, target string) bool {
+		if empty[ref] {
 			return false // never produces: contributes nothing
 		}
-		if ev := query.ExplainMonotone(q); !ev.Monotone {
+		if ev := s.Evidence; !ev.Monotone {
 			return demote(target, Witness{
 				Relation: target, Query: ref,
 				Where:   "producing query not provably monotone",
-				Reasons: ev.Blockers,
+				Reasons: slices.Clone(ev.Blockers),
 			})
 		}
-		for _, d := range query.DepsOf(q) {
+		for _, d := range s.Deps {
 			if v, ok := mono[d.Rel]; ok && !v.OK {
 				return demote(target, Witness{
 					Relation: target, Query: ref, Where: d.Where,
@@ -397,12 +381,8 @@ func relMonotone(tr *transducer.Transducer, qs []struct {
 		changed = false
 		for _, e := range qs {
 			switch e.Ref.Kind {
-			case "send":
-				if checkProducer(e.Ref, e.Q, e.Target) {
-					changed = true
-				}
-			case "insert":
-				if checkProducer(e.Ref, e.Q, e.Target) {
+			case "send", "insert":
+				if checkProducer(e.Ref, e.S, e.Target) {
 					changed = true
 				}
 			case "delete":

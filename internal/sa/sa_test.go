@@ -154,7 +154,7 @@ func TestDeletionInvertsPolarity(t *testing.T) {
 func TestWhileIdentityAccepted(t *testing.T) {
 	p := while.MustNew("S", 1)
 	q := while.Query{P: p}
-	if !q.SyntacticallyMonotone() {
+	if !q.Summary().Evidence.Monotone {
 		t.Fatal("assignment-free while query must be monotone")
 	}
 	schema := transducer.Schema{In: fact.Schema{"S": 1}, OutArity: 1}
@@ -175,7 +175,7 @@ func TestDatalogAbsorptionAccepted(t *testing.T) {
 			Body: []datalog.Literal{datalog.Pos("b", datalog.V("X")), datalog.Neg("a", datalog.V("X"))}},
 	)
 	q := datalog.MustQuery(prog, "ans")
-	if !q.SyntacticallyMonotone() {
+	if !q.Summary().Evidence.Monotone {
 		t.Fatal("absorbed negation must be accepted as monotone")
 	}
 	schema := transducer.Schema{In: fact.Schema{"a": 1, "b": 1}, OutArity: 1}

@@ -343,7 +343,7 @@ func TestWidenedProgramsStream(t *testing.T) {
 
 	// 1. The assignment-free while query (the identity on S).
 	wq := while.Query{P: while.MustNew("S", 1)}
-	if !wq.SyntacticallyMonotone() {
+	if !wq.Summary().Evidence.Monotone {
 		t.Fatal("assignment-free while query must be statically monotone")
 	}
 	wtr, err := dist.MonotoneStreaming(fact.Schema{"S": 1}, wq)
@@ -368,7 +368,7 @@ func TestWidenedProgramsStream(t *testing.T) {
 		ans(X) :- a(X).
 		ans(X) :- b(X), !a(X).
 	`), "ans")
-	if !dq.SyntacticallyMonotone() {
+	if !dq.Summary().Evidence.Monotone {
 		t.Fatal("absorbed negation must be statically monotone")
 	}
 	dtr, err := dist.MonotoneStreaming(fact.Schema{"a": 1, "b": 1}, dq)

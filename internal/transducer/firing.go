@@ -70,16 +70,17 @@ type Firing struct {
 	sndScratch []SndResult
 }
 
-// firingQuery is one transducer query with its precomputed
-// incremental capabilities.
+// firingQuery is one transducer query with its incremental
+// capabilities, read off the query's summary.
 type firingQuery struct {
 	key   string // "snd:R", "ins:R", "del:R", "out"
 	kind  byte   // 's', 'i', 'd', 'o'
 	rel   string
 	q     query.Query
 	reads map[string]bool
-	// delta: exact semi-naive delta evaluation available.
-	delta bool
+	// delta is q when its semi-naive delta evaluation is exact, else
+	// nil.
+	delta query.DeltaEvaluable
 	// bounded: result depends only on the relations in reads.
 	bounded bool
 }
@@ -99,15 +100,16 @@ func NewFiring(t *Transducer) *Firing {
 		if q == nil {
 			return -1
 		}
+		s := q.Summary()
 		reads := map[string]bool{}
-		for _, r := range q.Rels() {
+		for _, r := range s.Reads {
 			reads[r] = true
 		}
-		f.queries = append(f.queries, firingQuery{
-			key: key, kind: kind, rel: rel, q: q, reads: reads,
-			delta:   query.CanDelta(q),
-			bounded: query.IsRelBounded(q),
-		})
+		fq := firingQuery{key: key, kind: kind, rel: rel, q: q, reads: reads, bounded: s.RelBounded}
+		if d, ok := q.(query.DeltaEvaluable); ok && s.Delta {
+			fq.delta = d
+		}
+		f.queries = append(f.queries, fq)
 		return len(f.queries) - 1
 	}
 	for _, rel := range t.Schema.Msg.Names() {
@@ -238,7 +240,7 @@ func (f *Firing) evalOne(c *evalCtx, i int) (*fact.Relation, error) {
 		// nothing else it may depend on moved.
 		return f.cachedOn(c.state, i)
 	}
-	if fq.delta {
+	if fq.delta != nil {
 		base, err := f.cachedOn(c.state, i)
 		if err != nil {
 			return nil, err
@@ -249,7 +251,7 @@ func (f *Firing) evalOne(c *evalCtx, i int) (*fact.Relation, error) {
 		if c.shadows {
 			full = c.prime()
 		}
-		d, err := fq.q.(query.DeltaEvaluable).EvalDelta(full, c.rcv)
+		d, err := fq.delta.EvalDelta(full, c.rcv)
 		if err != nil {
 			return nil, err
 		}
@@ -535,8 +537,8 @@ func (f *Firing) Step(state, rcv *fact.Instance) (Effect, bool, error) {
 		case !touched && (fq.bounded || addedWithin):
 			// reads untouched relations only, and nothing else the
 			// query may depend on moved: still exact
-		case !removedAny && fq.delta:
-			d, err := fq.q.(query.DeltaEvaluable).EvalDelta(eff.State, added)
+		case !removedAny && fq.delta != nil:
+			d, err := fq.delta.EvalDelta(eff.State, added)
 			if err != nil {
 				return Effect{}, false, fmt.Errorf("transducer %s: advance %s: %w", f.T.Name, fq.key, err)
 			}

@@ -17,6 +17,7 @@ package transducer
 
 import (
 	"fmt"
+	"slices"
 
 	"declnet/internal/fact"
 	"declnet/internal/query"
@@ -119,7 +120,7 @@ func New(name string, schema Schema, snd, ins, del map[string]query.Query, out q
 		if q.Arity() != wantArity {
 			return fmt.Errorf("transducer %s: %s query for %s has arity %d, want %d", name, kind, rel, q.Arity(), wantArity)
 		}
-		for _, r := range q.Rels() {
+		for _, r := range q.Summary().Reads {
 			if !combined.Has(r) {
 				return fmt.Errorf("transducer %s: %s query for %s reads %s outside combined schema %s", name, kind, rel, r, combined)
 			}
@@ -266,7 +267,7 @@ func (t *Transducer) queries() []query.Query {
 		qs = append(qs, q)
 	}
 	qs = append(qs, t.Out)
-	return qs
+	return slices.DeleteFunc(qs, func(q query.Query) bool { return q == nil })
 }
 
 // Oblivious reports whether the transducer never reads the system
@@ -275,7 +276,7 @@ func (t *Transducer) queries() []query.Query {
 // are coordination-free.
 func (t *Transducer) Oblivious() bool {
 	for _, q := range t.queries() {
-		if query.Mentions(q, SysId, SysAll) {
+		if q.Summary().Mentions(SysId, SysAll) {
 			return false
 		}
 	}
@@ -285,7 +286,7 @@ func (t *Transducer) Oblivious() bool {
 // UsesId reports whether some query reads the Id relation.
 func (t *Transducer) UsesId() bool {
 	for _, q := range t.queries() {
-		if query.Mentions(q, SysId) {
+		if q.Summary().Mentions(SysId) {
 			return true
 		}
 	}
@@ -295,7 +296,7 @@ func (t *Transducer) UsesId() bool {
 // UsesAll reports whether some query reads the All relation.
 func (t *Transducer) UsesAll() bool {
 	for _, q := range t.queries() {
-		if query.Mentions(q, SysAll) {
+		if q.Summary().Mentions(SysAll) {
 			return true
 		}
 	}
@@ -303,13 +304,12 @@ func (t *Transducer) UsesAll() bool {
 }
 
 // Inflationary reports whether the transducer performs no deletions:
-// every deletion query is (syntactically) the empty query.
+// every deletion query is syntactically empty — its summary has no
+// emptiness clause, as for the empty query or an FO query whose body
+// is false.
 func (t *Transducer) Inflationary() bool {
 	for _, q := range t.Del {
-		if q == nil {
-			continue
-		}
-		if _, empty := q.(query.Empty); !empty {
+		if q != nil && len(q.Summary().Clauses) > 0 {
 			return false
 		}
 	}
@@ -320,7 +320,7 @@ func (t *Transducer) Inflationary() bool {
 // syntactically monotone.
 func (t *Transducer) Monotone() bool {
 	for _, q := range t.queries() {
-		if q != nil && !q.SyntacticallyMonotone() {
+		if !q.Summary().Evidence.Monotone {
 			return false
 		}
 	}

@@ -125,15 +125,15 @@ func monoFlags(stmts []Stmt, flags map[string]relFlag) {
 }
 
 func assignFlag(st Assign, flags map[string]relFlag) relFlag {
-	ev := query.ExplainMonotone(st.Q)
-	if !ev.Monotone {
+	sum := st.Q.Summary()
+	if ev := sum.Evidence; !ev.Monotone {
 		why := "opaque query"
 		if len(ev.Blockers) > 0 {
 			why = ev.Blockers[0]
 		}
 		return relFlag{reason: fmt.Sprintf("assignment %s := ... uses a non-monotone query: %s", st.Rel, why)}
 	}
-	for _, r := range st.Q.Rels() {
+	for _, r := range sum.Reads {
 		if f := flagOf(flags, r); !f.mono {
 			return relFlag{reason: fmt.Sprintf(
 				"assignment %s := ... reads %s, which is not provably monotone: %s", st.Rel, r, f.reason)}
@@ -172,7 +172,7 @@ func loopPreserves(w While, flags map[string]relFlag) (bool, string) {
 			return false, fmt.Sprintf("body assignment to %s is not effectively positive: %s",
 				st.Rel, ev.Blockers[0])
 		}
-		for _, r := range q.Rels() {
+		for _, r := range q.Summary().Reads {
 			if f := flagOf(flags, r); !f.mono {
 				return false, fmt.Sprintf("body assignment to %s reads %s: %s", st.Rel, r, f.reason)
 			}
@@ -180,23 +180,6 @@ func loopPreserves(w While, flags map[string]relFlag) (bool, string) {
 	}
 	return true, ""
 }
-
-// MonotoneEvidence implements query.MonotoneExplainable: the verdict
-// of the per-relation dataflow on the output relation.
-func (q Query) MonotoneEvidence() query.MonotoneEvidence {
-	flags := map[string]relFlag{}
-	monoFlags(q.P.Stmts, flags)
-	out := flagOf(flags, q.P.Out)
-	if out.mono {
-		return query.MonotoneEvidence{Monotone: true, Reasons: []string{
-			"output relation " + q.P.Out + " is a monotone function of the input: " + out.reason}}
-	}
-	return query.MonotoneEvidence{Blockers: []string{out.reason}}
-}
-
-// SyntacticallyMonotone implements query.Query via the dataflow
-// analysis; see MonotoneEvidence.
-func (q Query) SyntacticallyMonotone() bool { return q.MonotoneEvidence().Monotone }
 
 // inputReads collects the relations whose INPUT value the block may
 // read: reads occurring before definite assignment. Loop bodies are
@@ -207,7 +190,7 @@ func inputReads(stmts []Stmt, assigned map[string]bool, reads map[string]string)
 	for _, s := range stmts {
 		switch st := s.(type) {
 		case Assign:
-			for _, r := range st.Q.Rels() {
+			for _, r := range st.Q.Summary().Reads {
 				if !assigned[r] {
 					if _, ok := reads[r]; !ok {
 						reads[r] = "read by assignment " + st.String()
@@ -232,54 +215,47 @@ func inputReads(stmts []Stmt, assigned map[string]bool, reads map[string]string)
 	}
 }
 
-// inputRels returns the input relations the program depends on (sorted)
-// with witness locations: relations read before definite assignment,
-// plus the output relation when it is not definitely assigned (the
-// program then outputs its input value).
-func (q Query) inputRels() map[string]string {
+// summarize builds the expressed query's summary:
+//   - the reads are the input relations the query depends on, with
+//     witness locations: relations read before definite assignment,
+//     plus the output relation when it is not definitely assigned
+//     (the program then outputs its input value). Program variables
+//     definitely assigned before being read are not reads — the
+//     identity program on Out reads exactly {Out};
+//   - the monotonicity evidence is the per-relation dataflow's verdict
+//     on the output relation;
+//   - every read is positive when the whole program is provably
+//     monotone (monotone in the input implies monotone in each read
+//     relation), a guard otherwise (assignment can invert or erase any
+//     dependency);
+//   - one empty-bodied clause: no emptiness is claimed.
+func (p *Program) summarize() *query.Summary {
 	assigned := map[string]bool{}
 	reads := map[string]string{}
-	inputReads(q.P.Stmts, assigned, reads)
-	if !assigned[q.P.Out] {
-		if _, ok := reads[q.P.Out]; !ok {
-			reads[q.P.Out] = "output relation, never definitely assigned"
+	inputReads(p.Stmts, assigned, reads)
+	if !assigned[p.Out] {
+		if _, ok := reads[p.Out]; !ok {
+			reads[p.Out] = "output relation, never definitely assigned"
 		}
 	}
-	return reads
-}
-
-// Rels implements query.Query: the input relations the expressed query
-// depends on. Unlike the pre-analysis version this excludes program
-// variables that are definitely assigned before being read — the
-// identity program on Out reports exactly {Out}.
-func (q Query) Rels() []string {
-	reads := q.inputRels()
-	out := make([]string, 0, len(reads))
+	s := &query.Summary{Clauses: []query.Clause{{}}}
 	for r := range reads {
-		out = append(out, r)
+		s.Reads = append(s.Reads, r)
 	}
-	sort.Strings(out)
-	return out
-}
+	sort.Strings(s.Reads)
 
-// QueryDeps implements query.DepAnalyzable: every input read, positive
-// when the whole program is provably monotone (monotone in the input
-// implies monotone in each read relation), guard-polarity otherwise
-// (assignment can invert or erase any dependency).
-func (q Query) QueryDeps() []query.Dep {
+	flags := map[string]relFlag{}
+	monoFlags(p.Stmts, flags)
 	pol := query.PolGuard
-	if q.MonotoneEvidence().Monotone {
+	if out := flagOf(flags, p.Out); out.mono {
 		pol = query.PolPos
+		s.Evidence = query.MonotoneEvidence{Monotone: true, Reasons: []string{
+			"output relation " + p.Out + " is a monotone function of the input: " + out.reason}}
+	} else {
+		s.Evidence = query.MonotoneEvidence{Blockers: []string{out.reason}}
 	}
-	reads := q.inputRels()
-	rels := make([]string, 0, len(reads))
-	for r := range reads {
-		rels = append(rels, r)
+	for _, r := range s.Reads {
+		s.Deps = append(s.Deps, query.Dep{Rel: r, Polarity: pol, Branch: -1, Where: reads[r]})
 	}
-	sort.Strings(rels)
-	deps := make([]query.Dep, 0, len(rels))
-	for _, r := range rels {
-		deps = append(deps, query.Dep{Rel: r, Polarity: pol, Branch: -1, Where: reads[r]})
-	}
-	return deps
+	return s
 }

@@ -14,10 +14,10 @@ import (
 // Out itself.
 func TestAssignmentFreeIsMonotone(t *testing.T) {
 	q := Query{P: MustNew("S", 1)}
-	if !q.SyntacticallyMonotone() {
+	if !q.Summary().Evidence.Monotone {
 		t.Fatal("assignment-free program must be monotone (identity query)")
 	}
-	if rels := q.Rels(); len(rels) != 1 || rels[0] != "S" {
+	if rels := q.Summary().Reads; len(rels) != 1 || rels[0] != "S" {
 		t.Fatalf("Rels = %v, want [S]", rels)
 	}
 	// And it really is the identity.
@@ -37,10 +37,10 @@ func TestStraightLineMonotone(t *testing.T) {
 		Assign{Rel: "Ans", Q: fo.MustQuery("a", []string{"x"}, fo.AtomF("Mid", "x"))},
 	)
 	q := Query{P: p}
-	if !q.SyntacticallyMonotone() {
-		t.Fatalf("straight-line monotone composition rejected: %+v", q.MonotoneEvidence().Blockers)
+	if !q.Summary().Evidence.Monotone {
+		t.Fatalf("straight-line monotone composition rejected: %+v", q.Summary().Evidence.Blockers)
 	}
-	if rels := q.Rels(); len(rels) != 1 || rels[0] != "E" {
+	if rels := q.Summary().Reads; len(rels) != 1 || rels[0] != "E" {
 		t.Fatalf("Rels = %v, want [E] (Mid and Ans are program variables)", rels)
 	}
 }
@@ -53,7 +53,7 @@ func TestNonMonotoneAssignmentDemotes(t *testing.T) {
 			fo.AndF(fo.AtomF("E", "x"), fo.NotF(fo.AtomF("F", "x"))))},
 	)
 	q := Query{P: p}
-	ev := q.MonotoneEvidence()
+	ev := q.Summary().Evidence
 	if ev.Monotone {
 		t.Fatal("negation must block the proof")
 	}
@@ -78,8 +78,8 @@ func TestInflationaryLoopAccepted(t *testing.T) {
 		},
 	)
 	q := Query{P: p}
-	if !q.SyntacticallyMonotone() {
-		t.Fatalf("inflationary loop rejected: %+v", q.MonotoneEvidence().Blockers)
+	if !q.Summary().Evidence.Monotone {
+		t.Fatalf("inflationary loop rejected: %+v", q.Summary().Evidence.Blockers)
 	}
 }
 
@@ -89,7 +89,7 @@ func TestInflationaryLoopAccepted(t *testing.T) {
 // pre-analyzer behaviour of the adapter.
 func TestTransitiveClosureStaysUnknown(t *testing.T) {
 	q := Query{P: tcProgram(t)}
-	if q.SyntacticallyMonotone() {
+	if q.Summary().Evidence.Monotone {
 		t.Fatal("TC's difference-taking loop must stay unproved")
 	}
 }
@@ -108,7 +108,7 @@ func TestRelsLoopSemantics(t *testing.T) {
 		},
 	)
 	q := Query{P: p}
-	rels := q.Rels()
+	rels := q.Summary().Reads
 	sort.Strings(rels)
 	// C (condition), B (read before assignment in the first
 	// iteration), Out (never definitely assigned). A is assigned
@@ -128,13 +128,13 @@ func TestRelsLoopSemantics(t *testing.T) {
 // program → guard deps.
 func TestQueryDepsPolarity(t *testing.T) {
 	mono := Query{P: MustNew("S", 1)}
-	for _, d := range mono.QueryDeps() {
+	for _, d := range mono.Summary().Deps {
 		if d.Polarity != query.PolPos {
 			t.Errorf("monotone program dep %s: polarity %s, want +", d.Rel, d.Polarity)
 		}
 	}
 	tc := Query{P: tcProgram(t)}
-	for _, d := range tc.QueryDeps() {
+	for _, d := range tc.Summary().Deps {
 		if d.Polarity != query.PolGuard {
 			t.Errorf("unproved program dep %s: polarity %s, want ?", d.Rel, d.Polarity)
 		}

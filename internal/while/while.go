@@ -66,11 +66,14 @@ type Program struct {
 	Out string
 	// OutArity is the arity of the output relation.
 	OutArity int
+
+	// summary is the expressed query's summary, built by New.
+	summary *query.Summary
 }
 
 // New builds a program; the condition of every while-loop must be a
 // sentence (no free variables), and is compiled here, once, as a
-// 0-ary query.
+// 0-ary query. The expressed query's summary is built here too.
 func New(out string, outArity int, stmts ...Stmt) (*Program, error) {
 	var compile func([]Stmt) ([]Stmt, error)
 	compile = func(ss []Stmt) ([]Stmt, error) {
@@ -97,7 +100,9 @@ func New(out string, outArity int, stmts ...Stmt) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Program{Stmts: compiled, Out: out, OutArity: outArity}, nil
+	p := &Program{Stmts: compiled, Out: out, OutArity: outArity}
+	p.summary = p.summarize()
+	return p, nil
 }
 
 // MustNew is New panicking on error.
@@ -171,6 +176,15 @@ type Query struct{ P *Program }
 
 // Arity implements query.Query.
 func (q Query) Arity() int { return q.P.OutArity }
+
+// Summary implements query.Query (monotone.go). A program New did not
+// build is summarized on each call.
+func (q Query) Summary() *query.Summary {
+	if q.P.summary == nil {
+		return q.P.summarize()
+	}
+	return q.P.summary
+}
 
 // Eval implements query.Query.
 func (q Query) Eval(I *fact.Instance) (*fact.Relation, error) {

@@ -70,7 +70,7 @@ func TestQueryAdapter(t *testing.T) {
 	if out.Len() != 4 {
 		t.Errorf("out = %v", out)
 	}
-	rels := q.Rels()
+	rels := q.Summary().Reads
 	found := false
 	for _, r := range rels {
 		if r == "E" {
@@ -80,7 +80,7 @@ func TestQueryAdapter(t *testing.T) {
 	if !found {
 		t.Errorf("Rels = %v, want E included", rels)
 	}
-	if q.SyntacticallyMonotone() {
+	if q.Summary().Evidence.Monotone {
 		t.Error("while query should not claim syntactic monotonicity")
 	}
 }
