@@ -77,19 +77,32 @@ func Intern(v Value) uint32 { return fact.Intern(v) }
 func InternedValues() int { return fact.InternedValues() }
 
 // Query is a k-ary database query over some schema — the abstract
-// local language L the transducer model is parameterized by. The
-// declnet/fo, declnet/datalog and declnet/while packages provide
-// concrete query languages; Func wraps any Go function as a query
-// (the computationally complete language of Theorem 6(1)).
+// local language L the transducer model is parameterized by: Arity,
+// Eval and Summary, the query's static description (reads with
+// polarity, monotonicity evidence, rel-boundedness, delta exactness,
+// emptiness clauses) that transducers and the static analyzer read.
+// The declnet/fo, declnet/datalog and declnet/while packages provide
+// concrete query languages, which build the summary once, when the
+// query is made; Func wraps any Go function as a query (the
+// computationally complete language of Theorem 6(1)).
 type Query = query.Query
 
+// QuerySummary is a query's static description; see Query. A query
+// type of one's own can return the summary of a Func declaring the
+// same reads and monotonicity.
+type QuerySummary = query.Summary
+
 // Func is a query implemented by an arbitrary Go function, with
-// trusted relation-read and monotonicity annotations.
+// trusted relation-read and monotonicity annotations. Its Summary is
+// built from those annotations: every read positive when the query is
+// declared monotone and of unknown polarity otherwise, rel-bounded
+// unless AdomSensitive is set, and no emptiness claim.
 type Func = query.Func
 
 // NewFunc wraps f as a query named name of the given arity. reads
 // lists the relations f consults; monotone annotates whether the
-// query is monotone by construction.
+// query is monotone by construction. Both make up the query's
+// Summary.
 func NewFunc(name string, arity int, reads []string, monotone bool, f func(*Instance) (*Relation, error)) Func {
 	return query.NewFunc(name, arity, reads, monotone, f)
 }

@@ -51,9 +51,13 @@
 // against the semantic sweeps by the soundness harness in
 // internal/sa.
 //
-// The library's own constructions are written in FO (Corollary 8's
-// parity query, which FO cannot express, is the one Go function), so
-// the analyzer reads their source rather than annotations.
+// The analyzer reads each query's Summary: the reads with polarity,
+// the monotonicity evidence, rel-boundedness, delta exactness and the
+// Horn clauses of the emptiness analysis, built once by the query's
+// language when the query is made. The library's own constructions
+// are written in FO (Corollary 8's parity query, which FO cannot
+// express, is the one Go function), so the analyzer reads their source
+// rather than annotations.
 //
 // Custom transducers are assembled with the Builder; any of the
 // substrate languages (or a plain Go function via NewFunc) serves as
@@ -228,7 +232,7 @@
 // cmd/calmcheck, cmd/calmlint, cmd/repolint, cmd/dedalusrun) and five
 // runnable examples (examples/) exercise the public surface; the
 // benchmark suite in bench_test.go regenerates the experiment index
-// E1-E21 against the paper's claims (BENCHMARKS.md has the index;
+// against the paper's claims (BENCHMARKS.md has the index;
 // cmd/benchjson records each experiment in a BENCH_<name>.json
 // artifact: kernel for the whole suite, scenarios, plan, static,
 // columnar, scale and intern for E16-E21).

@@ -43,7 +43,8 @@ func NewQuery(name string, head []string, body Formula) (*Query, error) {
 	return q, nil
 }
 
-// compileQuery is NewQuery without the summary, for inner queries.
+// compileQuery is NewQuery without the summary, for inner queries and
+// one-off sentences.
 func compileQuery(name string, head []string, body Formula) (*Query, error) {
 	hv := make([]Var, len(head))
 	seen := make(map[Var]bool, len(head))
@@ -113,7 +114,7 @@ func Holds(f Formula, I *fact.Instance) (bool, error) {
 	if fv := FreeVars(f); len(fv) != 0 {
 		return false, fmt.Errorf("fo: Holds on open formula (free: %v)", fv)
 	}
-	q, err := NewQuery("holds", nil, f)
+	q, err := compileQuery("holds", nil, f)
 	if err != nil {
 		return false, err
 	}
