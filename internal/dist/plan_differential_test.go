@@ -105,9 +105,12 @@ func checkDeltaPins(t *testing.T, key string, q query.Query, state *fact.Instanc
 		if err != nil {
 			t.Fatalf("%s: eval(old): %v", key, err)
 		}
-		dr, err := d.EvalDelta(state, delta)
+		dr, err := d.EvalDelta(state, delta, base)
 		if err != nil {
 			t.Fatalf("%s: evalDelta: %v", key, err)
+		}
+		if dr != nil && !dr.Intersect(base).Empty() {
+			t.Fatalf("%s: split %q: EvalDelta returned tuples of the held result: %v", key, target, dr.Intersect(base))
 		}
 		got := base.Clone()
 		got.UnionWith(dr)

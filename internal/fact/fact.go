@@ -142,14 +142,25 @@ func (f Fact) String() string { return f.Rel + f.Args.String() }
 // slab, and the stored tuples in the same row order.
 //
 // The tuples are a lazily decoded copy of the slab. Rows added with a
-// tuple (Add, UnionWith) keep it, as long as every earlier row is
-// decoded. The batch sink (Batch.ProjectInto into a Relation or a
+// tuple (Add, UnionWith, Extend) keep it, as long as every earlier row
+// is decoded. The batch sink (Batch.ProjectInto into a Relation or a
 // Delta.Sink), Delta.Commit and Rekey append keys only, and the first
 // read that hands out tuples decodes every pending row in one slab:
-// Each, Tuples, Lookup, String, Remove, Seal, Minus and Intersect (of
-// the receiver) and UnionWith (of its argument). Len, Empty, Contains,
-// SubsetOf, Equal, Clone, Rekey and the batch executor read the slab
-// alone and never decode.
+// Each, Tuples, Lookup, LookupEach, String, Remove, Seal, Minus and
+// Intersect (of the receiver) and UnionWith (of its argument). Len,
+// Empty, Contains, SubsetOf, Equal, Clone, Extend, Rekey and the batch
+// executor read the slab alone and never decode.
+//
+// Relations built by Extend are versions: a chain of them shares one
+// store (key slab, decoded rows, hash table, column indexes), and each
+// version is a prefix of the next. Only the newest version, the tip,
+// grows the store in place; every older version stays a valid,
+// unchanged view of its prefix, and mutating it (Add, UnionWith,
+// Remove, the batch sink) first copies its rows into a store of its
+// own. One goroutine at a time may read and grow the versions of one
+// chain: a read of any version may extend the shared column indexes or
+// decode into the shared rows, and the tip's growth writes the shared
+// table.
 //
 // The zero value is not usable; construct with NewRelation
 // (process-default dictionary) or Dict.NewRelation. Like the rest of
@@ -159,9 +170,10 @@ func (f Fact) String() string { return f.Rel + f.Args.String() }
 // shared safely across goroutines.
 type Relation struct {
 	// dict is the interning dictionary the relation's packed keys are
-	// encoded in. Every derived relation (Clone, Minus, Intersect,
-	// ApplyPermutationRel) inherits it; set operations across different
-	// dictionaries are checked errors (see mustShareDict).
+	// encoded in. Every derived relation (Clone, Extend, Minus,
+	// Intersect, ApplyPermutationRel) inherits it; set operations
+	// across different dictionaries are checked errors (see
+	// mustShareDict).
 	dict  *Dict
 	arity int
 
@@ -169,6 +181,8 @@ type Relation struct {
 	// 4*arity bytes at keys[4*arity*i:]. It holds every row, so the
 	// row count is its length over the key width. Rows keep insertion
 	// order, except that Remove moves the last row into the freed one.
+	// Versions of one store share its backing array; each sees its
+	// own prefix.
 	keys []byte
 
 	// rows is the decoded prefix of the slab: rows[i] is row i's
@@ -178,26 +192,51 @@ type Relation struct {
 	// decoded.
 	rows []Tuple
 
-	// table, when non-nil, is a linear-probing hash table over the
-	// slab: a slot holds row+1, 0 marks it empty, and its power-of-two
-	// length is at least twice the row count. It is nil while the
-	// relation has at most linearMax rows, which probes scan instead.
-	table []int32
-
-	// idx[c], when non-nil, maps the interned ID of a value to the
-	// stored tuples whose column c holds that value. Indexes are built
-	// lazily by Lookup, maintained by Add and UnionWith, and dropped by
-	// Remove.
-	idx []map[uint32][]Tuple
+	// st holds what the versions of one store share: the hash table,
+	// the column indexes and the tip's row count. It is nil while the
+	// relation has neither table nor index and no other version.
+	st *store
 
 	// cview, when non-nil, is the columnar decoding of the relation
 	// (per-column ID vectors with sorted runs and row indexes; see
 	// column.go). Built lazily by the batch executor, maintained by
-	// addKeyed, dropped by Remove.
+	// addKeyed, dropped by Remove. Each version builds its own.
 	cview *colview
 
 	// sorted memoizes Tuples(); mutations reset it.
 	sorted []Tuple
+}
+
+// store is the part of a relation its versions share (see Extend).
+// Every entry is a row number; a version with n rows ignores table
+// entries and index rows at or past n, so the tip appends without
+// disturbing older versions.
+type store struct {
+	// table, when non-nil, is a linear-probing hash table over the
+	// slab: a slot holds row+1, 0 marks it empty, and its power-of-two
+	// length is at least twice the tip's row count. It is nil while
+	// the tip has at most linearMax rows, which probes scan instead.
+	table []int32
+
+	// idx[c] is the row index of column c, built by Lookup on first
+	// use and extended over rows appended since; Remove drops them.
+	idx []colIndex
+
+	// n is the row count of the tip: the one version that may grow
+	// the store in place.
+	n int
+
+	// versioned marks a store made by Extend, which later Extends of
+	// its tip grow in place; sealed, one whose relation was sealed,
+	// which only copies grow.
+	versioned, sealed bool
+}
+
+// colIndex maps the interned ID of a value to the rows whose column
+// holds it, ascending; n is the row count it covers.
+type colIndex struct {
+	m map[uint32][]int32
+	n int
 }
 
 // linearMax is the row count up to which a relation keeps no hash
@@ -255,7 +294,10 @@ func (r *Relation) materialize() {
 	}
 }
 
-// decode is materialize's decoding step.
+// decode is materialize's decoding step. An older version may decode
+// into the rows backing array it shares with newer ones: it writes
+// only rows of its own prefix, which every version of the store holds
+// alike.
 func (r *Relation) decode() {
 	from, n, w := len(r.rows), r.Len(), r.arity
 	slab := make([]Value, (n-from)*w)
@@ -296,14 +338,33 @@ func hashKey(k []byte) uint64 {
 // two keeping the load at or under one half.
 func tableSize(n int) int { return 1 << bits.Len(uint(2*n-1)) }
 
+// store returns the relation's shared store, creating a private one
+// for a relation that has none yet.
+func (r *Relation) store() *store {
+	if r.st == nil {
+		r.st = &store{n: r.Len()}
+	}
+	return r.st
+}
+
+// table returns the shared hash table, nil when there is none.
+func (r *Relation) table() []int32 {
+	if r.st == nil {
+		return nil
+	}
+	return r.st.table
+}
+
 // find returns the row whose packed key is k, or -1 if k is absent (a
-// key of another arity's width included).
+// key of another arity's width included). Table entries past the
+// relation's own rows belong to newer versions and are skipped.
 func (r *Relation) find(k []byte) int {
 	kw := 4 * r.arity
 	if len(k) != kw {
 		return -1
 	}
-	if r.table == nil {
+	table := r.table()
+	if table == nil {
 		if kw == 0 {
 			return len(r.rows) - 1 // the empty tuple's row, or -1
 		}
@@ -314,13 +375,14 @@ func (r *Relation) find(k []byte) int {
 		}
 		return -1
 	}
-	mask := len(r.table) - 1
+	n := int32(len(r.keys) / kw)
+	mask := len(table) - 1
 	for s := int(hashKey(k)) & mask; ; s = (s + 1) & mask {
-		e := r.table[s]
+		e := table[s]
 		if e == 0 {
 			return -1
 		}
-		if string(r.key(int(e-1))) == string(k) {
+		if e <= n && string(r.key(int(e-1))) == string(k) {
 			return int(e - 1)
 		}
 	}
@@ -328,9 +390,10 @@ func (r *Relation) find(k []byte) int {
 
 // slotOf returns the table slot holding row i.
 func (r *Relation) slotOf(i int) int {
-	mask := len(r.table) - 1
+	table := r.st.table
+	mask := len(table) - 1
 	s := int(hashKey(r.key(i))) & mask
-	for int(r.table[s]) != i+1 {
+	for int(table[s]) != i+1 {
 		s = (s + 1) & mask
 	}
 	return s
@@ -340,11 +403,11 @@ func (r *Relation) slotOf(i int) int {
 // absent before — into the hash table, building the table once the
 // relation outgrows linearMax and doubling it past half load.
 func (r *Relation) placeFrom(from int) {
-	n := r.Len()
+	n, table := r.Len(), r.table()
 	switch {
-	case r.table != nil && 2*n <= len(r.table):
-	case r.table != nil || n > linearMax:
-		r.table = make([]int32, tableSize(n))
+	case table != nil && 2*n <= len(table):
+	case table != nil || n > linearMax:
+		r.store().table = make([]int32, tableSize(n))
 		from = 0
 	default:
 		return
@@ -354,13 +417,14 @@ func (r *Relation) placeFrom(from int) {
 
 // place enters rows [from, to) into the hash table, which has room.
 func (r *Relation) place(from, to int) {
-	mask := len(r.table) - 1
+	table := r.st.table
+	mask := len(table) - 1
 	for i := from; i < to; i++ {
 		s := int(hashKey(r.key(i))) & mask
-		for r.table[s] != 0 {
+		for table[s] != 0 {
 			s = (s + 1) & mask
 		}
-		r.table[s] = int32(i + 1)
+		table[s] = int32(i + 1)
 	}
 }
 
@@ -369,68 +433,111 @@ func (r *Relation) place(from, to int) {
 // slot lies between the hole and the entry, so probe sequences never
 // cross an empty slot and no tombstones are needed.
 func (r *Relation) unplace(i int) {
-	mask := len(r.table) - 1
+	table := r.st.table
+	mask := len(table) - 1
 	hole := r.slotOf(i)
-	for j := (hole + 1) & mask; r.table[j] != 0; j = (j + 1) & mask {
-		home := int(hashKey(r.key(int(r.table[j]-1)))) & mask
+	for j := (hole + 1) & mask; table[j] != 0; j = (j + 1) & mask {
+		home := int(hashKey(r.key(int(table[j]-1)))) & mask
 		if (j-home)&mask >= (j-hole)&mask {
-			r.table[hole] = r.table[j]
+			table[hole] = table[j]
 			hole = j
 		}
 	}
-	r.table[hole] = 0
+	table[hole] = 0
+}
+
+// mutable readies r for appending in place. The tip of a store (and
+// any relation with a store of its own) appends in place; an older
+// version, or any version of a sealed shared store, first copies its
+// rows into a private store.
+func (r *Relation) mutable() {
+	if st := r.st; st != nil && (r.Len() != st.n || st.versioned && st.sealed) {
+		r.detach()
+	}
+}
+
+// detach moves r onto a private copy of its rows. The columnar view
+// and the sorted memo describe the same rows and stay.
+func (r *Relation) detach() {
+	c := r.Clone()
+	r.keys, r.rows, r.st = c.keys, c.rows, c.st
+}
+
+// Clone returns a copy of the relation over the same dictionary, in a
+// store of its own: one copy each of the key slab, the decoded rows and
+// the hash table, made eagerly, so clones of one relation may be
+// handed to different goroutines. The copies have room for a quarter
+// more rows: a copy is mostly made to grow (the first Extend of a
+// chain, a cached result plus a few new facts), and the slack spares
+// that growth a second copy. An older version's hash table, which also
+// holds newer rows, is rebuilt over the version's own rows. Clone
+// decodes nothing: rows still pending decode stay pending in the copy.
+// Stored tuples are shared: they are immutable by convention (Add
+// stores a private copy and no accessor exposes them for writing).
+// Column indexes are not copied.
+func (r *Relation) Clone() *Relation {
+	n := r.Len() + r.Len()/4 + 1
+	c := &Relation{
+		dict:  r.dict,
+		arity: r.arity,
+		keys:  append(make([]byte, 0, 4*r.arity*n), r.keys...),
+	}
+	if len(r.rows) > 0 {
+		c.rows = append(make([]Tuple, 0, n), r.rows...)
+	}
+	if st := r.st; st != nil && st.table != nil {
+		if r.Len() == st.n {
+			c.store().table = slices.Clone(st.table)
+		} else {
+			c.placeFrom(0)
+		}
+	}
+	return c
 }
 
 // addKeyed appends a tuple absent from the relation under its packed
-// key. k is copied into the slab; t is stored as is when every earlier
-// row is decoded, and is otherwise left for materialize to decode with
-// them.
+// key; the caller has made r mutable. k is copied into the slab; t is
+// stored as is when every earlier row is decoded, and is otherwise
+// left for materialize to decode with them. A nil t appends the key
+// only.
 func (r *Relation) addKeyed(k []byte, t Tuple) {
-	if r.decoded() {
+	if r.decoded() && (t != nil || r.arity == 0) {
 		r.rows = append(r.rows, t)
 	}
 	r.keys = append(r.keys, k...)
 	r.appended(r.Len() - 1)
 }
 
-// appended maintains the hash table, the sorted memo and any built
-// indexes and columnar view after rows [from, Len) were appended.
+// appended maintains the hash table, the sorted memo, the columnar
+// view and the tip count after rows [from, Len) were appended.
 func (r *Relation) appended(from int) {
 	r.placeFrom(from)
 	r.extended(from)
 }
 
-// extended maintains the sorted memo and any built indexes and
-// columnar view after rows [from, Len) were appended and placed in the
-// hash table. The tuple indexes hold decoded rows, so a relation with
-// one built decodes the appended rows here.
+// extended maintains the sorted memo, any built columnar view and the
+// tip count after rows [from, Len) were appended and placed in the
+// hash table. Column indexes catch up on their next Lookup.
 func (r *Relation) extended(from int) {
 	r.sorted = nil
-	n := r.Len()
-	for c, m := range r.idx {
-		if m != nil {
-			r.materialize()
-			for i := from; i < n; i++ {
-				id := r.rowID(i, c)
-				m[id] = append(m[id], r.rows[i])
-			}
-		}
-	}
 	if r.cview != nil {
-		for i := from; i < n; i++ {
+		for i, n := from, r.Len(); i < n; i++ {
 			r.cview.appendRow(r.key(i))
 		}
+	}
+	if r.st != nil {
+		r.st.n = r.Len()
 	}
 }
 
 // reserve readies r for up to n more rows appended key-only: the key
 // slab grows once, and the hash table is sized once for Len+n rows, so
 // the appends neither regrow the slab nor rebuild the table at every
-// doubling.
+// doubling. The caller has made r mutable.
 func (r *Relation) reserve(n int) {
 	r.keys = slices.Grow(r.keys, 4*r.arity*n)
-	if total := r.Len() + n; total > linearMax && (r.table == nil || 2*total > len(r.table)) {
-		r.table = make([]int32, tableSize(total))
+	if total, table := r.Len()+n, r.table(); total > linearMax && (table == nil || 2*total > len(table)) {
+		r.store().table = make([]int32, tableSize(total))
 		r.place(0, r.Len())
 	}
 }
@@ -446,14 +553,61 @@ func (r *Relation) Add(t Tuple) bool {
 	if r.find(k) >= 0 {
 		return false
 	}
+	r.mutable()
 	r.addKeyed(k, t.Clone())
 	return true
+}
+
+// Extend returns r ∪ d as a new version of r, leaving r unchanged. It
+// appends only d's rows absent from r. When r is the tip of a store an
+// earlier Extend made, the new version shares that store and appends
+// in place, so a chain of Extends costs O(|d|) each; otherwise (a
+// relation built another way, a sealed one, or an older version) r's
+// rows are first copied once into a fresh store, which the new
+// version's own Extends then grow in place. When d adds nothing, r
+// itself is returned. d must share r's arity and dictionary; it is
+// read without being decoded.
+func (r *Relation) Extend(d *Relation) *Relation {
+	if d == nil || d == r {
+		return r
+	}
+	if d.arity != r.arity {
+		panic("fact: extending a relation with one of a different arity")
+	}
+	mustShareDict(r.dict, d.dict, "Extend")
+	first, nd := 0, d.Len()
+	for first < nd && r.find(d.key(first)) >= 0 {
+		first++
+	}
+	if first == nd {
+		return r
+	}
+	var v *Relation
+	if st := r.st; st != nil && st.versioned && !st.sealed && r.Len() == st.n {
+		v = &Relation{dict: r.dict, arity: r.arity, keys: r.keys, rows: r.rows, st: st}
+	} else {
+		v = r.Clone()
+		v.store().versioned = true
+	}
+	for i := first; i < nd; i++ {
+		k := d.key(i)
+		if i > first && v.find(k) >= 0 {
+			continue
+		}
+		var t Tuple
+		if i < len(d.rows) {
+			t = d.rows[i]
+		}
+		v.addKeyed(k, t)
+	}
+	return v
 }
 
 // Remove deletes a tuple, reporting whether it was present. The last
 // row moves into the freed one, so the slab stays dense. Built column
 // indexes are dropped (deletion is rare; the paper's inflationary
-// transducers never delete).
+// transducers never delete). A version that shares its store copies
+// its rows first.
 func (r *Relation) Remove(t Tuple) bool {
 	var scratch [64]byte
 	k, ok := r.dict.packTupleLookup(scratch[:0], t)
@@ -464,12 +618,15 @@ func (r *Relation) Remove(t Tuple) bool {
 	if i < 0 {
 		return false
 	}
+	if st := r.st; st != nil && (st.versioned || r.Len() != st.n) {
+		r.detach()
+	}
 	r.materialize()
 	last := len(r.rows) - 1
-	if r.table != nil {
+	if r.table() != nil {
 		r.unplace(i)
 		if i != last {
-			r.table[r.slotOf(last)] = int32(i + 1)
+			r.st.table[r.slotOf(last)] = int32(i + 1)
 		}
 	}
 	if i != last {
@@ -479,7 +636,9 @@ func (r *Relation) Remove(t Tuple) bool {
 	r.rows[last] = nil
 	r.rows = r.rows[:last]
 	r.keys = r.keys[:4*r.arity*last]
-	r.idx = nil
+	if r.st != nil {
+		r.st.idx, r.st.n = nil, last
+	}
 	r.cview = nil
 	r.sorted = nil
 	return true
@@ -492,37 +651,74 @@ func (r *Relation) Contains(t Tuple) bool {
 	return ok && r.find(k) >= 0
 }
 
-// Lookup returns the stored tuples whose column col equals v, backed
-// by a lazily built hash index on that column. The returned slice and
-// its tuples are shared storage and must not be modified. Column
-// indexes survive Add and UnionWith and are invalidated by Remove.
+// Lookup returns the stored tuples whose column col equals v, in row
+// order, backed by a lazily built hash index on that column. The slice
+// is the caller's; the tuples are shared storage and must not be
+// modified. Column indexes survive Add, UnionWith and Extend (every
+// version of a store reads its prefix of one index) and are dropped by
+// Remove. LookupEach is the allocation-free form.
 func (r *Relation) Lookup(col int, v Value) []Tuple {
+	var out []Tuple
+	r.LookupEach(col, v, func(t Tuple) bool {
+		out = append(out, t)
+		return true
+	})
+	return out
+}
+
+// LookupEach calls fn for every stored tuple whose column col equals
+// v, in row order, stopping early if fn returns false. Tuples added by
+// fn are not visited.
+func (r *Relation) LookupEach(col int, v Value, fn func(Tuple) bool) {
 	if col < 0 || col >= r.arity {
 		panic(fmt.Sprintf("fact: Lookup column %d out of range for arity %d", col, r.arity))
 	}
 	id, ok := r.dict.lookup(v)
 	if !ok {
-		return nil
+		return
 	}
-	return r.index(col)[id]
+	rows := r.matches(col, id)
+	if len(rows) == 0 {
+		return
+	}
+	r.materialize()
+	for _, i := range rows {
+		if !fn(r.rows[i]) {
+			return
+		}
+	}
 }
 
-// index returns (building on first access) the tuple index of column
-// c: interned ID → the stored tuples holding it at c.
-func (r *Relation) index(c int) map[uint32][]Tuple {
-	if r.idx == nil {
-		r.idx = make([]map[uint32][]Tuple, r.arity)
+// matches returns the rows of r whose column c holds id, ascending:
+// the prefix of the shared index bucket below r's row count.
+func (r *Relation) matches(c int, id uint32) []int32 {
+	rows := r.index(c)[id]
+	n := r.Len()
+	if len(rows) == 0 || int(rows[len(rows)-1]) < n {
+		return rows
 	}
-	if r.idx[c] == nil {
-		r.materialize()
-		m := make(map[uint32][]Tuple, len(r.rows))
-		for i, t := range r.rows {
-			id := r.rowID(i, c)
-			m[id] = append(m[id], t)
-		}
-		r.idx[c] = m
+	return rows[:sort.Search(len(rows), func(j int) bool { return int(rows[j]) >= n })]
+}
+
+// index returns the row index of column c (interned ID → the rows
+// holding it at c), building it on first access and extending it over
+// the rows of r appended since. An index that already covers r is
+// returned without a write, which keeps a sealed relation's probes
+// read-only.
+func (r *Relation) index(c int) map[uint32][]int32 {
+	st, n := r.store(), r.Len()
+	if st.idx == nil {
+		st.idx = make([]colIndex, r.arity)
 	}
-	return r.idx[c]
+	ix := &st.idx[c]
+	if ix.m == nil {
+		ix.m = make(map[uint32][]int32, n)
+	}
+	for ; ix.n < n; ix.n++ {
+		id := r.rowID(ix.n, c)
+		ix.m[id] = append(ix.m[id], int32(ix.n))
+	}
+	return ix.m
 }
 
 // Tuples returns the tuples in deterministic (column-wise value)
@@ -551,29 +747,6 @@ func (r *Relation) Each(fn func(Tuple) bool) {
 	}
 }
 
-// Clone returns a copy of the relation over the same dictionary: one
-// copy each of the key slab, the decoded rows and the hash table. It
-// decodes nothing: rows still pending decode stay pending in the copy.
-// Stored tuples are shared: they are immutable by convention (Add
-// stores a private copy and no accessor exposes them for writing).
-// Column indexes are not copied.
-func (r *Relation) Clone() *Relation {
-	// Room for a quarter more rows: callers mostly clone to grow (an
-	// inflationary update is a clone plus a few new facts), and the
-	// slack spares that growth a second copy of the slab and rows.
-	n := r.Len() + r.Len()/4 + 1
-	c := &Relation{
-		dict:  r.dict,
-		arity: r.arity,
-		keys:  append(make([]byte, 0, 4*r.arity*n), r.keys...),
-		table: slices.Clone(r.table),
-	}
-	if len(r.rows) > 0 {
-		c.rows = append(make([]Tuple, 0, n), r.rows...)
-	}
-	return c
-}
-
 // Rekey re-encodes the relation into the destination dictionary: the
 // packed keys are rebuilt by translating each distinct value ID of
 // r's dictionary into dst once (see idMap). It is the sanctioned path
@@ -592,18 +765,20 @@ func (r *Relation) Rekey(dst *Dict) *Relation {
 }
 
 // Seal pre-builds every lazily memoized read structure of the
-// relation: the decoded rows, the per-column tuple indexes, the
+// relation: the decoded rows, the per-column row indexes, the
 // memoized sorted order, and the columnar view with its per-column
-// indexes and sorted runs.
-// After Seal, read accessors (Lookup, Tuples, Each, Contains,
-// SubsetOf, Equal, the batch executor's columnar probes and the batch
-// sink's row-store dedup probes) perform no in-place memoization, so
-// a sealed relation that is never mutated again may be shared
-// read-only across goroutines — the loophole the shard-resident
-// runtime uses to share one All relation across every node state
-// instead of materializing n copies. Mutating a sealed relation is
-// permitted (memos are maintained or rebuilt as usual) but forfeits
-// the concurrent-read guarantee.
+// indexes and, once the relation is large enough for the batch
+// executor's merge join (mergeMinRows) to read them, its sorted runs.
+// After Seal, read accessors (Lookup, LookupEach, Tuples, Each,
+// Contains, SubsetOf, Equal, Clone, the batch executor's columnar
+// probes and the batch sink's row-store dedup probes) perform no
+// in-place memoization, so a sealed relation that is never mutated
+// again may be shared read-only across goroutines — the loophole the
+// shard-resident runtime uses to share one All relation across every
+// node state instead of materializing n copies. Extend never grows a
+// sealed store in place: each goroutine's first Extend copies. Mutating
+// a sealed relation is permitted (memos are maintained or rebuilt as
+// usual) but forfeits the concurrent-read guarantee.
 func (r *Relation) Seal() {
 	r.materialize()
 	for c := 0; c < r.arity; c++ {
@@ -613,8 +788,11 @@ func (r *Relation) Seal() {
 	cv := r.columns()
 	for c := 0; c < r.arity; c++ {
 		cv.index(c)
-		cv.sortedRun(c)
+		if cv.n >= mergeMinRows {
+			cv.sortedRun(c)
+		}
 	}
+	r.store().sealed = true
 }
 
 // UnionWith adds all tuples of s into r; s must have the same arity
@@ -631,6 +809,7 @@ func (r *Relation) UnionWith(s *Relation) {
 	s.materialize()
 	for i, t := range s.rows {
 		if k := s.key(i); r.find(k) < 0 {
+			r.mutable()
 			r.addKeyed(k, t)
 		}
 	}
@@ -644,6 +823,7 @@ func (r *Relation) UnionWith(s *Relation) {
 // tuple-pipeline round stages through Add and reads Full through
 // Lookup and Each, and would otherwise decode every row twice.
 func (r *Relation) appendDisjoint(s *Relation) {
+	r.mutable()
 	from := r.Len()
 	if r.decoded() && s.decoded() {
 		r.rows = append(r.rows, s.rows...)

@@ -400,13 +400,13 @@ func testRelationStoreOracle(t *testing.T, arity int, seed uint64) {
 		if r.Len() != len(o.order) {
 			t.Fatalf("step %d: Len = %d, oracle %d", step, r.Len(), len(o.order))
 		}
-		if r.table == nil && r.Len() > linearMax {
+		if r.table() == nil && r.Len() > linearMax {
 			t.Fatalf("step %d: %d rows without a hash table", step, r.Len())
 		}
-		if r.table != nil && 2*r.Len() > len(r.table) {
-			t.Fatalf("step %d: %d rows over a %d-slot table", step, r.Len(), len(r.table))
+		if r.table() != nil && 2*r.Len() > len(r.table()) {
+			t.Fatalf("step %d: %d rows over a %d-slot table", step, r.Len(), len(r.table()))
 		}
-		tableSizes[len(r.table)] = true
+		tableSizes[len(r.table())] = true
 		maxLen = max(maxLen, r.Len())
 		if !r.decoded() {
 			keyOnlySteps++
@@ -418,16 +418,16 @@ func testRelationStoreOracle(t *testing.T, arity int, seed uint64) {
 	}
 }
 
-// TestRelationHeaderSize pins the Relation header at 144 B, the top of
-// its allocation size class: one more word moves every relation into
-// the 160 B class. A prototype of the lazily decoded rows that kept
-// the row count in a field of its own did that, and raised the
-// allocation per job of the benchmark's gossip-fair and gossip-lossy
-// workloads by 2.8%; the row count is derived from the key slab
-// instead.
+// TestRelationHeaderSize pins the Relation header at 104 B, in the
+// 112 B allocation size class that every relation of every workload is
+// allocated in. The hash table and column indexes live in the store a
+// relation's versions share (see Extend), and the row count is derived
+// from the key slab: a prototype that gave the row count a field of
+// its own moved the header one size class up and raised the allocation
+// per job of the benchmark's gossip workloads by 2.8%.
 func TestRelationHeaderSize(t *testing.T) {
-	if got := unsafe.Sizeof(Relation{}); got > 144 {
-		t.Fatalf("Relation header is %d B, want at most 144", got)
+	if got := unsafe.Sizeof(Relation{}); got > 104 {
+		t.Fatalf("Relation header is %d B, want at most 104", got)
 	}
 }
 
@@ -634,6 +634,24 @@ func BenchmarkRelation(b *testing.B) {
 			for b.Loop() {
 				r := half.Clone()
 				r.UnionWith(full)
+			}
+		})
+		// ExtendChain grows one chain of versions by a row each, as a
+		// transducer's state and cached results grow, and probes each
+		// version's column index once for the new row: B/op scales
+		// with the one new row, not with n.
+		b.Run(fmt.Sprintf("ExtendChain/n=%d", n), func(b *testing.B) {
+			v := NewRelation(2).Extend(full)
+			i := 0
+			for b.Loop() {
+				x := Value("chain" + strconv.Itoa(i))
+				d := NewRelation(2)
+				d.Add(Tuple{x, Value("bench" + strconv.Itoa(i%7))})
+				v = v.Extend(d)
+				if len(v.Lookup(0, x)) != 1 {
+					b.Fatal("Lookup missed the new row")
+				}
+				i++
 			}
 		})
 		// Rekey reuses one destination, so after the first op it times

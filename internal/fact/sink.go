@@ -58,8 +58,9 @@ func (s deltaSink) sinkDict() *Dict { return s.d.Full.dict }
 // passing key into the slab and enters it in the table; it probes dst
 // again, so a within-batch duplicate finds its first occurrence
 // already stored. The rows are stored key-only (dst decodes them on
-// first read) and dst's sorted memo, indexes and columnar view are
-// extended once for the whole batch.
+// first read) and dst's sorted memo and columnar view are extended
+// once for the whole batch; its column indexes catch up on their next
+// Lookup.
 func batchAppend(dst *Relation, exclude *Relation, cols [][]uint32, n int) {
 	if n == 0 {
 		return
@@ -97,6 +98,7 @@ func batchAppend(dst *Relation, exclude *Relation, cols [][]uint32, n int) {
 	}
 	// Sizing up front spares a large semi-naive round Go's repeated
 	// regrowth of the slab and a full-table rehash at every doubling.
+	dst.mutable()
 	from := dst.Len()
 	dst.reserve(len(sel))
 	row := from
@@ -106,10 +108,65 @@ func batchAppend(dst *Relation, exclude *Relation, cols [][]uint32, n int) {
 			continue
 		}
 		dst.keys = append(dst.keys, k...)
-		if dst.table != nil { // reserve left it room for every row
+		if dst.table() != nil { // reserve left it room for every row
 			dst.place(row, row+1)
 		}
 		row++
 	}
 	dst.extended(from)
 }
+
+// FreshSink is a Sink that keeps only the tuples absent from a relation
+// the caller already holds: the derivations of a delta evaluation that
+// are new against a cached result. Like Delta.Sink it dedups every row
+// against that relation and against the rows it kept. The sink carries
+// its result's header, so one allocation serves both, and the result
+// allocates no slab, row or table before its first new tuple: an
+// evaluation that derives nothing new costs that one small object.
+type FreshSink struct {
+	have *Relation
+	out  Relation
+}
+
+// FreshSink returns a sink for arity-wide tuples that drops those in
+// have; a nil have drops nothing. have must share d and arity.
+func (d *Dict) FreshSink(arity int, have *Relation) *FreshSink {
+	if have != nil {
+		mustShareDict(d, have.dict, "FreshSink")
+		if have.arity != arity {
+			panic("fact: fresh sink over a relation of a different arity")
+		}
+	}
+	return &FreshSink{have: have, out: Relation{dict: d, arity: arity}}
+}
+
+// Relation returns the kept tuples, nil when none was new. The sink
+// lets go of have, which the result does not need.
+func (s *FreshSink) Relation() *Relation {
+	if s.out.Empty() {
+		return nil
+	}
+	s.have = nil
+	return &s.out
+}
+
+// Add keeps one tuple unless have or the kept rows hold it, reporting
+// whether it was new. The kept copy is private.
+func (s *FreshSink) Add(t Tuple) bool {
+	var scratch [64]byte
+	k := s.out.dict.packTuple(scratch[:0], t)
+	if s.have != nil && s.have.find(k) >= 0 || s.out.find(k) >= 0 {
+		return false
+	}
+	s.out.addKeyed(k, t.Clone())
+	return true
+}
+
+// appendBatch keeps rows [0,n) of cols that are new against have and
+// the kept rows.
+func (s *FreshSink) appendBatch(cols [][]uint32, n int) {
+	batchAppend(&s.out, s.have, cols, n)
+}
+
+// sinkDict implements Sink for FreshSink.
+func (s *FreshSink) sinkDict() *Dict { return s.out.dict }

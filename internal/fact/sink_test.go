@@ -392,8 +392,8 @@ func TestDeltaCommitAppendsDisjoint(t *testing.T) {
 		if !full.Equal(ref) || !ref.Equal(full) {
 			t.Fatalf("round %d: Full diverged from the Add reference", round)
 		}
-		if full.Len() > linearMax && 2*full.Len() > len(full.table) {
-			t.Fatalf("round %d: table of %d for %d rows is over half load", round, len(full.table), full.Len())
+		if full.Len() > linearMax && 2*full.Len() > len(full.table()) {
+			t.Fatalf("round %d: table of %d for %d rows is over half load", round, len(full.table()), full.Len())
 		}
 		for i := 0; i < full.Len(); i++ {
 			if full.find(full.key(i)) != i {

@@ -502,7 +502,7 @@ func (q *Query) evalInto(c *evalCtx, out *fact.Relation) error {
 
 // run executes the branch's plan on c.I, or on an overlay of c.I that
 // also holds the inner queries' results and the active domain.
-func (b *branch) run(c *evalCtx, out *fact.Relation) error {
+func (b *branch) run(c *evalCtx, out fact.Sink) error {
 	I := c.I
 	if !b.pinnable() {
 		I = c.I.ShallowClone()
@@ -520,8 +520,11 @@ func (b *branch) run(c *evalCtx, out *fact.Relation) error {
 	return b.p.Run(I, nil, -1, nil, out)
 }
 
-// EvalDelta returns derivations of the query that may involve at least
-// one fact of delta, evaluated against full ∪ delta. full must either
+// EvalDelta returns the derivations of the query that may involve at
+// least one fact of delta, evaluated against full ∪ delta, and that
+// are not in have, the result the caller already holds (nil for none).
+// It returns nil when no derivation is new, and allocates its result
+// only at the first one that is (see fact.FreshSink). full must either
 // contain delta or hold none of delta's relations (a transducer state
 // and the messages it receives, whose schemas are disjoint); either
 // way the union is never materialized for join branches. For queries
@@ -530,7 +533,7 @@ func (b *branch) run(c *evalCtx, out *fact.Relation) error {
 // summary marks them Delta, the result is exact in the semi-naive
 // sense:
 //
-//	Eval(full ∪ delta) = Eval((full ∪ delta) \ delta) ∪ EvalDelta(full, delta)
+//	Eval(full ∪ delta) = Eval((full ∪ delta) \ delta) ∪ EvalDelta(full, delta, nil)
 //
 // A branch that reads instance relations only executes its compiled
 // plan once per atom over a delta relation, with that atom pinned to
@@ -541,11 +544,11 @@ func (b *branch) run(c *evalCtx, out *fact.Relation) error {
 // in full over the union, a superset of its new derivations and, the
 // query being monotone, a subset of Eval(full ∪ delta). It implements
 // query.DeltaEvaluable.
-func (q *Query) EvalDelta(full, delta *fact.Instance) (*fact.Relation, error) {
-	out := full.Dict().NewRelation(len(q.Head))
+func (q *Query) EvalDelta(full, delta *fact.Instance, have *fact.Relation) (*fact.Relation, error) {
 	if !q.deltaOK || delta == nil {
-		return out, nil
+		return nil, nil
 	}
+	out := full.Dict().FreshSink(len(q.Head), have)
 	var union *evalCtx
 	for i := range q.branches {
 		b := &q.branches[i]
@@ -562,7 +565,7 @@ func (q *Query) EvalDelta(full, delta *fact.Instance) (*fact.Relation, error) {
 		}
 		if union == nil {
 			if delta.Empty() {
-				return out, nil // no branch can derive anything new
+				return out.Relation(), nil // no branch can derive anything new
 			}
 			union = &evalCtx{I: withDelta(full, delta)}
 		}
@@ -570,7 +573,7 @@ func (q *Query) EvalDelta(full, delta *fact.Instance) (*fact.Relation, error) {
 			return nil, err
 		}
 	}
-	return out, nil
+	return out.Relation(), nil
 }
 
 // withDelta returns full ∪ delta for a delta whose relations full

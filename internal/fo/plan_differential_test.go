@@ -173,7 +173,7 @@ func TestEvalDeltaMixedDictionaryError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = q.EvalDelta(full, delta)
+		_, err = q.EvalDelta(full, delta, nil)
 		_, _ = plan.SetBatchMode(prev)
 		if err == nil || !strings.Contains(err.Error(), "Rekey") {
 			t.Fatalf("batch mode %s: err = %v, want an error naming Rekey", mode, err)
@@ -184,8 +184,8 @@ func TestEvalDeltaMixedDictionaryError(t *testing.T) {
 		t.Fatalf("pipelines disagree on mixed dictionaries: %q vs %q", errs[0], errs[1])
 	}
 	// The same call with delta built in full's dictionary answers.
-	got, err := q.EvalDelta(full, delta.Rekey(full.Dict()))
-	if err != nil || !got.Contains(fact.Tuple{"b", "c", "d"}) {
+	got, err := q.EvalDelta(full, delta.Rekey(full.Dict()), nil)
+	if err != nil || got == nil || !got.Contains(fact.Tuple{"b", "c", "d"}) {
 		t.Fatalf("same-dictionary EvalDelta = %v, %v; want (b,c,d) among the answers", got, err)
 	}
 }
@@ -268,9 +268,12 @@ func checkQueryDeltaPins(t *testing.T, qi int, q *Query, full *fact.Instance, wa
 		if err != nil {
 			t.Fatalf("query %d (%s): eval(old): %v", qi, q, err)
 		}
-		dr, err := q.EvalDelta(full, delta)
+		dr, err := q.EvalDelta(full, delta, base)
 		if err != nil {
 			t.Fatalf("query %d (%s): evalDelta: %v", qi, q, err)
+		}
+		if dr != nil && !dr.Intersect(base).Empty() {
+			t.Fatalf("query %d (%s): split %q: EvalDelta returned tuples of the held result: %v", qi, q, target, dr.Intersect(base))
 		}
 		got := base.Clone()
 		got.UnionWith(dr)

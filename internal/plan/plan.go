@@ -396,9 +396,7 @@ func (fr *frame) exec(i int) {
 			return true
 		}
 		if in.kind == opProbe {
-			for _, tuple := range rel.Lookup(in.probeCol, fr.resolve(in.probe)) {
-				step(tuple)
-			}
+			rel.LookupEach(in.probeCol, fr.resolve(in.probe), step)
 			return
 		}
 		rel.Each(step)

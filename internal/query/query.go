@@ -44,14 +44,16 @@ type DeltaEvaluable interface {
 	Query
 
 	// EvalDelta returns derivations that may involve at least one fact
-	// of delta, evaluated against I = full ∪ delta. full either already
-	// contains delta or holds none of delta's relations (a transducer
-	// state and its received messages, whose schemas are disjoint), so
-	// callers never need to build the union. When Summary().Delta
-	// holds, the result satisfies
+	// of delta, evaluated against I = full ∪ delta, leaving out those
+	// in have, the result the caller already holds (nil for none). It
+	// returns nil when nothing is new. full either already contains
+	// delta or holds none of delta's relations (a transducer state and
+	// its received messages, whose schemas are disjoint), so callers
+	// never need to build the union. When Summary().Delta holds, the
+	// result satisfies
 	//
-	//	Eval(I) = Eval(I \ delta) ∪ EvalDelta(full, delta).
-	EvalDelta(full, delta *fact.Instance) (*fact.Relation, error)
+	//	Eval(I) = Eval(I \ delta) ∪ EvalDelta(full, delta, nil).
+	EvalDelta(full, delta *fact.Instance, have *fact.Relation) (*fact.Relation, error)
 }
 
 // PlanExplainer is implemented by queries that evaluate through the

@@ -2,6 +2,7 @@ package transducer
 
 import (
 	"fmt"
+	"slices"
 
 	"declnet/internal/fact"
 	"declnet/internal/query"
@@ -56,12 +57,20 @@ type Firing struct {
 	memRels []memEntry
 	outIdx  int
 
-	// quietMem memoizes, per memory relation, the (ins, del, old)
-	// relation-pointer triple that last verified "no state change" in
-	// ProbeParts. Relations are immutable once published, so pointer
-	// equality implies content equality and the memo never goes stale;
-	// it is reset whenever the cache moves to a new state.
-	quietMem map[string][3]*fact.Relation
+	// names numbers the relations the queries read: bit i of a read
+	// mask stands for names[i]. Names past the 63rd share bit 63, which
+	// can only make a query look touched when it is not, never the
+	// reverse.
+	names []string
+
+	// quietMem memoizes, per memory relation (indexed like memRels),
+	// the (ins, del, old) relation-pointer triple that last verified
+	// "no state change" in ProbeParts. Relations are immutable once
+	// published, so pointer equality implies content equality and the
+	// memo never goes stale; it is reset whenever the cache moves to a
+	// new state. The zero triple is a valid entry: no insert and no
+	// delete result on an absent relation change nothing.
+	quietMem [][3]*fact.Relation
 
 	// snd is the send instance of the last effect; see sndOf.
 	snd *fact.Instance
@@ -77,7 +86,7 @@ type firingQuery struct {
 	kind  byte   // 's', 'i', 'd', 'o'
 	rel   string
 	q     query.Query
-	reads map[string]bool
+	reads uint64 // read mask over Firing.names
 	// delta is q when its semi-naive delta evaluation is exact, else
 	// nil.
 	delta query.DeltaEvaluable
@@ -91,19 +100,23 @@ type memEntry struct {
 	rel      string
 	arity    int
 	ins, del int
+	bit      uint64 // the relation's read-mask bit, 0 if no query reads it
 }
 
 // NewFiring prepares an incremental evaluator for t.
 func NewFiring(t *Transducer) *Firing {
-	f := &Firing{T: t, outIdx: -1, quietMem: map[string][3]*fact.Relation{}}
+	f := &Firing{T: t, outIdx: -1}
 	add := func(kind byte, key, rel string, q query.Query) int {
 		if q == nil {
 			return -1
 		}
 		s := q.Summary()
-		reads := map[string]bool{}
+		var reads uint64
 		for _, r := range s.Reads {
-			reads[r] = true
+			if !slices.Contains(f.names, r) {
+				f.names = append(f.names, r)
+			}
+			reads |= f.bit(r)
 		}
 		fq := firingQuery{key: key, kind: kind, rel: rel, q: q, reads: reads, bounded: s.RelBounded}
 		if d, ok := q.(query.DeltaEvaluable); ok && s.Delta {
@@ -122,8 +135,20 @@ func NewFiring(t *Transducer) *Firing {
 		f.memRels = append(f.memRels, e)
 	}
 	f.outIdx = add('o', "out", "", t.Out)
+	for i := range f.memRels {
+		f.memRels[i].bit = f.bit(f.memRels[i].rel)
+	}
 	f.cache = make([]*fact.Relation, len(f.queries))
+	f.quietMem = make([][3]*fact.Relation, len(f.memRels))
 	return f
+}
+
+// bit returns the read-mask bit of a relation, 0 if no query reads it.
+func (f *Firing) bit(rel string) uint64 {
+	if i := slices.Index(f.names, rel); i >= 0 {
+		return 1 << min(i, 63)
+	}
+	return 0
 }
 
 // resync drops the cache when the caller's state is not the one the
@@ -160,14 +185,17 @@ type evalCtx struct {
 	// outside the message schema, which only I' evaluates faithfully.
 	received, shadows bool
 	within            int8 // 0 unknown, 1 yes, -1 no
+	// rcvReads is the read mask of the nonempty received relations.
+	rcvReads uint64
 }
 
-func newEvalCtx(state, rcv *fact.Instance) evalCtx {
+func (f *Firing) newEvalCtx(state, rcv *fact.Instance) evalCtx {
 	c := evalCtx{state: state, rcv: rcv}
 	if rcv != nil {
 		for _, n := range rcv.RelNames() {
 			if !rcv.Relation(n).Empty() {
 				c.received = true
+				c.rcvReads |= f.bit(n)
 				if state.Relation(n) != nil {
 					c.shadows = true
 				}
@@ -177,16 +205,9 @@ func newEvalCtx(state, rcv *fact.Instance) evalCtx {
 	return c
 }
 
-// sees reports whether a query reading the given relations reads a
+// sees reports whether a query with the given read mask reads a
 // received fact.
-func (c *evalCtx) sees(reads map[string]bool) bool {
-	for _, n := range c.rcv.RelNames() {
-		if reads[n] && !c.rcv.Relation(n).Empty() {
-			return true
-		}
-	}
-	return false
-}
+func (c *evalCtx) sees(reads uint64) bool { return c.rcvReads&reads != 0 }
 
 // prime materializes I' = state ∪ rcv on first use.
 func (c *evalCtx) prime() *fact.Instance {
@@ -251,12 +272,12 @@ func (f *Firing) evalOne(c *evalCtx, i int) (*fact.Relation, error) {
 		if c.shadows {
 			full = c.prime()
 		}
-		d, err := fq.delta.EvalDelta(full, c.rcv)
+		d, err := fq.delta.EvalDelta(full, c.rcv, base)
 		if err != nil {
 			return nil, err
 		}
 		switch {
-		case d.SubsetOf(base):
+		case d == nil:
 			// Nothing new (e.g. a re-delivered known fact): keep the
 			// pointer-stable cached result.
 			return base, nil
@@ -265,6 +286,9 @@ func (f *Firing) evalOne(c *evalCtx, i int) (*fact.Relation, error) {
 			// received facts): the delta is the whole result.
 			return d, nil
 		}
+		// A copy, not base.Extend(d): the result serves this one
+		// transition, and base must stay the tip of its chain so that
+		// Step's advance grows it in place.
 		out := base.Clone()
 		out.UnionWith(d)
 		return out, nil
@@ -279,7 +303,7 @@ const maxStackQueries = 8
 // evalAll evaluates every transducer query on (state, rcv), appending
 // the results to results.
 func (f *Firing) evalAll(state, rcv *fact.Instance, results []*fact.Relation) ([]*fact.Relation, error) {
-	c := newEvalCtx(state, rcv)
+	c := f.newEvalCtx(state, rcv)
 	for i := range f.queries {
 		r, err := f.evalOne(&c, i)
 		if err != nil {
@@ -363,10 +387,9 @@ func memUpdate(d *fact.Dict, arity int, ins, del, old *fact.Relation) *fact.Rela
 		return r
 	}
 	if del == nil || del.Empty() {
-		// Inflationary: J(R) = Qins ∪ I(R).
-		updated := orEmpty(old).Clone()
-		updated.UnionWith(ins)
-		return updated
+		// Inflationary: J(R) = Qins ∪ I(R), a new version of I(R)'s
+		// chain.
+		return orEmpty(old).Extend(ins)
 	}
 	ins, old = orEmpty(ins), orEmpty(old)
 	updated := ins.Minus(del)                            // Qins \ Qdel
@@ -397,19 +420,19 @@ func (f *Firing) ProbeParts(state, rcv *fact.Instance) (stateChanged bool, snd [
 	if err != nil {
 		return false, nil, nil, err
 	}
-	for _, e := range f.memRels {
+	for j, e := range f.memRels {
 		ins, del := at(results, e.ins), at(results, e.del)
 		// Relation (not RelationOr): nil is a stable sentinel for an
 		// absent relation, so the pointer memo keeps working for
 		// memory relations the node never materialized.
 		old := state.Relation(e.rel)
-		if memo, ok := f.quietMem[e.rel]; ok && memo[0] == ins && memo[1] == del && memo[2] == old {
+		if f.quietMem[j] == [3]*fact.Relation{ins, del, old} {
 			continue
 		}
 		if !memUnchanged(ins, del, old) {
 			return true, nil, nil, nil
 		}
-		f.quietMem[e.rel] = [3]*fact.Relation{ins, del, old}
+		f.quietMem[j] = [3]*fact.Relation{ins, del, old}
 	}
 	if f.sndScratch == nil {
 		f.sndScratch = make([]SndResult, 0, len(f.queries))
@@ -490,7 +513,7 @@ func (f *Firing) Step(state, rcv *fact.Instance) (Effect, bool, error) {
 
 	// effect installs a new object exactly for the memory relations
 	// whose content changed; diff those to learn how the state moved.
-	changed := map[string]bool{}
+	var changed uint64
 	added := state.Dict().NewInstance()
 	removedAny := false
 	for _, e := range f.memRels {
@@ -498,7 +521,7 @@ func (f *Firing) Step(state, rcv *fact.Instance) (Effect, bool, error) {
 		if old == now {
 			continue
 		}
-		changed[e.rel] = true
+		changed |= e.bit
 		if add := now.Minus(old); !add.Empty() {
 			added.SetRelationOwned(e.rel, add)
 		}
@@ -530,7 +553,7 @@ func (f *Firing) Step(state, rcv *fact.Instance) (Effect, bool, error) {
 
 	for i := range f.queries {
 		fq := &f.queries[i]
-		touched := intersects(fq.reads, changed)
+		touched := fq.reads&changed != 0
 		switch {
 		case f.cache[i] == nil:
 			// nothing cached; stays lazily computed
@@ -538,16 +561,15 @@ func (f *Firing) Step(state, rcv *fact.Instance) (Effect, bool, error) {
 			// reads untouched relations only, and nothing else the
 			// query may depend on moved: still exact
 		case !removedAny && fq.delta != nil:
-			d, err := fq.delta.EvalDelta(eff.State, added)
+			d, err := fq.delta.EvalDelta(eff.State, added, f.cache[i])
 			if err != nil {
 				return Effect{}, false, fmt.Errorf("transducer %s: advance %s: %w", f.T.Name, fq.key, err)
 			}
-			if !d.Empty() {
-				// Clone before growing: the cached relation may be
-				// aliased by a previously returned Effect.
-				nc := f.cache[i].Clone()
-				nc.UnionWith(d)
-				f.cache[i] = nc
+			if d != nil {
+				// A new version: the cached relation may be aliased by
+				// a previously returned Effect, which keeps seeing its
+				// own prefix of the chain.
+				f.cache[i] = f.cache[i].Extend(d)
 			}
 		default:
 			f.cache[i] = nil
@@ -556,16 +578,4 @@ func (f *Firing) Step(state, rcv *fact.Instance) (Effect, bool, error) {
 	f.state = eff.State
 	clear(f.quietMem)
 	return eff, true, nil
-}
-
-func intersects(a, b map[string]bool) bool {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	for k := range a {
-		if b[k] {
-			return true
-		}
-	}
-	return false
 }
