@@ -3,6 +3,9 @@
 // (encoded as a word structure), and prints the verdict, convergence
 // timestamp and rule count — optionally on a distributed network of
 // peers exchanging their input fragments (§8's closing construction).
+// A distributed run floods the fragments on the transducer network
+// runtime under the fair random scheduler; its convergence point counts
+// network transitions and its message count counts deliveries.
 //
 // Usage:
 //
@@ -27,7 +30,7 @@ func main() {
 	machine := flag.String("machine", "evenLength", "library machine name (see -list)")
 	word := flag.String("word", "ab", "input word over the machine's alphabet (length ≥ 2)")
 	topo := flag.String("topology", "", "run distributed on this topology (shape:size); empty = single site")
-	seed := flag.Int64("seed", 1, "async scheduler seed")
+	seed := flag.Int64("seed", 1, "seed of the async rule scheduler and, when distributed, of the network schedule")
 	maxT := flag.Int("maxt", 300, "timestamp budget")
 	list := flag.Bool("list", false, "list library machines and exit")
 	flag.Parse()

@@ -61,8 +61,10 @@ func Atom(pred string, vars ...string) idatalog.Atom { return idedalus.Atom(pred
 func CompileTM(m *itm.Machine) (*Program, error) { return idedalus.CompileTM(m) }
 
 // DistRun executes the program on a network of peers, each holding a
-// fragment of the input, exchanging facts asynchronously (§8's
-// closing construction).
+// fragment of the input (§8's closing construction). The fragments are
+// flooded on the transducer network runtime under the options' channel
+// model, and each transition of a node evaluates one timestamp of that
+// node's program with the delivered fact as its EDB arrival.
 func DistRun(p *Program, net *inetwork.Network, partition map[ifact.Value]*ifact.Instance, opt DistOptions) (*DistTrace, error) {
 	return idedalus.DistRun(p, net, partition, opt)
 }

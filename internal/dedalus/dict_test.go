@@ -52,9 +52,9 @@ func TestRunPerRunDict(t *testing.T) {
 }
 
 // TestDistRunPerRunDict: a distributed run over a partition interned
-// in a per-run dictionary builds its known sets, inboxes and per-round
-// EDB in that dictionary, and matches the same run over the process
-// default — same convergence step, message count and final slices.
+// in a per-run dictionary runs its flood and every node's EDB in that
+// dictionary, and matches the same run over the process default — same
+// convergence step, delivery count and final slices.
 func TestDistRunPerRunDict(t *testing.T) {
 	prog, err := CompileTM(tm.EvenLength())
 	if err != nil {
@@ -116,5 +116,21 @@ func TestDistRunRejectsMixedDicts(t *testing.T) {
 	}
 	if _, err := DistRun(prog, net, part, DistOptions{Seed: 1}); err == nil || !strings.Contains(err.Error(), "Rekey") {
 		t.Fatalf("mixed-dictionary partition: err = %v, want an error naming Rekey", err)
+	}
+}
+
+// TestRunRejectsMixedDicts: temporal input interned in two different
+// dictionaries is an error naming the fix, not a panic.
+func TestRunRejectsMixedDicts(t *testing.T) {
+	p := MustNew(
+		I(Atom("p", "X"), datalog.Pos("p", datalog.V("X"))),
+		D(Atom("q", "X"), datalog.Pos("p", datalog.V("X"))),
+	)
+	in := TemporalInput{
+		0: fact.FromFacts(ff("p", "a")),
+		2: fact.FromFacts(ff("p", "b")).Rekey(fact.NewDict()),
+	}
+	if _, err := p.Run(in, Options{}); err == nil || !strings.Contains(err.Error(), "Rekey") {
+		t.Fatalf("mixed-dictionary temporal input: err = %v, want an error naming Rekey", err)
 	}
 }

@@ -2,8 +2,10 @@ package dedalus
 
 import (
 	"fmt"
-	"math/rand"
+	"slices"
+	"strings"
 
+	"declnet/internal/dist"
 	"declnet/internal/fact"
 	"declnet/internal/network"
 )
@@ -13,21 +15,26 @@ import (
 // The receiving peer treats these messages as EDB facts. This works
 // without coordination since the program is monotone in the EDB
 // relations." Every node of a network runs its own copy of a Dedalus
-// program on its fragment of the input; EDB facts known at a node are
-// shipped to its neighbours with nondeterministic (seeded) delay and
-// injected as EDB arrivals, and forwarded on — an asynchronous flood.
-// For programs monotone in their EDB relations (CompileTM programs by
-// construction of Q_M), every node converges to the same verdict
-// without any coordination.
+// program on its fragment of the input. The fragments travel on the
+// transducer runtime: a Lemma 5(2) flood (dist.Flood) of the shipped
+// predicates on network.Sim, under any channel model. Each transition
+// of a node advances that node's Exec by one timestamp, with the fact
+// the transition delivered as its EDB arrival. For programs monotone
+// in their EDB relations (CompileTM programs by construction of Q_M),
+// every node converges to the same verdict without any coordination.
 
 // DistOptions configure a distributed Dedalus run.
 type DistOptions struct {
-	// MaxT bounds the per-node timestamps (default 512).
+	// MaxT bounds each node's timestamps, one per transition of the
+	// node (default 512); reaching it leaves the run unconverged.
 	MaxT int
-	// Seed drives async rule scheduling and message delays.
+	// Seed drives the sim's schedule and channel draws; node i's Exec
+	// schedules its async rules from Seed+i*7919.
 	Seed int64
-	// MaxDelay bounds message transit time in steps (default 3).
-	MaxDelay int
+	// Channel is the channel model's spec, as in dist.RunOptions:
+	// "fair", "lossy[:PCT]", "dup[:PCT]", "partition[:EPOCH]",
+	// "crash[:NODE@STEP,...]"; empty is fair and lossless.
+	Channel string
 	// EDBPreds lists the predicates that are shipped between peers;
 	// empty means every predicate occurring in the initial fragments.
 	EDBPreds []string
@@ -37,10 +44,10 @@ type DistOptions struct {
 type DistTrace struct {
 	// Finals maps each node to its final slice.
 	Finals map[fact.Value]*fact.Instance
-	// ConvergedAt is the global step at which every node was quiet
-	// with no messages in flight, or -1.
+	// ConvergedAt is the number of sim transitions after which the
+	// flood was quiescent and every node's Exec quiet, or -1.
 	ConvergedAt int
-	// Messages is the number of fact deliveries performed.
+	// Messages is the number of message deliveries the sim performed.
 	Messages int
 }
 
@@ -58,141 +65,98 @@ func (d *DistTrace) Holds(pred string) bool {
 }
 
 // DistRun executes the program on every node of the network, with the
-// input horizontally partitioned. All nodes advance their local clocks
-// in lockstep (one Step per global round); between rounds, every node
-// ships the EDB facts it has not yet sent to each neighbour, arriving
-// after a seeded delay.
+// input horizontally partitioned, and the shipped fragments flooded on
+// a sim under the fair random scheduler. A node's EDB arrivals are its
+// whole fragment on its first transition, and after that the fact each
+// transition delivers, if the node has not seen it. Once the sim is
+// quiescent, nodes heartbeat until every Exec is quiet or one reaches
+// MaxT. The run lives in the sim's dictionary; fragments interned in
+// different ones are an error, and so is the first Exec error.
 func DistRun(p *Program, net *network.Network, partition map[fact.Value]*fact.Instance, opt DistOptions) (*DistTrace, error) {
 	maxT := opt.MaxT
 	if maxT <= 0 {
 		maxT = 512
 	}
-	maxDelay := opt.MaxDelay
-	if maxDelay <= 0 {
-		maxDelay = 3
-	}
-	rng := rand.New(rand.NewSource(opt.Seed))
-
-	// The set of shipped predicates.
-	shipped := map[string]bool{}
-	for _, pr := range opt.EDBPreds {
-		shipped[pr] = true
-	}
-	if len(shipped) == 0 {
-		for _, frag := range partition {
-			for _, n := range frag.RelNames() {
-				shipped[n] = true
-			}
-		}
-	}
-
-	// One run, one ID space: every instance the run builds lives in
-	// the partition's interning dictionary (the process default when
-	// no node holds a fragment), the way Exec adopts its input's.
-	var dict *fact.Dict
-	for v, frag := range partition {
+	shipped := fact.Schema{}
+	for _, frag := range partition {
 		if frag == nil {
 			continue
 		}
-		if dict == nil {
-			dict = frag.Dict()
-		} else if frag.Dict() != dict {
-			return nil, fmt.Errorf("dedalus: partition fragment at %s interned in a different dictionary (rekey it with Instance.Rekey)", v)
+		for _, n := range frag.RelNames() {
+			if len(opt.EDBPreds) == 0 || slices.Contains(opt.EDBPreds, n) {
+				shipped[n] = frag.Relation(n).Arity()
+			}
 		}
 	}
-	if dict == nil {
-		dict = fact.NewInstance().Dict()
+	flood, err := dist.Flood(shipped, nil, 0)
+	if err != nil {
+		return nil, fmt.Errorf("dedalus: %w", err)
+	}
+	part := dist.Partition{}
+	for v, frag := range partition {
+		if frag != nil {
+			part[v] = frag.Restrict(shipped)
+		}
 	}
 
 	nodes := net.Nodes()
 	execs := map[fact.Value]*Exec{}
-	known := map[fact.Value]*fact.Instance{}                // EDB facts known at node
-	sent := map[fact.Value]map[fact.Value]map[string]bool{} // sender -> receiver -> fact keys
-	inbox := map[int]map[fact.Value]*fact.Instance{}        // round -> node -> arrivals
 	for i, v := range nodes {
-		execs[v] = NewExec(p, opt.Seed+int64(i)*7919, opt.MaxDelay)
-		known[v] = dict.NewInstance()
-		if frag := partition[v]; frag != nil {
-			known[v].UnionWith(frag)
-		}
-		sent[v] = map[fact.Value]map[string]bool{}
-		for _, w := range net.Neighbors(v) {
-			sent[v][w] = map[string]bool{}
-		}
+		execs[v] = NewExec(p, opt.Seed+int64(i)*7919, 0)
 	}
-	deliver := func(round int, v fact.Value, f fact.Fact) {
-		if inbox[round] == nil {
-			inbox[round] = map[fact.Value]*fact.Instance{}
-		}
-		if inbox[round][v] == nil {
-			inbox[round][v] = dict.NewInstance()
-		}
-		inbox[round][v].AddFact(f)
-	}
-
+	seen := map[fact.Value]*fact.Instance{} // the EDB each node's Exec was given
 	trace := &DistTrace{Finals: map[fact.Value]*fact.Instance{}, ConvergedAt: -1}
-	firstRound := map[fact.Value]bool{}
-	for _, v := range nodes {
-		firstRound[v] = true
+	var sim *network.Sim
+	var stepErr error
+	capped := false // a node transitioned past MaxT
+	step := func(ev network.TraceEvent) {
+		v, e := ev.Node, execs[ev.Node]
+		capped = capped || e.T() > maxT
+		if capped || stepErr != nil {
+			return
+		}
+		edb := sim.Dict().NewInstance()
+		if e.T() == 0 {
+			if frag := partition[v]; frag != nil {
+				edb.UnionWith(frag)
+			}
+			seen[v] = edb.Clone()
+		}
+		if f := ev.Delivered; f != nil {
+			if g := fact.NewFact(strings.TrimSuffix(f.Rel, "@flood"), f.Args...); seen[v].AddFact(g) {
+				edb.AddFact(g)
+			}
+		}
+		if trace.Finals[v], stepErr = e.Step(edb); stepErr != nil {
+			stepErr = fmt.Errorf("dedalus: node %s: %w", v, stepErr)
+		}
 	}
-	for round := 0; round <= maxT; round++ {
-		// Absorb arrivals into the known EDB set.
-		for v, arr := range inbox[round] {
-			known[v].UnionWith(arr)
-			trace.Messages += arr.Size()
-		}
-		arrivedNow := inbox[round]
-		delete(inbox, round)
-
-		// Step each node. The EDB injected at a node is its initial
-		// fragment (round 0) plus this round's arrivals; persistence
-		// is the program's business, as in the paper.
-		for _, v := range nodes {
-			edb := dict.NewInstance()
-			if firstRound[v] {
-				firstRound[v] = false
-				if frag := partition[v]; frag != nil {
-					edb.UnionWith(frag)
-				}
-			}
-			if arrivedNow != nil && arrivedNow[v] != nil {
-				edb.UnionWith(arrivedNow[v])
-			}
-			slice, err := execs[v].Step(edb)
-			if err != nil {
-				return nil, fmt.Errorf("dedalus: node %s: %w", v, err)
-			}
-			trace.Finals[v] = slice
-		}
-
-		// Ship unsent EDB facts to neighbours with random delay.
-		for _, v := range nodes {
-			for _, f := range known[v].Facts() {
-				if !shipped[f.Rel] {
-					continue
-				}
-				key := f.KeyIn(dict)
-				for _, w := range net.Neighbors(v) {
-					if !sent[v][w][key] {
-						sent[v][w][key] = true
-						deliver(round+1+rng.Intn(maxDelay), w, f)
-					}
-				}
-			}
-		}
-
-		// Convergence: every node quiet, nothing in flight.
-		allQuiet := len(inbox) == 0
+	sim, err = dist.NewSim(net, flood, part, dist.RunOptions{Seed: opt.Seed, Channel: opt.Channel, Trace: step})
+	if err != nil {
+		return nil, fmt.Errorf("dedalus: %w", err)
+	}
+	// After this many transitions some node has reached MaxT.
+	res, err := sim.Run(network.NewRandomScheduler(opt.Seed), (maxT+1)*len(nodes))
+	if err != nil {
+		return nil, fmt.Errorf("dedalus: %w", err)
+	}
+	for busy := res.Quiescent; busy && !capped && stepErr == nil; {
+		busy = false
 		for _, v := range nodes {
 			if !execs[v].Quiet() {
-				allQuiet = false
-				break
+				busy = true
+				if err := sim.Heartbeat(v); err != nil {
+					return nil, fmt.Errorf("dedalus: %w", err)
+				}
 			}
 		}
-		if allQuiet {
-			trace.ConvergedAt = round
-			return trace, nil
-		}
 	}
+	if stepErr != nil {
+		return nil, stepErr
+	}
+	if res.Quiescent && !capped {
+		trace.ConvergedAt = sim.Steps
+	}
+	trace.Messages = sim.Deliveries
 	return trace, nil
 }

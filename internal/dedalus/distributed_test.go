@@ -61,6 +61,9 @@ func TestDistributedTMSimulation(t *testing.T) {
 	}
 }
 
+// TestDistributedDeterministicPerSeed: a run is a function of
+// (Seed, Channel) — the convergence step, the delivery count and every
+// node's final slice repeat, under the fair channel and a lossy one.
 func TestDistributedDeterministicPerSeed(t *testing.T) {
 	prog, err := CompileTM(tm.EvenLength())
 	if err != nil {
@@ -68,17 +71,73 @@ func TestDistributedDeterministicPerSeed(t *testing.T) {
 	}
 	I, _ := tm.EncodeWord([]string{"a", "b"})
 	net := network.Line(3)
-	run := func() (int, int) {
-		tr, err := DistRun(prog, net, partitionFacts(I, net), DistOptions{Seed: 11})
+	for _, ch := range []string{"", "lossy:30"} {
+		run := func() *DistTrace {
+			tr, err := DistRun(prog, net, partitionFacts(I, net), DistOptions{Seed: 11, Channel: ch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tr
+		}
+		a, b := run(), run()
+		if a.ConvergedAt != b.ConvergedAt || a.Messages != b.Messages {
+			t.Errorf("channel %q: seeded runs differ: (%d,%d) vs (%d,%d)",
+				ch, a.ConvergedAt, a.Messages, b.ConvergedAt, b.Messages)
+		}
+		if len(a.Finals) != len(b.Finals) {
+			t.Fatalf("channel %q: %d finals vs %d", ch, len(a.Finals), len(b.Finals))
+		}
+		for v, f := range a.Finals {
+			if g := b.Finals[v]; g == nil || !g.Equal(f) {
+				t.Errorf("channel %q: node %s's final slice differs between seeded runs", ch, v)
+			}
+		}
+	}
+}
+
+// TestDistRunChannels: the §8 CALM claim under every channel model —
+// the flood that ships the EDB may lose, duplicate or hold messages,
+// and every node still converges to the machine's verdict.
+func TestDistRunChannels(t *testing.T) {
+	channels := []string{"fair", "lossy:30", "dup:30", "partition",
+		// A crash of node 1 at step 10: the flood's transport loses
+		// the node's buffer and @acc memory and restarts from its
+		// fragment, while the node's Exec keeps its state and the EDB
+		// it was given; the neighbours flood the lost facts again.
+		"crash:1@10"}
+	for _, m := range []*tm.Machine{tm.EvenLength(), tm.EndsWithB(), tm.ABStar()} {
+		prog, err := CompileTM(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tr.ConvergedAt, tr.Messages
-	}
-	c1, m1 := run()
-	c2, m2 := run()
-	if c1 != c2 || m1 != m2 {
-		t.Errorf("seeded runs differ: (%d,%d) vs (%d,%d)", c1, m1, c2, m2)
+		for _, w := range []string{"ab", "ba", "aab"} {
+			letters := strings.Split(w, "")
+			want := m.Run(letters, 10000).Accepted
+			I, err := tm.EncodeWord(letters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, net := range []*network.Network{network.Line(2), network.Ring(3)} {
+				for _, ch := range channels {
+					tr, err := DistRun(prog, net, partitionFacts(I, net), DistOptions{Seed: 4, Channel: ch})
+					if err != nil {
+						t.Fatalf("%s(%q) on %v under %s: %v", m.Name, w, net, ch, err)
+					}
+					if tr.ConvergedAt < 0 {
+						t.Errorf("%s(%q) on %v under %s: no convergence", m.Name, w, net, ch)
+					}
+					if tr.Holds(AcceptPred) != want {
+						t.Errorf("%s(%q) on %v under %s: distributed=%v direct=%v",
+							m.Name, w, net, ch, tr.Holds(AcceptPred), want)
+					}
+					for v, f := range tr.Finals {
+						if f.RelationOr(AcceptPred, 0).Empty() == want {
+							t.Errorf("%s(%q) on %v under %s: node %s disagrees", m.Name, w, net, ch, v)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 
 // Exec is a stepwise Dedalus evaluator: one call to Step evaluates one
 // timestamp. It underlies both the single-site Run and the distributed
-// evaluation of §8's closing construction, where peers exchange EDB
-// facts between steps.
+// evaluation of §8's closing construction, where a peer's Exec steps
+// once per transition of its node, taking the delivered EDB fact.
 type Exec struct {
 	p   *Program
 	rng *rand.Rand
@@ -71,6 +71,9 @@ func (e *Exec) Step(extraEDB *fact.Instance) (*fact.Instance, error) {
 	t := e.t
 	if e.dict == nil && extraEDB != nil {
 		e.dict = extraEDB.Dict()
+	}
+	if extraEDB != nil && extraEDB.Dict() != e.dict {
+		return nil, fmt.Errorf("dedalus: t=%d: input interned in a different dictionary from earlier input (rekey it with Instance.Rekey)", t)
 	}
 	seed := e.newSlice()
 	if s := e.scheduled[t]; s != nil {
