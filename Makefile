@@ -40,7 +40,8 @@ race-parallel:
 # scenarios runs the fault-scenario tests under the race detector:
 # channel-model unit tests, monotone-preservation over the
 # construction zoo, the configuration matrix's fair-channel and
-# rerun-determinism views, and the CALM channel-robustness checks.
+# rerun-determinism views, the CALM channel-robustness checks, and
+# the Dedalus channel table (TestDistRunChannels).
 # All runs use fixed seeds — deterministic per (seed, scenario).
 scenarios:
 	$(GO) test -race -run 'Channel|Scenario|Robust|Crash' ./...

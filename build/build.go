@@ -107,9 +107,12 @@ func DatalogStreaming(p *idatalog.Program, ans string) (*itransducer.Transducer,
 	return idist.DatalogStreaming(p, ans)
 }
 
-// WhileTransducer compiles a while-program to a transducer per
-// Lemma 5(3): one instruction per heartbeat, output emitted at the
-// halt state, divergence visible as a run that never quiesces.
+// WhileTransducer compiles a while-program to an FO-transducer per
+// Lemma 5(3): one instruction per heartbeat, every query FO (loop
+// conditions and assignment queries composed over a copy of the
+// store), output emitted at the halt state, divergence — an empty
+// loop body whose condition holds included — visible as a run that
+// never quiesces.
 func WhileTransducer(p *iwhile.Program, in ifact.Schema) (*itransducer.Transducer, error) {
 	return idist.WhileTransducer(p, in)
 }

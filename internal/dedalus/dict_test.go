@@ -114,8 +114,12 @@ func TestDistRunRejectsMixedDicts(t *testing.T) {
 	for v, frag := range part {
 		part[v] = frag.Rekey(fact.NewDict())
 	}
-	if _, err := DistRun(prog, net, part, DistOptions{Seed: 1}); err == nil || !strings.Contains(err.Error(), "Rekey") {
+	_, err = DistRun(prog, net, part, DistOptions{Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), "Rekey") {
 		t.Fatalf("mixed-dictionary partition: err = %v, want an error naming Rekey", err)
+	}
+	if strings.Contains(err.Error(), "RunOptions") {
+		t.Errorf("mixed-dictionary partition: err = %v names dist.RunOptions, which DistRun callers cannot set", err)
 	}
 }
 

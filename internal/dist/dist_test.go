@@ -10,6 +10,7 @@ import (
 	"declnet/internal/fo"
 	"declnet/internal/network"
 	"declnet/internal/query"
+	"declnet/internal/transducer"
 	"declnet/internal/while"
 )
 
@@ -284,7 +285,17 @@ func TestRelayOnlyTopologyDependent(t *testing.T) {
 }
 
 func TestWhileTransducerMatchesInterpreter(t *testing.T) {
-	prog := while.MustParse(`
+	tc := datalog.MustQuery(datalog.MustParse(`
+tc(x, y) :- E(x, y).
+tc(x, y) :- E(x, z), tc(z, y).
+`), "tc")
+	cases := []struct {
+		name string
+		prog *while.Program
+		in   fact.Schema
+		I    *fact.Instance
+	}{
+		{"tcComplement", while.MustParse(`
 T(x, y) := E(x, y);
 D(x, y) := E(x, y);
 while exists x, y D(x, y) {
@@ -294,52 +305,101 @@ while exists x, y D(x, y) {
 }
 NC(x, y) := !T(x, y);
 output NC/2
-`)
-	I := fact.FromFacts(f("E", "a", "b"), f("E", "b", "c"), f("E", "d", "a"))
-	direct, err := (while.Query{P: prog}).Eval(I)
-	if err != nil {
-		t.Fatal(err)
+`), fact.Schema{"E": 2},
+			fact.FromFacts(f("E", "a", "b"), f("E", "b", "c"), f("E", "d", "a"))},
+		// The condition ranges over the whole store's active domain,
+		// E's values included, though the program never reads E.
+		{"adomCondition", while.MustParse(`
+T(x) := S(x);
+while exists x !T(x) {
+    U(x) := T(x);
+    T(x) := U(x) | !U(x);
+}
+output T/1
+`), fact.Schema{"S": 1, "E": 2}, fact.FromFacts(f("S", "a"), f("E", "b", "c"))},
+		{"outputNeverAssigned", while.MustParse(`
+T(x) := S(x);
+output O/1
+`), fact.Schema{"S": 1}, fact.FromFacts(f("S", "a"))},
+		{"datalogAssignment", while.MustNew("D", 2,
+			while.Assign{Rel: "T", Q: tc},
+			while.Assign{Rel: "D", Q: fo.MustQuery("d", []string{"x", "y"},
+				fo.AndF(fo.AtomF("T", "x", "y"), fo.NotF(fo.AtomF("E", "x", "y"))))}),
+			fact.Schema{"E": 2}, fact.FromFacts(f("E", "a", "b"), f("E", "b", "c"), f("E", "c", "d"))},
+		{"emptyBodyHalts", while.MustParse(`
+while exists x S(x) { }
+T(x, y) := E(x, y);
+output T/2
+`), fact.Schema{"S": 1, "E": 2}, fact.FromFacts(f("E", "a", "b"))},
 	}
-	tr, err := WhileTransducer(prog, fact.Schema{"E": 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr.Oblivious() {
-		t.Error("while compilation should be oblivious")
-	}
-	out, err := RunToQuiescence(network.Single(), tr, AllAtNode(I, "n1"), RunOptions{Seed: 2, MaxSteps: 100000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Equal(direct) {
-		t.Errorf("transducer %v != interpreter %v", out, direct)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			direct, err := (while.Query{P: c.prog}).Eval(c.I)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := WhileTransducer(c.prog, c.in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tr.Oblivious() {
+				t.Error("while compilation should be oblivious")
+			}
+			// Every query of the compiled program is FO, so explain
+			// shows plans throughout.
+			for _, line := range strings.Split(transducer.ExplainPlans(tr), "\n") {
+				if strings.Contains(line, "opaque query") {
+					t.Errorf("explain output has an opaque query: %s", line)
+				}
+			}
+			out, err := RunToQuiescence(network.Single(), tr, AllAtNode(c.I, "n1"), RunOptions{Seed: 2, MaxSteps: 100000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !out.Equal(direct) {
+				t.Errorf("transducer %v != interpreter %v", out, direct)
+			}
+		})
 	}
 }
 
+// TestWhileTransducerDivergence: the transducer reaches a quiescence
+// point exactly when the interpreter halts.
 func TestWhileTransducerDivergence(t *testing.T) {
-	div := while.MustParse(`
-while true {
-    T(x) := S(x);
-}
-output T/1
-`)
-	tr, err := WhileTransducer(div, fact.Schema{"S": 1})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name, prog string
+		I          *fact.Instance
+		halts      bool
+	}{
+		{"whileTrue", "while true {\n    T(x) := S(x);\n}\noutput T/1", fact.FromFacts(f("S", "v")), false},
+		{"emptyBody", "while exists x S(x) { }\noutput S/1", fact.FromFacts(f("S", "a")), false},
+		{"emptyBodyHalts", "while exists x S(x) { }\noutput S/1", fact.NewInstance(), true},
 	}
-	sim, err := NewSim(network.Single(), tr, AllAtNode(fact.FromFacts(f("S", "v")), "n1"), RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run(network.NewHeartbeatOnly(), 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Quiescent {
-		t.Error("diverging program must never reach a quiescence point")
-	}
-	if res.Output.Len() != 0 {
-		t.Errorf("diverging program emitted output %v", res.Output)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			prog := while.MustParse(c.prog)
+			if _, err := (while.Query{P: prog}).Eval(c.I); (err == nil) != c.halts {
+				t.Fatalf("interpreter: err = %v, want halts = %v", err, c.halts)
+			}
+			tr, err := WhileTransducer(prog, fact.Schema{"S": 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim, err := NewSim(network.Single(), tr, AllAtNode(c.I, "n1"), RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sim.Run(network.NewHeartbeatOnly(), 200)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Quiescent != c.halts {
+				t.Errorf("quiescent = %v, want %v", res.Quiescent, c.halts)
+			}
+			if res.Output.Len() != 0 {
+				t.Errorf("output %v, want none", res.Output)
+			}
+		})
 	}
 }
 

@@ -2,7 +2,7 @@ package dist
 
 import (
 	"fmt"
-	"sort"
+	"maps"
 
 	"declnet/internal/fact"
 	"declnet/internal/fo"
@@ -17,16 +17,16 @@ type wInstr struct {
 	assign *while.Assign // nil for a branch
 	next   int           // successor pc of an assignment
 
-	cond            *fo.Query // loop condition of a branch, as a 0-ary query
+	cond            fo.Formula // condition of a branch, a sentence
 	onTrue, onFalse int
 }
 
 // flattenWhile lowers the statement tree to a linear instruction list
 // with explicit jump targets; the pc after the last instruction is the
-// halt state. Loop conditions compile here, once, to 0-ary queries.
-func flattenWhile(p *while.Program) ([]wInstr, error) {
+// halt state. An empty loop body becomes one skip branch back to the
+// head, so the pc keeps moving while the condition holds.
+func flattenWhile(p *while.Program) []wInstr {
 	var instrs []wInstr
-	var err error
 	// pending lists (instruction, slot) pairs whose jump target is the
 	// next emitted instruction; slots: 0 = next, 1 = onFalse.
 	type slotRef struct{ idx, slot int }
@@ -51,54 +51,61 @@ func flattenWhile(p *while.Program) ([]wInstr, error) {
 				instrs = append(instrs, wInstr{assign: &a, next: -1})
 				pending = []slotRef{{idx, 0}}
 			case while.While:
-				cond, cerr := fo.NewQuery(fmt.Sprintf("cond@%d", idx), nil, st.Cond)
-				if cerr != nil && err == nil {
-					err = cerr
+				instrs = append(instrs, wInstr{cond: st.Cond, onTrue: idx + 1, onFalse: -1})
+				if len(st.Body) == 0 {
+					instrs = append(instrs, wInstr{cond: fo.Truth{Val: true}, onTrue: idx, onFalse: idx})
 				}
-				instrs = append(instrs, wInstr{cond: cond, onTrue: -1, onFalse: -1})
-				bodyPending := emit(st.Body)
-				if len(st.Body) > 0 {
-					instrs[idx].onTrue = idx + 1
-				} else {
-					// An empty body loops on the head itself.
-					instrs[idx].onTrue = idx
-				}
-				patch(bodyPending, idx) // end of body jumps back to the head
+				patch(emit(st.Body), idx) // end of body jumps back to the head
 				pending = []slotRef{{idx, 1}}
 			}
 		}
 		return pending
 	}
-	final := emit(p.Stmts)
-	patch(final, len(instrs))
-	return instrs, err
+	patch(emit(p.Stmts), len(instrs))
+	return instrs
 }
 
 func pcRel(i int) string { return fmt.Sprintf("pc@%d", i) }
 
-// WhileTransducer compiles a while-program to a relational transducer
-// per Lemma 5(3): on the single-node network the transducer computes
+// WhileTransducer compiles a while-program to an FO-transducer per
+// Lemma 5(3): on the single-node network the transducer computes
 // exactly the program's (partial) query. The program counter lives in
 // nullary memory relations pc@0..pc@n (pc@n is the halt state); every
 // heartbeat executes ONE instruction — a loop-head test or an
 // assignment, whose overwrite semantics come out of the paper's
-// insert/delete conflict-resolution formula. The output relation is
-// emitted only in the halt state, and a diverging program keeps moving
-// its pc token forever, so the run never reaches a quiescence point —
-// the operational face of the partiality of while-computable queries.
+// insert/delete conflict-resolution formula. Every query it builds is
+// FO (an assignment query Q_i may be in any language); loop conditions
+// and the Q_i are composed over a view that copies the whole store
+// (input and program variables) and the pc, so they see the store's
+// active domain, not Id or All:
+//
+//	ins:pc@j := ⋁ over the edges i→j of pc@i ∧ c   (c: the condition,
+//	            its negation, or true; for j = 0 also ¬⋁_k pc@k)
+//	del:pc@i := pc@i
+//	ins:V(x̄) := ⋁ over the sites i assigning V of pc@i ∧ V@i(x̄),
+//	            with V@i the assigned query Q_i over the view
+//	del:V(x̄) := (⋁ over the sites i of pc@i) ∧ V(x̄)
+//	out(x̄)   := pc@n ∧ Out(x̄)
+//
+// The output relation is emitted only in the halt state, and a
+// diverging program keeps moving its pc token forever, so the run
+// never reaches a quiescence point — the operational face of the
+// partiality of while-computable queries. A composed query evaluates
+// all of its definitions, so ins:V evaluates every Q_i on every
+// heartbeat, not only the one the pc is at: an assignment query that
+// fails on some store (a diverging nested while-program) fails the
+// run even where the pc never reaches it.
 //
 // The program must not assign to a relation of the input schema
 // (transducer inputs are immutable), and every relation it reads must
 // be an input or an assigned program variable.
 func WhileTransducer(p *while.Program, in fact.Schema) (*transducer.Transducer, error) {
-	instrs, err := flattenWhile(p)
-	if err != nil {
-		return nil, fmt.Errorf("dist: while-program condition: %w", err)
-	}
+	instrs := flattenWhile(p)
 	halt := len(instrs)
 
 	// Program variables: every assigned relation, with its arity.
 	vars := fact.Schema{}
+	sites := map[string][]int{}
 	for i := range instrs {
 		a := instrs[i].assign
 		if a == nil {
@@ -111,195 +118,83 @@ func WhileTransducer(p *while.Program, in fact.Schema) (*transducer.Transducer, 
 			return nil, fmt.Errorf("dist: while-program assigns %s with arities %d and %d", a.Rel, prev, a.Q.Arity())
 		}
 		vars[a.Rel] = a.Q.Arity()
+		sites[a.Rel] = append(sites[a.Rel], i)
 	}
 	if !in.Has(p.Out) && !vars.Has(p.Out) {
 		vars[p.Out] = p.OutArity // declared, never written: output stays empty
 	}
-
-	// storeRels is the schema the program's queries and conditions see:
-	// evaluating them on a restriction keeps the interpreter's
-	// active-domain semantics (Id and All must not leak into adom).
 	store, err := in.Union(vars)
 	if err != nil {
 		return nil, err
-	}
-	storeNames := store.Names()
-	restrict := func(I *fact.Instance) *fact.Instance {
-		R := I.Dict().NewInstance()
-		for _, rel := range storeNames {
-			if r := I.Relation(rel); r != nil {
-				R.SetRelationOwned(rel, r) // shared: relations are never mutated in place
-			}
-		}
-		return R
 	}
 
 	b := transducer.NewBuilder("while:"+p.Out, in)
 	for rel, k := range vars {
 		b.Mem(rel, k)
 	}
-	allPCs := make([]string, 0, halt+1)
+	view := map[string]query.Query{}
+	for rel, k := range store {
+		view[rel] = copyQuery(rel, tupleVars(k)...)
+	}
+	into := make([][]fo.Formula, halt+1) // the edges into each pc state
+	var anyPC []fo.Formula
 	for i := 0; i <= halt; i++ {
 		b.Mem(pcRel(i), 0)
-		allPCs = append(allPCs, pcRel(i))
+		view[pcRel(i)] = copyQuery(pcRel(i))
+		anyPC = append(anyPC, fo.AtomF(pcRel(i)))
 	}
-
-	atPC := func(I *fact.Instance, i int) bool {
-		return !I.RelationOr(pcRel(i), 0).Empty()
-	}
-
-	// inEdge is one way the pc token can arrive at a target state.
-	type inEdge struct {
-		from int
-		cond *fo.Query // nil: unconditional; evaluated on the store
-		want bool      // required truth value of cond
-	}
-	incoming := map[int][]inEdge{}
-	for i := range instrs {
-		ins := instrs[i]
+	for i, ins := range instrs {
+		at := fo.AtomF(pcRel(i))
 		if ins.assign != nil {
-			incoming[ins.next] = append(incoming[ins.next], inEdge{from: i})
+			into[ins.next] = append(into[ins.next], at)
 		} else {
-			incoming[ins.onTrue] = append(incoming[ins.onTrue], inEdge{from: i, cond: ins.cond, want: true})
-			incoming[ins.onFalse] = append(incoming[ins.onFalse], inEdge{from: i, cond: ins.cond, want: false})
+			into[ins.onTrue] = append(into[ins.onTrue], fo.AndF(at, ins.cond))
+			into[ins.onFalse] = append(into[ins.onFalse], fo.AndF(at, fo.NotF(ins.cond)))
 		}
+		b.Del(pcRel(i), copyQuery(pcRel(i))) // the token leaves every non-halt state
 	}
-
-	nullaryTrue := func(d *fact.Dict, cond bool) *fact.Relation {
-		r := d.NewRelation(0)
-		if cond {
-			r.Add(fact.Tuple{})
-		}
-		return r
-	}
-
-	for j := 0; j <= halt; j++ {
-		j := j
-		edges := incoming[j]
-		reads := map[string]bool{}
-		for _, e := range edges {
-			reads[pcRel(e.from)] = true
-			if e.cond != nil {
-				for _, r := range e.cond.Summary().Reads {
-					reads[r] = true
-				}
-			}
-		}
-		bootstrap := j == 0
-		if bootstrap {
-			for _, pc := range allPCs {
-				reads[pc] = true
-			}
-		}
-		if len(edges) == 0 && !bootstrap {
+	into[0] = append(into[0], fo.NotF(fo.OrF(anyPC...))) // start when no pc is set
+	for j, edges := range into {
+		if len(edges) == 0 {
 			continue // unreachable pc state keeps the default empty insert
 		}
-		b.Ins(pcRel(j), query.NewFunc("ins:"+pcRel(j), 0, sortedNames(reads), false,
-			func(I *fact.Instance) (*fact.Relation, error) {
-				if bootstrap {
-					idle := true
-					for i := 0; i <= halt; i++ {
-						if atPC(I, i) {
-							idle = false
-							break
-						}
-					}
-					if idle {
-						return nullaryTrue(I.Dict(), true), nil
-					}
-				}
-				for _, e := range edges {
-					if !atPC(I, e.from) {
-						continue
-					}
-					if e.cond == nil {
-						return nullaryTrue(I.Dict(), true), nil
-					}
-					holds, err := e.cond.Eval(restrict(I))
-					if err != nil {
-						return nil, err
-					}
-					if !holds.Empty() == e.want {
-						return nullaryTrue(I.Dict(), true), nil
-					}
-				}
-				return nullaryTrue(I.Dict(), false), nil
-			}))
-	}
-
-	// The token leaves every non-halt state it occupies; a self-loop
-	// (empty loop body) re-inserts it simultaneously and the conflict
-	// formula keeps it in place.
-	for i := range instrs {
-		i := i
-		b.Del(pcRel(i), query.NewFunc("del:"+pcRel(i), 0, []string{pcRel(i)}, false,
-			func(I *fact.Instance) (*fact.Relation, error) {
-				return nullaryTrue(I.Dict(), atPC(I, i)), nil
-			}))
-	}
-
-	// Assignments: when the pc sits on an instruction assigning V, the
-	// new value is Q(store); deleting all of V while inserting Q(store)
-	// realizes the overwrite through the conflict-resolution formula.
-	assignsTo := map[string][]int{}
-	for i := range instrs {
-		if a := instrs[i].assign; a != nil {
-			assignsTo[a.Rel] = append(assignsTo[a.Rel], i)
+		q, err := fo.NewQuery("ins:"+pcRel(j), nil, fo.OrF(edges...))
+		if err != nil {
+			return nil, fmt.Errorf("dist: while-program condition: %w", err)
 		}
+		ins, err := query.Compose(q, view)
+		if err != nil {
+			return nil, fmt.Errorf("dist: while-program condition: %w", err)
+		}
+		b.Ins(pcRel(j), ins)
 	}
-	for rel, sites := range assignsTo {
-		rel, sites := rel, sites
-		k := vars[rel]
-		reads := map[string]bool{rel: true}
-		for _, i := range sites {
-			reads[pcRel(i)] = true
-			for _, r := range instrs[i].assign.Q.Summary().Reads {
-				reads[r] = true
+
+	for _, rel := range vars.Names() {
+		if len(sites[rel]) == 0 {
+			continue // the output relation, never assigned
+		}
+		x := tupleVars(vars[rel])
+		defs := maps.Clone(view)
+		var at, put []fo.Formula
+		for _, i := range sites[rel] {
+			qi, err := query.Compose(instrs[i].assign.Q, view)
+			if err != nil {
+				return nil, fmt.Errorf("dist: while-program assignment to %s: %w", rel, err)
 			}
+			val := fmt.Sprintf("%s@%d", rel, i)
+			defs[val] = qi
+			at = append(at, fo.AtomF(pcRel(i)))
+			put = append(put, fo.AndF(fo.AtomF(pcRel(i)), fo.AtomF(val, x...)))
 		}
-		b.Ins(rel, query.NewFunc("ins:"+rel, k, sortedNames(reads), false,
-			func(I *fact.Instance) (*fact.Relation, error) {
-				for _, i := range sites {
-					if atPC(I, i) {
-						return instrs[i].assign.Q.Eval(restrict(I))
-					}
-				}
-				return I.Dict().NewRelation(k), nil
-			}))
-		delReads := map[string]bool{rel: true}
-		for _, i := range sites {
-			delReads[pcRel(i)] = true
+		ins, err := query.Compose(fo.MustQuery("ins:"+rel, x, fo.OrF(put...)), defs)
+		if err != nil {
+			return nil, err
 		}
-		b.Del(rel, query.NewFunc("del:"+rel, k, sortedNames(delReads), false,
-			func(I *fact.Instance) (*fact.Relation, error) {
-				for _, i := range sites {
-					if atPC(I, i) {
-						return I.RelationOr(rel, k).Clone(), nil
-					}
-				}
-				return I.Dict().NewRelation(k), nil
-			}))
+		b.Ins(rel, ins).
+			Del(rel, fo.MustQuery("del:"+rel, x, fo.AndF(fo.OrF(at...), fo.AtomF(rel, x...))))
 	}
 
-	outRel, outArity := p.Out, p.OutArity
-	b.Out(outArity, query.NewFunc("out:"+outRel, outArity,
-		[]string{outRel, pcRel(halt)}, false,
-		func(I *fact.Instance) (*fact.Relation, error) {
-			if !atPC(I, halt) {
-				return I.Dict().NewRelation(outArity), nil
-			}
-			return I.RelationOr(outRel, outArity).Clone(), nil
-		}))
-	return b.Build()
-}
-
-func sortedNames(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for n, ok := range set {
-		if ok && n != "" {
-			out = append(out, n)
-		}
-	}
-	sort.Strings(out)
-	return out
+	x := tupleVars(p.OutArity)
+	return b.Out(p.OutArity, fo.MustQuery("out:"+p.Out, x, fo.AndF(fo.AtomF(pcRel(halt)), fo.AtomF(p.Out, x...)))).
+		Build()
 }

@@ -288,7 +288,7 @@ func NewSimDict(net *Network, tr *transducer.Transducer, partition map[fact.Valu
 			return nil, fmt.Errorf("network: partition assigns input to unknown node %s", v)
 		}
 		if h != nil && h.Dict() != dict {
-			return nil, fmt.Errorf("network: partition fragment at %s interned in a different dictionary (rekey it with Instance.Rekey, or let dist.RunOptions.Dict do it)", v)
+			return nil, fmt.Errorf("network: partition fragment at %s interned in a different dictionary (rekey every fragment into one dictionary with Instance.Rekey)", v)
 		}
 	}
 	// One All relation for the whole network, sealed (all lazy read
