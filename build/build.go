@@ -110,9 +110,9 @@ func DatalogStreaming(p *idatalog.Program, ans string) (*itransducer.Transducer,
 // WhileTransducer compiles a while-program to an FO-transducer per
 // Lemma 5(3): one instruction per heartbeat, every query FO (loop
 // conditions and assignment queries composed over a copy of the
-// store), output emitted at the halt state, divergence — an empty
-// loop body whose condition holds included — visible as a run that
-// never quiesces.
+// store, each run only when the program counter reaches it), output
+// emitted at the halt state, divergence — an empty loop body whose
+// condition holds included — visible as a run that never quiesces.
 func WhileTransducer(p *iwhile.Program, in ifact.Schema) (*itransducer.Transducer, error) {
 	return idist.WhileTransducer(p, in)
 }

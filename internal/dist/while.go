@@ -2,7 +2,8 @@ package dist
 
 import (
 	"fmt"
-	"maps"
+	"slices"
+	"strings"
 
 	"declnet/internal/fact"
 	"declnet/internal/fo"
@@ -11,20 +12,20 @@ import (
 	"declnet/internal/while"
 )
 
-// wInstr is one flattened while-program instruction: either an
-// assignment with an unconditional successor, or a loop-head branch.
+// wInstr is one flattened while-program instruction: an assignment
+// or a skip with an unconditional successor, or a loop-head branch.
 type wInstr struct {
-	assign *while.Assign // nil for a branch
-	next   int           // successor pc of an assignment
+	assign *while.Assign // nil for a skip or a branch
+	next   int           // successor pc of an assignment or a skip
 
-	cond            fo.Formula // condition of a branch, a sentence
+	cond            fo.Formula // condition of a branch, a sentence; nil otherwise
 	onTrue, onFalse int
 }
 
 // flattenWhile lowers the statement tree to a linear instruction list
 // with explicit jump targets; the pc after the last instruction is the
-// halt state. An empty loop body becomes one skip branch back to the
-// head, so the pc keeps moving while the condition holds.
+// halt state. An empty loop body becomes one skip back to the head, so
+// the pc keeps moving while the condition holds.
 func flattenWhile(p *while.Program) []wInstr {
 	var instrs []wInstr
 	// pending lists (instruction, slot) pairs whose jump target is the
@@ -53,7 +54,7 @@ func flattenWhile(p *while.Program) []wInstr {
 			case while.While:
 				instrs = append(instrs, wInstr{cond: st.Cond, onTrue: idx + 1, onFalse: -1})
 				if len(st.Body) == 0 {
-					instrs = append(instrs, wInstr{cond: fo.Truth{Val: true}, onTrue: idx, onFalse: idx})
+					instrs = append(instrs, wInstr{next: idx})
 				}
 				patch(emit(st.Body), idx) // end of body jumps back to the head
 				pending = []slotRef{{idx, 1}}
@@ -67,6 +68,50 @@ func flattenWhile(p *while.Program) []wInstr {
 
 func pcRel(i int) string { return fmt.Sprintf("pc@%d", i) }
 
+// guarded is the query pc ∧ Q for a nullary pc relation and a query Q
+// of any language. It evaluates Q only where pc holds, so a partial Q
+// (a nested while-program) runs only when the program reaches it. Its
+// summary and plans are Q's, with pc read positively.
+type guarded struct {
+	pc      string
+	q       query.Query
+	summary *query.Summary
+}
+
+func guard(pc string, q query.Query) guarded {
+	s := *q.Summary()
+	s.Reads = slices.Compact(slices.Sorted(slices.Values(append([]string{pc}, s.Reads...))))
+	s.Deps = append(slices.Clone(s.Deps), query.Dep{Rel: pc, Polarity: query.PolPos, Branch: -1, Where: "guard " + pc})
+	s.Clauses = slices.Clone(s.Clauses)
+	for i, c := range s.Clauses {
+		if c.Head == "" {
+			s.Clauses[i].Body = append([]string{pc}, c.Body...)
+		}
+	}
+	return guarded{pc: pc, q: q, summary: &s}
+}
+
+func (g guarded) Arity() int              { return g.q.Arity() }
+func (g guarded) Summary() *query.Summary { return g.summary }
+
+func (g guarded) Eval(I *fact.Instance) (*fact.Relation, error) {
+	if I.RelationOr(g.pc, 0).Empty() {
+		return I.Dict().NewRelation(g.q.Arity()), nil
+	}
+	return g.q.Eval(I)
+}
+
+func (g guarded) ExplainPlan() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "guarded by %s:\n", g.pc)
+	for _, line := range strings.SplitAfter(query.ExplainPlan(g.q), "\n") {
+		if line != "" {
+			b.WriteString("  " + line)
+		}
+	}
+	return b.String()
+}
+
 // WhileTransducer compiles a while-program to an FO-transducer per
 // Lemma 5(3): on the single-node network the transducer computes
 // exactly the program's (partial) query. The program counter lives in
@@ -74,27 +119,26 @@ func pcRel(i int) string { return fmt.Sprintf("pc@%d", i) }
 // heartbeat executes ONE instruction — a loop-head test or an
 // assignment, whose overwrite semantics come out of the paper's
 // insert/delete conflict-resolution formula. Every query it builds is
-// FO (an assignment query Q_i may be in any language); loop conditions
-// and the Q_i are composed over a view that copies the whole store
-// (input and program variables) and the pc, so they see the store's
-// active domain, not Id or All:
+// FO (an assignment query Q_i may be in any language). Each loop
+// condition c_i and each Q_i is composed over a view that copies the
+// whole store (input and program variables), so it sees the store's
+// active domain, not Id or All, and is guarded by its own pc, so it
+// runs only when the program reaches it:
 //
-//	ins:pc@j := ⋁ over the edges i→j of pc@i ∧ c   (c: the condition,
-//	            its negation, or true; for j = 0 also ¬⋁_k pc@k)
+//	cond@i   := pc@i ∧ c_i, over the store view
+//	V@i(x̄)   := pc@i ∧ Q_i(x̄), over the store view
+//	ins:pc@j := ⋁ over the edges i→j of cond@i (loop entry),
+//	            pc@i ∧ ¬cond@i (loop exit) or pc@i (assignment,
+//	            skip); for j = 0 also ¬⋁_k pc@k
 //	del:pc@i := pc@i
-//	ins:V(x̄) := ⋁ over the sites i assigning V of pc@i ∧ V@i(x̄),
-//	            with V@i the assigned query Q_i over the view
+//	ins:V(x̄) := ⋁ over the sites i assigning V of V@i(x̄)
 //	del:V(x̄) := (⋁ over the sites i of pc@i) ∧ V(x̄)
 //	out(x̄)   := pc@n ∧ Out(x̄)
 //
 // The output relation is emitted only in the halt state, and a
 // diverging program keeps moving its pc token forever, so the run
 // never reaches a quiescence point — the operational face of the
-// partiality of while-computable queries. A composed query evaluates
-// all of its definitions, so ins:V evaluates every Q_i on every
-// heartbeat, not only the one the pc is at: an assignment query that
-// fails on some store (a diverging nested while-program) fails the
-// run even where the pc never reaches it.
+// partiality of while-computable queries.
 //
 // The program must not assign to a relation of the input schema
 // (transducer inputs are immutable), and every relation it reads must
@@ -127,44 +171,62 @@ func WhileTransducer(p *while.Program, in fact.Schema) (*transducer.Transducer, 
 	if err != nil {
 		return nil, err
 	}
+	view := map[string]query.Query{}
+	for rel, k := range store {
+		view[rel] = copyQuery(rel, tupleVars(k)...)
+	}
+	// atStore is q over the store view, guarded by pc@i.
+	atStore := func(i int, q query.Query) (query.Query, error) {
+		c, err := query.Compose(q, view)
+		if err != nil {
+			return nil, err
+		}
+		return guard(pcRel(i), c), nil
+	}
 
 	b := transducer.NewBuilder("while:"+p.Out, in)
 	for rel, k := range vars {
 		b.Mem(rel, k)
 	}
-	view := map[string]query.Query{}
-	for rel, k := range store {
-		view[rel] = copyQuery(rel, tupleVars(k)...)
-	}
+	pcDefs := map[string]query.Query{}   // pc@k copies and guarded conditions cond@i
 	into := make([][]fo.Formula, halt+1) // the edges into each pc state
 	var anyPC []fo.Formula
 	for i := 0; i <= halt; i++ {
 		b.Mem(pcRel(i), 0)
-		view[pcRel(i)] = copyQuery(pcRel(i))
+		pcDefs[pcRel(i)] = copyQuery(pcRel(i))
 		anyPC = append(anyPC, fo.AtomF(pcRel(i)))
 	}
 	for i, ins := range instrs {
 		at := fo.AtomF(pcRel(i))
-		if ins.assign != nil {
-			into[ins.next] = append(into[ins.next], at)
-		} else {
-			into[ins.onTrue] = append(into[ins.onTrue], fo.AndF(at, ins.cond))
-			into[ins.onFalse] = append(into[ins.onFalse], fo.AndF(at, fo.NotF(ins.cond)))
-		}
 		b.Del(pcRel(i), copyQuery(pcRel(i))) // the token leaves every non-halt state
+		if ins.cond == nil {
+			into[ins.next] = append(into[ins.next], at)
+			continue
+		}
+		c := fmt.Sprintf("cond@%d", i)
+		q, err := fo.NewQuery(c, nil, ins.cond)
+		if err == nil {
+			pcDefs[c], err = atStore(i, q)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("dist: while-program condition: %w", err)
+		}
+		into[ins.onTrue] = append(into[ins.onTrue], fo.AtomF(c))
+		into[ins.onFalse] = append(into[ins.onFalse], fo.AndF(at, fo.NotF(fo.AtomF(c))))
 	}
 	into[0] = append(into[0], fo.NotF(fo.OrF(anyPC...))) // start when no pc is set
 	for j, edges := range into {
 		if len(edges) == 0 {
 			continue // unreachable pc state keeps the default empty insert
 		}
-		q, err := fo.NewQuery("ins:"+pcRel(j), nil, fo.OrF(edges...))
-		if err != nil {
-			return nil, fmt.Errorf("dist: while-program condition: %w", err)
+		q := fo.MustQuery("ins:"+pcRel(j), nil, fo.OrF(edges...))
+		defs := map[string]query.Query{} // only what q reads, so a pc move touches few queries
+		for _, r := range q.Summary().Reads {
+			defs[r] = pcDefs[r]
 		}
-		ins, err := query.Compose(q, view)
+		ins, err := query.Compose(q, defs)
 		if err != nil {
-			return nil, fmt.Errorf("dist: while-program condition: %w", err)
+			return nil, err
 		}
 		b.Ins(pcRel(j), ins)
 	}
@@ -174,17 +236,15 @@ func WhileTransducer(p *while.Program, in fact.Schema) (*transducer.Transducer, 
 			continue // the output relation, never assigned
 		}
 		x := tupleVars(vars[rel])
-		defs := maps.Clone(view)
+		defs := map[string]query.Query{}
 		var at, put []fo.Formula
 		for _, i := range sites[rel] {
-			qi, err := query.Compose(instrs[i].assign.Q, view)
-			if err != nil {
+			val := fmt.Sprintf("%s@%d", rel, i)
+			if defs[val], err = atStore(i, instrs[i].assign.Q); err != nil {
 				return nil, fmt.Errorf("dist: while-program assignment to %s: %w", rel, err)
 			}
-			val := fmt.Sprintf("%s@%d", rel, i)
-			defs[val] = qi
 			at = append(at, fo.AtomF(pcRel(i)))
-			put = append(put, fo.AndF(fo.AtomF(pcRel(i)), fo.AtomF(val, x...)))
+			put = append(put, fo.AtomF(val, x...))
 		}
 		ins, err := query.Compose(fo.MustQuery("ins:"+rel, x, fo.OrF(put...)), defs)
 		if err != nil {
